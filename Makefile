@@ -5,13 +5,18 @@ GO ?= go
 
 include tools/tools.mk
 
-.PHONY: build test race vet fmt-check campaign-smoke telemetry-smoke triage-smoke perf-smoke resume-smoke dashboard-smoke profile-smoke stv-smoke cascade-smoke microbench bench bench-baseline ci
+.PHONY: build test fuzz race vet fmt-check campaign-smoke telemetry-smoke triage-smoke perf-smoke resume-smoke dashboard-smoke profile-smoke stv-smoke cascade-smoke microbench bench bench-baseline ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# A short native-fuzzing run over the decoders of on-disk bytes: malformed
+# input must return an error, never panic.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzValidateBench$$' -fuzztime 10s ./internal/telemetry
 
 # internal/campaign's end-to-end tests run many seeded campaigns; under
 # the race detector on a loaded runner they can exceed go test's default
@@ -139,6 +144,6 @@ bench:
 # alive-mutate-bench/v1 schema before it can be committed.
 bench-baseline:
 	$(GO) run ./cmd/bench-throughput -count 200 -gen 10 -out res.txt -json BENCH_throughput.json
-	$(GO) run ./cmd/telemetry-check -require-positive BENCH_throughput.json
+	$(GO) run ./cmd/telemetry-check BENCH_throughput.json
 
-ci: build vet fmt-check test race campaign-smoke telemetry-smoke triage-smoke perf-smoke resume-smoke dashboard-smoke profile-smoke stv-smoke cascade-smoke
+ci: build vet fmt-check test fuzz race campaign-smoke telemetry-smoke triage-smoke perf-smoke resume-smoke dashboard-smoke profile-smoke stv-smoke cascade-smoke

@@ -79,23 +79,7 @@ func main() {
 	spansOut := flag.String("spans-out", "", "record per-file span deltas (mutant/stage/solver-query tree) and write the alive-mutate-spans/v1 file here")
 	spansDet := flag.Bool("spans-deterministic", false, "zero wall-clock in recorded spans so the spans file is byte-identical at any -workers")
 	noAnalysis := flag.Bool("no-analysis", false, "disable the dataflow-analysis-backed folds (A/B overhead runs)")
-	noTVCache := flag.Bool("no-tv-cache", false, "disable the per-file refinement-verdict cache (A/B comparison runs)")
-	noIncremental := flag.Bool("no-incremental", false, "disable assumption-based incremental SAT solving (A/B comparison runs)")
-	satPreprocess := flag.Bool("sat-preprocess", false, "enable SatELite-lite CNF preprocessing before each solve")
-	noStaticTV := flag.Bool("no-static-tv", false, "disable the static refinement pre-verifier (A/B comparison runs)")
-	noConcreteTV := flag.Bool("no-concrete-tv", false, "disable the concrete-execution differential pre-screen (A/B comparison runs)")
-	noSharedSrc := flag.Bool("no-shared-src", false, "disable the per-file shared src-encoding pool (A/B comparison runs)")
-	portfolio := flag.Int("portfolio", 3, "deterministic solver-portfolio size for budget-Unknown queries (0 or 1 = monolithic solve only)")
 	flag.Parse()
-	accel := accelConfig{
-		cache:       !*noTVCache,
-		incremental: !*noIncremental,
-		preprocess:  *satPreprocess,
-		static:      !*noStaticTV,
-		concrete:    !*noConcreteTV,
-		sharedSrc:   !*noSharedSrc,
-		portfolio:   *portfolio,
-	}
 
 	// The integrated loop always records stage telemetry here: the
 	// per-stage breakdown is part of the benchmark's output. (Overhead is
@@ -187,7 +171,7 @@ func main() {
 				shard := sink.ShardSink(campaign.WorkerID(ctx))
 				rec := spanStore.NewRecorder(filepath.Base(path), filepath.Base(path), i, *seed)
 				shard.Spans = rec
-				r, err := measureFile(ctx, path, tmp, tools, *passSpec, *seed, *count, *noAnalysis, accel, shard)
+				r, err := measureFile(ctx, path, tmp, tools, *passSpec, *seed, *count, *noAnalysis, shard)
 				if rec != nil {
 					// Only the integrated loop records spans; its budget is
 					// the fixed mutant count, spent in full on success.
@@ -307,28 +291,6 @@ func main() {
 			WallNS:         int64(time.Since(expStart)),
 			AvgSpeedup:     avgPerf(rows),
 			StagesNS:       sink.Metrics.StageTotals(),
-			Solver: &telemetry.BenchSolver{
-				TVCacheEnabled: accel.cache,
-				// The solver section records effective state: under the
-				// benchmark's generous conflict budget the per-class
-				// session never engages (it pays off only when budget
-				// exhaustion is plausible), so "incremental" is reported
-				// false even when the knob is on.
-				IncrementalEnabled: accel.incremental && tv.SessionEligible(benchTVBudget),
-				PreprocessEnabled:  accel.preprocess,
-				ConcreteEnabled:    accel.concrete,
-				SharedSrcEnabled:   accel.sharedSrc,
-				Portfolio:          accel.portfolio,
-				TVCacheHits:        sink.Metrics.Counter("tv.cache.hit").Value(),
-				TVCacheMisses:      sink.Metrics.Counter("tv.cache.miss").Value(),
-				SATAssumptions:     sink.Metrics.Counter("sat.assumptions").Value(),
-				SATPreprocessElim:  sink.Metrics.Counter("sat.preprocess.eliminated").Value(),
-				ConcreteScreened:   sink.Metrics.Counter("tv.concrete.screened").Value(),
-				ConcreteDiverged:   sink.Metrics.Counter("tv.concrete.diverged").Value(),
-				SrcEncHits:         sink.Metrics.Counter("tv.srcenc.hit").Value(),
-				SrcEncMisses:       sink.Metrics.Counter("tv.srcenc.miss").Value(),
-				PortfolioRaces:     sink.Metrics.Counter("sat.portfolio.races").Value(),
-			},
 		}
 		for _, r := range rows {
 			doc.Files = append(doc.Files, telemetry.BenchFile{
@@ -374,52 +336,20 @@ func avgPerf(rows []row) float64 {
 	return sum / float64(len(rows))
 }
 
-// measureFile times both workflows over one input file. tel is the
-// shard-local telemetry sink; the integrated loop's stage breakdown
-// records into it, and the discrete loop's wall time lands in
-// stage.discrete for comparison.
-// accelConfig selects the TV acceleration knobs for the integrated loop
-// (the discrete side has no equivalents — its per-iteration process model
-// is exactly what the acceleration stack removes).
-type accelConfig struct {
-	cache       bool
-	incremental bool
-	preprocess  bool
-	static      bool
-	concrete    bool
-	sharedSrc   bool
-	portfolio   int
-}
-
 // benchTVBudget is the conflict budget both workflows verify under. It is
 // deliberately generous — the benchmark measures steady-state throughput,
-// not budget-exhaustion behavior — and is shared between the integrated
-// TV options and the discrete pipeline so the comparison stays symmetric.
+// not budget-exhaustion behavior.
 const benchTVBudget = 30000
 
-// tvOptions resolves one file's TV options; the verdict cache and the
-// shared src-encoding pool are per-file, so measurements are independent
-// and deterministic.
-func (a accelConfig) tvOptions() tv.Options {
-	o := tv.Options{
-		Incremental:    a.incremental,
-		Preprocess:     a.preprocess,
-		Static:         a.static,
-		Concrete:       a.concrete,
-		Portfolio:      a.portfolio,
-		ConflictBudget: benchTVBudget,
-	}
-	if a.cache {
-		o.Cache = tv.NewCache()
-	}
-	if a.sharedSrc {
-		o.SrcEnc = tv.NewSrcEncodings()
-	}
-	return o
-}
-
+// measureFile times both workflows over one input file. tel is the
+// shard-local telemetry sink the integrated loop's stage breakdown
+// records into. Both sides verify under the same plain TV settings —
+// the integrated loop with tv.Options{ConflictBudget: benchTVBudget},
+// the discrete loop by passing that budget to alive-tv, which builds the
+// same options — so the comparison measures the process model, not a
+// difference in verification work.
 func measureFile(ctx context.Context, path, tmpDir string, tools discrete.Tools,
-	passes string, seed uint64, count int, noAnalysis bool, accel accelConfig, tel *telemetry.Sink) (row, error) {
+	passes string, seed uint64, count int, noAnalysis bool, tel *telemetry.Sink) (row, error) {
 	r := row{file: filepath.Base(path)}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -437,7 +367,7 @@ func measureFile(ctx context.Context, path, tmpDir string, tools discrete.Tools,
 	fz, err := core.New(mod.Clone(), core.Options{
 		Passes: passes, Seed: seed, NumMutants: count,
 		Telemetry: tel, DisableAnalysis: noAnalysis,
-		TV: accel.tvOptions(),
+		TV: tv.Options{ConflictBudget: benchTVBudget},
 	})
 	if err != nil {
 		r.invalid = true
@@ -471,7 +401,6 @@ func measureFile(ctx context.Context, path, tmpDir string, tools discrete.Tools,
 	}
 	r.discreteNS = int64(time.Since(t0))
 	r.discrete = time.Duration(r.discreteNS).Seconds()
-	tel.Collector().ObserveStage("discrete", time.Duration(r.discreteNS))
 	r.perf = r.discrete / r.integrated
 	r.notVerif = rep.Stats.Invalid > 0 || disRes.Invalid > 0
 	return r, nil

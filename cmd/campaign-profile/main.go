@@ -14,7 +14,9 @@
 // the seven perf-smoke issues — the "995-mutant slice" of
 // docs/PERFORMANCE.md), so a bare `campaign-profile` invocation prints a
 // deterministic hotspot table in seconds; raise -budget / widen -only
-// for a full-registry profile.
+// for a full-registry profile. The campaign verifies with fuzz-campaign's
+// default TV cascade; to profile a cascade with a layer switched off,
+// record a -spans-out file with fuzz-campaign and analyze it here.
 //
 // Usage:
 //
@@ -59,10 +61,6 @@ func run() int {
 	spansOut := flag.String("spans-out", "", "also write the recorded alive-mutate-spans/v1 file here (run mode)")
 	topN := flag.Int("top", 10, "entries per hotspot ranking")
 	jsonOut := flag.String("json", "", "also write the alive-mutate-hotspots/v1 report to this file")
-	noStaticTV := flag.Bool("no-static-tv", false, "disable the static refinement pre-verifier (run mode; the report's \"static\" column drops to zero)")
-	noConcreteTV := flag.Bool("no-concrete-tv", false, "disable the concrete-execution differential pre-screen (run mode; the \"conc\" column drops to zero)")
-	noSharedSrc := flag.Bool("no-shared-src", false, "disable the per-unit shared src-encoding pool (run mode)")
-	portfolio := flag.Int("portfolio", 3, "deterministic solver-portfolio size for budget-Unknown queries (run mode; 0 or 1 = monolithic solve only)")
 	flag.Parse()
 
 	var store *spans.Store
@@ -78,10 +76,6 @@ func run() int {
 			only:          *onlySpec,
 			deadline:      *deadline,
 			deterministic: *deterministic,
-			noStaticTV:    *noStaticTV,
-			noConcreteTV:  *noConcreteTV,
-			noSharedSrc:   *noSharedSrc,
-			portfolio:     *portfolio,
 		})
 		if store == nil {
 			return code
@@ -136,10 +130,6 @@ type profileConfig struct {
 	only          string
 	deadline      time.Duration
 	deterministic bool
-	noStaticTV    bool
-	noConcreteTV  bool
-	noSharedSrc   bool
-	portfolio     int
 }
 
 // runCampaign executes the profiling campaign with span recording on and
@@ -174,20 +164,17 @@ func runCampaign(pc profileConfig) (*spans.Store, int) {
 	defer stop()
 
 	rep, err := campaign.RunBugs(ctx, campaign.BugConfig{
-		Budget:         pc.budget,
-		TVBudget:       pc.tvBudget,
-		Seed:           pc.seed,
-		Passes:         pc.passes,
-		Workers:        pc.workers,
-		Deadline:       pc.deadline,
-		Only:           only,
-		Stderr:         os.Stderr,
-		Telemetry:      sink,
-		Spans:          store,
-		NoStaticTV:     pc.noStaticTV,
-		NoConcreteTV:   pc.noConcreteTV,
-		NoSharedSrcEnc: pc.noSharedSrc,
-		Portfolio:      pc.portfolio,
+		Budget:    pc.budget,
+		TVBudget:  pc.tvBudget,
+		Seed:      pc.seed,
+		Passes:    pc.passes,
+		Workers:   pc.workers,
+		Deadline:  pc.deadline,
+		Only:      only,
+		Stderr:    os.Stderr,
+		Telemetry: sink,
+		Spans:     store,
+		Portfolio: campaign.DefaultPortfolio,
 	})
 	if rep == nil {
 		fmt.Fprintln(os.Stderr, "campaign-profile:", err)

@@ -104,13 +104,11 @@ func run() int {
 	spansDet := flag.Bool("spans-deterministic", false, "zero wall-clock in recorded spans so the spans file is byte-identical at any -workers (structure and solver counters only)")
 	noAnalysis := flag.Bool("no-analysis", false, "disable the dataflow-analysis-backed folds (A/B comparison runs)")
 	noTVCache := flag.Bool("no-tv-cache", false, "disable the per-unit refinement-verdict cache (A/B comparison runs)")
-	sharedTVCache := flag.Bool("shared-tv-cache", false, "share one verdict cache across all workers (hit counts become scheduling-dependent)")
 	noIncremental := flag.Bool("no-incremental", false, "disable assumption-based incremental SAT solving (A/B comparison runs)")
-	satPreprocess := flag.Bool("sat-preprocess", false, "enable SatELite-lite CNF preprocessing before each solve")
 	noStaticTV := flag.Bool("no-static-tv", false, "disable the static refinement pre-verifier (A/B comparison runs)")
 	noConcreteTV := flag.Bool("no-concrete-tv", false, "disable the concrete-execution differential pre-screen (A/B comparison runs)")
 	noSharedSrc := flag.Bool("no-shared-src", false, "disable campaign-level shared src encodings (A/B comparison runs)")
-	portfolio := flag.Int("portfolio", 3, "number of solver configurations the deterministic portfolio races on budget-bound queries (0 or 1 = off)")
+	portfolio := flag.Int("portfolio", campaign.DefaultPortfolio, "number of solver configurations the deterministic portfolio races on budget-bound queries (0 or 1 = off)")
 	flag.Parse()
 
 	var only []int
@@ -227,9 +225,7 @@ func run() int {
 		Triage:             triageSink,
 		NoAnalysis:         *noAnalysis,
 		NoTVCache:          *noTVCache,
-		SharedTVCache:      *sharedTVCache,
 		NoIncremental:      *noIncremental,
-		SATPreprocess:      *satPreprocess,
 		NoStaticTV:         *noStaticTV,
 		NoConcreteTV:       *noConcreteTV,
 		NoSharedSrcEnc:     *noSharedSrc,

@@ -53,7 +53,6 @@ import (
 func main() {
 	compare := flag.Bool("compare", false, "print a stage-time comparison table across the given snapshots")
 	requireCampaign := flag.Bool("require-campaign", false, "additionally require campaign-shaped content (mutants > 0, core stages present)")
-	requirePositive := flag.Bool("require-positive", false, "additionally require bench documents to carry solver counters with positive activity for every enabled acceleration knob")
 	requireCounter := flag.String("require-counter", "", "comma-separated counter names that must be present and positive in snapshot documents")
 	traceOut := flag.String("trace-out", "", "convert a JSONL event journal to Chrome trace_event JSON at this path")
 	spansPath := flag.String("spans", "", "with -trace-out: nest mutant/stage/query spans from this alive-mutate-spans/v1 file inside the unit slices")
@@ -154,11 +153,6 @@ func main() {
 			}
 			if *compare {
 				fail("%s: -compare wants snapshots, not %s documents", path, schema)
-			}
-			if *requirePositive {
-				if err := checkSolverActivity(b); err != nil {
-					fail("%s: %v", path, err)
-				}
 			}
 			fmt.Printf("%s: OK (%s, %d files, avg speedup %.2fx)\n",
 				path, schema, len(b.Files), b.AvgSpeedup)
@@ -314,30 +308,6 @@ func compareTable(names []string, snaps []*telemetry.Snapshot) string {
 	}
 	b.WriteString("\n")
 	return b.String()
-}
-
-// checkSolverActivity enforces -require-positive on a bench document:
-// the solver section must be present and every enabled acceleration knob
-// must show activity. CI's perf-smoke job uses this to catch a cache or
-// incremental path that is wired up but silently never taken.
-func checkSolverActivity(b *telemetry.Bench) error {
-	s := b.Solver
-	if s == nil {
-		return fmt.Errorf("bench: no solver section (pre-acceleration document?)")
-	}
-	if s.TVCacheEnabled && s.TVCacheHits <= 0 {
-		return fmt.Errorf("bench: tv cache enabled but tv_cache_hits=%d", s.TVCacheHits)
-	}
-	if s.TVCacheEnabled && s.TVCacheMisses <= 0 {
-		return fmt.Errorf("bench: tv cache enabled but tv_cache_misses=%d (no queries reached the solver?)", s.TVCacheMisses)
-	}
-	if s.IncrementalEnabled && s.SATAssumptions <= 0 {
-		return fmt.Errorf("bench: incremental solving enabled but sat_assumptions=%d", s.SATAssumptions)
-	}
-	if s.PreprocessEnabled && s.SATPreprocessElim < 0 {
-		return fmt.Errorf("bench: sat_preprocess_eliminated=%d", s.SATPreprocessElim)
-	}
-	return nil
 }
 
 func fail(format string, args ...any) {

@@ -102,18 +102,9 @@ type BugConfig struct {
 	// cache, hit/miss counts — not just verdicts — are deterministic at
 	// any worker count (docs/PERFORMANCE.md).
 	NoTVCache bool
-	// SharedTVCache replaces the per-unit caches with one campaign-wide
-	// concurrent cache. Verdict tables stay identical (cached verdicts
-	// are mode-independent), but hit/miss counts become
-	// scheduling-dependent, so this is opt-in.
-	SharedTVCache bool
 	// NoIncremental disables assumption-based incremental SAT solving of
 	// the per-class refinement queries (A/B comparisons; on by default).
 	NoIncremental bool
-	// SATPreprocess enables SatELite-lite CNF preprocessing before each
-	// solve. Off by default: on this workload's small queries elimination
-	// costs more than it saves (see `make microbench`).
-	SATPreprocess bool
 	// NoStaticTV disables the static refinement pre-verifier (on by
 	// default), forcing every non-cached query through the SAT solver.
 	// The rung only short-circuits provable Valids, so tables, witness
@@ -136,32 +127,30 @@ type BugConfig struct {
 	// Portfolio is the number of solver configurations the deterministic
 	// portfolio races on budget-bound monolithic queries (see
 	// smt.PortfolioConfigs); 0 or 1 disables racing. The campaign
-	// default (cmd/fuzz-campaign) is 3.
+	// commands default to DefaultPortfolio.
 	Portfolio int
 }
 
-// tvOptions resolves one unit execution's TV configuration. shared is
-// the campaign-wide cache, or nil for the per-unit default.
-func (cfg BugConfig) tvOptions(shared *tv.Cache) tv.Options {
+// DefaultPortfolio is the portfolio size the campaign commands
+// (fuzz-campaign, campaign-profile) run with unless told otherwise.
+const DefaultPortfolio = 3
+
+// tvOptions resolves one unit execution's TV configuration. It is called
+// from each unit's Run closure, so the verdict cache and the src-encoding
+// pool are per unit: shard-local state keeps hit counts a pure function
+// of the seed's mutant sequence at any -workers.
+func (cfg BugConfig) tvOptions() tv.Options {
 	o := tv.Options{
 		ConflictBudget: cfg.TVBudget,
 		Incremental:    !cfg.NoIncremental,
-		Preprocess:     cfg.SATPreprocess,
 		Static:         !cfg.NoStaticTV,
 		Concrete:       !cfg.NoConcreteTV,
 		Portfolio:      cfg.Portfolio,
 	}
 	if !cfg.NoSharedSrcEnc {
-		// One pool per unit execution (tvOptions is called from each
-		// unit's Run closure): shard-local sharing keeps hit counts a
-		// pure function of the seed's mutant sequence at any -workers.
 		o.SrcEnc = tv.NewSrcEncodings()
 	}
-	switch {
-	case cfg.NoTVCache:
-	case shared != nil:
-		o.Cache = shared
-	default:
+	if !cfg.NoTVCache {
 		o.Cache = tv.NewCache()
 	}
 	return o
@@ -259,19 +248,17 @@ func RunBugs(ctx context.Context, cfg BugConfig) (*BugReport, error) {
 	}
 	suite := corpus.TargetedTests()
 	agg := NewAgg()
-	var sharedCache *tv.Cache
-	if cfg.SharedTVCache && !cfg.NoTVCache {
-		sharedCache = tv.NewCache()
-	}
 
 	var infos []opt.Info
+	infoOf := map[string]opt.Info{}
 	var units []Unit
 	for _, info := range opt.Registry {
 		if len(only) > 0 && !only[info.Issue] {
 			continue
 		}
 		infos = append(infos, info)
-		units = append(units, bugUnits(info, suite, cfg, agg, sharedCache)...)
+		infoOf[groupName(info)] = info
+		units = append(units, bugUnits(info, suite, cfg, agg)...)
 	}
 
 	meta := CheckpointMeta{Kind: "bugs", Fingerprint: cfg.fingerprint(), Units: len(units)}
@@ -369,6 +356,9 @@ func RunBugs(ctx context.Context, cfg BugConfig) (*BugReport, error) {
 					st = o.Res.(bugUnitRes).State
 				}
 			}
+			// Only a finding sets the row's Info, so a missed bug's row
+			// needs it here for the progress line.
+			st.Row.Info = infoOf[group]
 			st.Row.Secs = secs
 			if !st.Row.Found {
 				st.Row.Iters = st.Spent
@@ -416,7 +406,7 @@ func groupName(info opt.Info) string {
 // accumulator to the next. The budget split — half the budget for each
 // tagged seed, an eighth for each untagged one, clipped to what remains —
 // matches the serial driver exactly.
-func bugUnits(info opt.Info, suite []corpus.NamedTest, cfg BugConfig, agg *Agg, sharedCache *tv.Cache) []Unit {
+func bugUnits(info opt.Info, suite []corpus.NamedTest, cfg BugConfig, agg *Agg) []Unit {
 	group := groupName(info)
 	var units []Unit
 	for unitIdx, t := range corpus.OrderedFor(suite, info.Issue) {
@@ -477,7 +467,7 @@ func bugUnits(info opt.Info, suite []corpus.NamedTest, cfg BugConfig, agg *Agg, 
 					// changes only what findings carry, never the loop's
 					// draws or verdicts, so tables stay byte-identical.
 					SaveFindings:    cfg.Triage != nil,
-					TV:              cfg.tvOptions(sharedCache),
+					TV:              cfg.tvOptions(),
 					Stop:            func() bool { return ctx.Err() != nil },
 					Telemetry:       shard,
 					DisableAnalysis: cfg.NoAnalysis,

@@ -132,18 +132,35 @@ func TestBugCampaignCancelled(t *testing.T) {
 }
 
 // TestProgressCallback: every completed bug reports exactly one progress
-// row, and rows carry the registry metadata.
+// row, and rows carry the registry metadata — found or missed (53252
+// needs ~5000 mutants, so this budget misses it).
 func TestProgressCallback(t *testing.T) {
+	issues := []int{53218, 53252, 55201, 55287}
 	seen := map[int]int{}
+	missed := 0
 	mustRunBugs(t, context.Background(), BugConfig{
 		Budget: 40, TVBudget: 2000, Seed: 7, Workers: 4,
-		Only:     []int{53218, 55201, 55287},
-		Stderr:   io.Discard,
-		Progress: func(r BugRow) { seen[r.Info.Issue]++ }, // serialized by the engine
+		Only:   issues,
+		Stderr: io.Discard,
+		Progress: func(r BugRow) { // serialized by the engine
+			seen[r.Info.Issue]++
+			if !r.Found {
+				missed++
+			}
+			if r.Info.PaperComp == "" {
+				t.Errorf("progress row without a component: %q", r.ProgressLine())
+			}
+		},
 	})
-	for _, issue := range []int{53218, 55201, 55287} {
+	for _, issue := range issues {
 		if seen[issue] != 1 {
 			t.Errorf("issue %d reported %d times, want 1", issue, seen[issue])
 		}
+	}
+	if seen[0] != 0 {
+		t.Errorf("%d progress row(s) report issue 0", seen[0])
+	}
+	if missed == 0 {
+		t.Error("no bug was missed; the missed-row assertions are vacuous")
 	}
 }

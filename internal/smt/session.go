@@ -41,6 +41,14 @@ type Session struct {
 	Assumptions int64
 }
 
+// preprocessMinClauses gates CNF preprocessing by blasted problem size.
+// BVE's resolution scan has a fixed cost that swamps the solve time of
+// small queries; on the campaign's query mix clause counts are sharply
+// bimodal (median ~100, hard tail 36k+), so preprocessing below this
+// floor only adds overhead. Verdicts are unaffected either way —
+// preprocessing is equisatisfiable — this is purely a cost policy.
+const preprocessMinClauses = 10000
+
 // NewSession creates an incremental context. conflictBudget caps SAT
 // conflicts per Solve call (0 = unlimited); preprocess enables the
 // SatELite-lite CNF preprocessor before the first solve.

@@ -86,25 +86,3 @@ func TestSessionActivationIsolation(t *testing.T) {
 		t.Fatalf("stats: queries=%d assumptions=%d, want 3/3", se.Queries, se.Assumptions)
 	}
 }
-
-// TestCheckerPreprocessAgreesWithPlain: Checker.Preprocess must never
-// change a verdict, and its models must still satisfy the formula.
-func TestCheckerPreprocessAgreesWithPlain(t *testing.T) {
-	r := rng.New(31415)
-	for trial := 0; trial < 80; trial++ {
-		b := NewBuilder()
-		w := 3 + r.Intn(6)
-		vars := []*Term{b.Var(w, "x"), b.Var(w, "y")}
-		formula := b.Eq(buildRandomTerm(b, r, vars, 3), buildRandomTerm(b, r, vars, 3))
-		plain := Checker{}
-		prep := Checker{Preprocess: true}
-		wantRes, _ := plain.Check(formula)
-		gotRes, m := prep.Check(formula)
-		if gotRes != wantRes {
-			t.Fatalf("trial %d: preprocessed=%v plain=%v for %s", trial, gotRes, wantRes, formula)
-		}
-		if gotRes == Sat && Eval(formula, map[string]uint64(m)) != 1 {
-			t.Fatalf("trial %d: preprocessed model %v does not satisfy %s", trial, m, formula)
-		}
-	}
-}

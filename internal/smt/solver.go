@@ -28,14 +28,6 @@ func (r Result) String() string {
 // Model is a satisfying assignment for the variables of a checked formula.
 type Model map[string]uint64
 
-// preprocessMinClauses gates CNF preprocessing by blasted problem size.
-// BVE's resolution scan has a fixed cost that swamps the solve time of
-// small queries; on the campaign's query mix clause counts are sharply
-// bimodal (median ~100, hard tail 36k+), so preprocessing below this
-// floor only adds overhead. Verdicts are unaffected either way —
-// preprocessing is equisatisfiable — this is purely a cost policy.
-const preprocessMinClauses = 10000
-
 // Checker bundles a SAT solver and blaster for one satisfiability query.
 // Queries in the fuzzing loop are independent, so each Check builds a
 // fresh context; the hash-consed Builder persists across queries and keeps
@@ -46,16 +38,10 @@ type Checker struct {
 	// campaign — the equivalent of Alive2's solver timeout.
 	ConflictBudget int64
 
-	// Preprocess runs the SatELite-lite CNF preprocessor (bounded
-	// variable elimination + subsumption) on the blasted query before
-	// solving. Variable bits are frozen so models stay extractable.
-	Preprocess bool
-
 	// Stats from the most recent Check.
 	LastConflicts    int64
 	LastPropagations int64
 	LastVars         int
-	LastEliminated   int64
 }
 
 // Check decides satisfiability of the bv1 term formula. On Sat it returns
@@ -76,21 +62,13 @@ func (c *Checker) Check(formula *Term) (Result, Model) {
 	vars := Vars(formula)
 	// Blast variables first so their literals exist for model extraction.
 	for _, v := range vars {
-		for _, l := range bl.Bits(v) {
-			if c.Preprocess {
-				s.Freeze(l.Var())
-			}
-		}
+		bl.Bits(v)
 	}
 	bl.AssertTrue(formula)
-	if c.Preprocess && s.NumClauses() >= preprocessMinClauses {
-		s.Preprocess()
-	}
 	res := s.Solve()
 	c.LastConflicts = s.Conflicts
 	c.LastPropagations = s.Propagations
 	c.LastVars = s.NumVars()
-	c.LastEliminated = s.EliminatedVars
 	switch res {
 	case sat.Sat:
 		m := make(Model, len(vars))

@@ -22,33 +22,10 @@ type BenchFile struct {
 	Speedup      float64 `json:"speedup"`
 }
 
-// BenchSolver records the TV-acceleration configuration and counters for
-// one run (tv.cache.*, sat.assumptions, sat.preprocess.* — see
-// docs/PERFORMANCE.md). The booleans pin down which knobs were active so
-// that A/B documents are self-describing.
-type BenchSolver struct {
-	TVCacheEnabled     bool  `json:"tv_cache_enabled"`
-	IncrementalEnabled bool  `json:"incremental_enabled"`
-	PreprocessEnabled  bool  `json:"preprocess_enabled"`
-	TVCacheHits        int64 `json:"tv_cache_hits"`
-	TVCacheMisses      int64 `json:"tv_cache_misses"`
-	SATAssumptions     int64 `json:"sat_assumptions"`
-	SATPreprocessElim  int64 `json:"sat_preprocess_eliminated"`
-	// Third-wave cascade knobs and counters (absent in older documents;
-	// omitted when the stack predates them).
-	ConcreteEnabled  bool  `json:"concrete_enabled,omitempty"`
-	SharedSrcEnabled bool  `json:"shared_src_enabled,omitempty"`
-	Portfolio        int   `json:"portfolio,omitempty"`
-	ConcreteScreened int64 `json:"tv_concrete_screened,omitempty"`
-	ConcreteDiverged int64 `json:"tv_concrete_diverged,omitempty"`
-	SrcEncHits       int64 `json:"tv_srcenc_hits,omitempty"`
-	SrcEncMisses     int64 `json:"tv_srcenc_misses,omitempty"`
-	PortfolioRaces   int64 `json:"sat_portfolio_races,omitempty"`
-}
-
 // Bench is the machine-readable throughput-benchmark result (paper §V-B):
 // integrated-vs-discrete wall times per file plus the integrated loop's
-// per-stage breakdown.
+// per-stage breakdown. Both sides verify under plain TV settings, so
+// there is no solver configuration to record.
 type Bench struct {
 	Schema         string           `json:"schema"`
 	Workers        int              `json:"workers"`
@@ -59,9 +36,6 @@ type Bench struct {
 	Files          []BenchFile      `json:"files"`
 	AvgSpeedup     float64          `json:"avg_speedup"`
 	StagesNS       map[string]int64 `json:"integrated_stages_ns"`
-	// Solver is absent in documents written before the acceleration
-	// stack landed; ValidateBench accepts both forms.
-	Solver *BenchSolver `json:"solver,omitempty"`
 }
 
 // MarshalIndentedJSON renders the document for -json output.
@@ -121,34 +95,6 @@ func ValidateBench(data []byte) (*Bench, error) {
 	for name, ns := range b.StagesNS {
 		if ns < 0 {
 			return nil, fmt.Errorf("bench: stage %q has negative total (%d)", name, ns)
-		}
-	}
-	if s := b.Solver; s != nil {
-		if s.TVCacheHits < 0 || s.TVCacheMisses < 0 || s.SATAssumptions < 0 || s.SATPreprocessElim < 0 ||
-			s.ConcreteScreened < 0 || s.ConcreteDiverged < 0 ||
-			s.SrcEncHits < 0 || s.SrcEncMisses < 0 || s.PortfolioRaces < 0 {
-			return nil, fmt.Errorf("bench: solver counters must be non-negative (%+v)", *s)
-		}
-		if !s.TVCacheEnabled && (s.TVCacheHits != 0 || s.TVCacheMisses != 0) {
-			return nil, fmt.Errorf("bench: cache counters nonzero with tv_cache_enabled=false (%+v)", *s)
-		}
-		// Shared-src probes are assumption queries too, so sat_assumptions
-		// may be nonzero with incremental solving off as long as the pool
-		// is on.
-		if !s.IncrementalEnabled && !s.SharedSrcEnabled && s.SATAssumptions != 0 {
-			return nil, fmt.Errorf("bench: sat_assumptions nonzero with incremental_enabled=false (%+v)", *s)
-		}
-		if !s.ConcreteEnabled && (s.ConcreteScreened != 0 || s.ConcreteDiverged != 0) {
-			return nil, fmt.Errorf("bench: concrete counters nonzero with concrete_enabled=false (%+v)", *s)
-		}
-		if !s.SharedSrcEnabled && (s.SrcEncHits != 0 || s.SrcEncMisses != 0) {
-			return nil, fmt.Errorf("bench: srcenc counters nonzero with shared_src_enabled=false (%+v)", *s)
-		}
-		if s.Portfolio < 2 && s.PortfolioRaces != 0 {
-			return nil, fmt.Errorf("bench: sat_portfolio_races nonzero with portfolio<2 (%+v)", *s)
-		}
-		if s.ConcreteDiverged > s.ConcreteScreened {
-			return nil, fmt.Errorf("bench: tv_concrete_diverged exceeds tv_concrete_screened (%+v)", *s)
 		}
 	}
 	return &b, nil

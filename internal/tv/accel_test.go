@@ -118,8 +118,8 @@ fb:
 // sameOutcome asserts two Results agree on everything the campaign
 // records: verdict, reason, and the full counterexample assignment. The
 // single documented exception: a baseline budget-limited Unknown may be
-// proven Valid by an accelerated mode (preprocessing or per-class
-// splitting can fit under a budget the monolithic solve exhausts). The
+// proven Valid by an accelerated mode (a static proof or the per-class
+// split can fit under a budget the monolithic solve exhausts). The
 // reverse — acceleration degrading or changing any decided verdict — is
 // forbidden.
 func sameOutcome(t *testing.T, name, mode string, base, got Result) {
@@ -154,11 +154,9 @@ func TestAcceleratedModesMatchBaseline(t *testing.T) {
 	// test fast and additionally exercises agreement on budget Unknowns.
 	const budget = 500
 	modes := map[string]Options{
-		"incremental":            {ConflictBudget: budget, Incremental: true},
-		"preprocess":             {ConflictBudget: budget, Preprocess: true},
-		"incremental+preprocess": {ConflictBudget: budget, Incremental: true, Preprocess: true},
-		"static":                 {ConflictBudget: budget, Static: true},
-		"static+incremental":     {ConflictBudget: budget, Static: true, Incremental: true},
+		"incremental":        {ConflictBudget: budget, Incremental: true},
+		"static":             {ConflictBudget: budget, Static: true},
+		"static+incremental": {ConflictBudget: budget, Static: true, Incremental: true},
 	}
 	for _, p := range pairs {
 		base := Verify(p.mod, p.src, p.tgt, Options{ConflictBudget: budget})
@@ -201,18 +199,12 @@ func TestAcceleratedBudgetVerdictsMatch(t *testing.T) {
 }`)
 	for _, budget := range []int64{1, 2, 4, 0} {
 		base := Verify(src, src.Defs()[0], tgt.Defs()[0], Options{ConflictBudget: budget})
-		for mode, o := range map[string]Options{
-			"incremental": {ConflictBudget: budget, Incremental: true},
-			"preprocess":  {ConflictBudget: budget, Preprocess: true},
-			"both":        {ConflictBudget: budget, Incremental: true, Preprocess: true},
-		} {
-			got := Verify(src, src.Defs()[0], tgt.Defs()[0], o)
-			if base.Verdict == Unknown && got.Verdict == Valid {
-				continue // documented one-directional upgrade
-			}
-			if got.Verdict != base.Verdict {
-				t.Fatalf("budget=%d [%s]: verdict %v, baseline %v", budget, mode, got.Verdict, base.Verdict)
-			}
+		got := Verify(src, src.Defs()[0], tgt.Defs()[0], Options{ConflictBudget: budget, Incremental: true})
+		if base.Verdict == Unknown && got.Verdict == Valid {
+			continue // documented one-directional upgrade
+		}
+		if got.Verdict != base.Verdict {
+			t.Fatalf("budget=%d: incremental verdict %v, baseline %v", budget, got.Verdict, base.Verdict)
 		}
 	}
 }
@@ -301,32 +293,6 @@ func TestCacheHitsAcrossRenamedMutants(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentVerify exercises the shared-cache configuration
-// under the race detector.
-func TestCacheConcurrentVerify(t *testing.T) {
-	mod := corpus.Generate(9, 6)
-	c := NewCache()
-	done := make(chan bool)
-	for w := 0; w < 4; w++ {
-		go func() {
-			defer func() { done <- true }()
-			for _, f := range mod.Defs() {
-				Verify(mod, f, f, Options{Cache: c, Incremental: true})
-			}
-		}()
-	}
-	for w := 0; w < 4; w++ {
-		<-done
-	}
-	hits, misses := c.Stats()
-	if hits+misses != int64(4*len(mod.Defs())) {
-		t.Fatalf("lookups = %d, want %d", hits+misses, 4*len(mod.Defs()))
-	}
-	if hits == 0 {
-		t.Fatal("concurrent reuse produced no cache hits")
-	}
-}
-
 // TestIncrementalStatsPopulated: Valid verdicts from the incremental path
 // must report the per-class assumption queries for telemetry.
 func TestIncrementalStatsPopulated(t *testing.T) {
@@ -338,9 +304,5 @@ func TestIncrementalStatsPopulated(t *testing.T) {
 	}
 	if r.AssumptionQueries == 0 {
 		t.Fatal("incremental Valid verdict reports zero assumption queries")
-	}
-	rp := Verify(mod, f, f, Options{Incremental: true, Preprocess: true, ConflictBudget: 10000})
-	if rp.Verdict != Valid {
-		t.Fatalf("preprocessed verdict: %+v", rp)
 	}
 }

@@ -74,11 +74,6 @@ func BenchmarkVerifyExamplesIncremental(b *testing.B) {
 	benchVerify(b, Options{Incremental: true, ConflictBudget: 10000})
 }
 
-// BenchmarkVerifyExamplesPreprocessed adds CNF preprocessing.
-func BenchmarkVerifyExamplesPreprocessed(b *testing.B) {
-	benchVerify(b, Options{Incremental: true, Preprocess: true, ConflictBudget: 10000})
-}
-
 // BenchmarkVerifyExamplesCached measures the steady-state cache-hit path:
 // after the first iteration every query is a fingerprint lookup.
 func BenchmarkVerifyExamplesCached(b *testing.B) {

@@ -1,10 +1,5 @@
 package tv
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Cache memoizes refinement verdicts across mutants. Mutation-based
 // fuzzing re-derives structurally identical (src, tgt) pairs constantly —
 // mutants that differ only in value names, or whose optimization touched
@@ -18,23 +13,13 @@ import (
 // either could perturb triage bundles and journals, so they always
 // re-solve (docs/PERFORMANCE.md).
 //
-// A Cache is safe for concurrent use. The campaign layer decides the
-// sharing scope: one cache per campaign unit keeps hit/miss counts (not
-// just verdicts) deterministic at any worker count, while an opt-in
-// campaign-wide cache shares verdicts across workers at the cost of
-// scheduling-dependent counts.
+// A Cache is not safe for concurrent use. Like SrcEncodings, the campaign
+// creates one per unit execution, which keeps hit/miss counts — not just
+// verdicts — deterministic at any worker count.
 type Cache struct {
-	shards [cacheShardCount]cacheShard
+	m map[Key]cachedVerdict
 
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-const cacheShardCount = 16
-
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[Key]cachedVerdict
+	hits, misses int64
 }
 
 // Key is a structural fingerprint of a (src, tgt, options) triple.
@@ -47,46 +32,26 @@ type cachedVerdict struct {
 
 // NewCache returns an empty verdict cache.
 func NewCache() *Cache {
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[Key]cachedVerdict)
-	}
-	return c
+	return &Cache{m: make(map[Key]cachedVerdict)}
 }
 
-// Stats returns the cumulative hit and miss counts. With a shard-local
-// cache they are deterministic for a fixed seed; with a shared cache the
-// verdicts stay deterministic but the counts depend on worker timing.
+// Stats returns the cumulative hit and miss counts.
 func (c *Cache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
+	return c.hits, c.misses
 }
 
 // Len returns the number of cached verdicts.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
-
-func (c *Cache) shard(k Key) *cacheShard {
-	return &c.shards[int(k[0])%cacheShardCount]
+	return len(c.m)
 }
 
 func (c *Cache) lookup(k Key) (Result, bool) {
-	s := c.shard(k)
-	s.mu.RLock()
-	v, ok := s.m[k]
-	s.mu.RUnlock()
+	v, ok := c.m[k]
 	if !ok {
-		c.misses.Add(1)
+		c.misses++
 		return Result{}, false
 	}
-	c.hits.Add(1)
+	c.hits++
 	return Result{Verdict: v.verdict, Reason: v.reason, CacheHit: true}, true
 }
 
@@ -94,8 +59,5 @@ func (c *Cache) store(k Key, r Result) {
 	if r.Verdict != Valid && r.Verdict != Unsupported {
 		return
 	}
-	s := c.shard(k)
-	s.mu.Lock()
-	s.m[k] = cachedVerdict{verdict: r.Verdict, reason: r.Reason}
-	s.mu.Unlock()
+	c.m[k] = cachedVerdict{verdict: r.Verdict, reason: r.Reason}
 }

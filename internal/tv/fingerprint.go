@@ -22,14 +22,13 @@ func Fingerprint(mod *ir.Module, src, tgt *ir.Function, opts Options) Key {
 	w := &fpWriter{}
 	w.str("alive-mutate-tvfp/1")
 
-	// Options digest: every knob that can alter a Result. Incremental,
-	// Preprocess, and Static are included defensively — they are
-	// verdict-preserving by design, but a shared cache must never replay
-	// across modes.
+	// Options digest: every knob that can alter a Result. Incremental
+	// and Static are included defensively — they are verdict-preserving
+	// by design, but a cache must never replay across modes.
 	w.u64(uint64(opts.ConflictBudget))
 	w.u64(uint64(opts.MaxPaths))
 	w.u64(uint64(opts.Portfolio))
-	w.bits(opts.DisableRewrites, opts.Incremental, opts.Preprocess, opts.Static,
+	w.bits(opts.DisableRewrites, opts.Incremental, opts.Static,
 		opts.Concrete, opts.SrcEnc != nil)
 
 	w.fn(src)

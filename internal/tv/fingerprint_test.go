@@ -212,7 +212,7 @@ func indexOf(s, sub string) int {
 }
 
 // TestFingerprintOptionsSensitivity: every Options knob that can alter a
-// Result must be part of the key, so a shared cache never replays a
+// Result must be part of the key, so the cache never replays a
 // verdict computed under different settings.
 func TestFingerprintOptionsSensitivity(t *testing.T) {
 	mod := parser.MustParse(richFn(nil))
@@ -223,7 +223,6 @@ func TestFingerprintOptionsSensitivity(t *testing.T) {
 		"MaxPaths":        {MaxPaths: 3},
 		"DisableRewrites": {DisableRewrites: true},
 		"Incremental":     {Incremental: true},
-		"Preprocess":      {Preprocess: true},
 	} {
 		if Fingerprint(mod, f, f, o) == base {
 			t.Errorf("Options.%s not reflected in fingerprint", name)

@@ -169,10 +169,6 @@ type Options struct {
 	// or rare, the split cannot beat the monolithic solve, and the
 	// canonical path runs directly (see solveAccelerated).
 	Incremental bool
-	// Preprocess runs SatELite-lite CNF preprocessing (bounded variable
-	// elimination + subsumption) before solving. Subject to the same
-	// canonical-fallback rule as Incremental.
-	Preprocess bool
 	// Static enables the static refinement pre-verifier as the first
 	// rung after encoding: structural query folding, term-level summary
 	// equality, and the IR-level prover in internal/analysis/refine. The
@@ -366,15 +362,14 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 		probeConflicts, probeProps = pr.Conflicts, pr.Propagations
 	}
 
-	if (opts.Incremental || opts.Preprocess) && !diverged {
+	if opts.Incremental && !diverged {
 		if r, done := solveAccelerated(ctx, vc, query, opts); done {
 			return finish(r)
 		}
-		// Canonical fallback: anything the accelerated phase could not
-		// conclude as Valid is re-solved monolithically, un-preprocessed,
-		// on a fresh solver — the exact baseline query — so Invalid
-		// counterexamples and budget-boundary Unknowns are byte-identical
-		// with acceleration off.
+		// Canonical fallback: anything the session could not conclude as
+		// Valid is re-solved monolithically on a fresh solver — the exact
+		// baseline query — so Invalid counterexamples and budget-boundary
+		// Unknowns are byte-identical with acceleration off.
 	}
 	if diverged {
 		// The portfolio's alternates can only contribute Unsat proofs;
@@ -444,19 +439,11 @@ func solveMonolithic(src *ir.Function, query *smt.Term, opts Options) Result {
 // the benchmark/offline regimes. Tuned in docs/PERFORMANCE.md.
 const sessionMaxBudget = 10000
 
-// SessionEligible reports whether the incremental per-class session can
-// engage at all under the given conflict budget. Callers that report
-// configuration (bench-throughput's solver section) use this to record
-// the knob's effective rather than requested state.
-func SessionEligible(conflictBudget int64) bool {
-	return conflictBudget > 0 && conflictBudget <= sessionMaxBudget
-}
-
-// solveAccelerated runs the incremental/preprocessed decision phase. It
-// may only short-circuit the Valid verdict (every refinement class
-// refuted); for any other outcome it reports done=false and the caller
-// falls back to the canonical monolithic solve. Valid verdicts carry the
-// session's solver statistics.
+// solveAccelerated runs the incremental per-class decision phase. It may
+// only short-circuit the Valid verdict (every refinement class refuted);
+// for any other outcome it reports done=false and the caller falls back
+// to the canonical monolithic solve. Valid verdicts carry the session's
+// solver statistics.
 func solveAccelerated(ctx *semantics.Context, vc violationClasses, query *smt.Term, opts Options) (Result, bool) {
 	if query.IsFalse() {
 		// The violation folded away structurally; the baseline Checker
@@ -474,36 +461,18 @@ func solveAccelerated(ctx *semantics.Context, vc violationClasses, query *smt.Te
 			live = append(live, cl)
 		}
 	}
-	if !opts.Incremental || !SessionEligible(opts.ConflictBudget) || len(live) < 2 {
-		// Either preprocess-only mode, or the split cannot pay for itself.
-		// The per-class session earns its overhead exactly when the
-		// monolithic solve is likely to abandon the query at the conflict
-		// budget: each class is a strictly weaker formula, so its proof
-		// can fit under a budget the disjunction exhausts. That happens
-		// under tight budgets (fuzzing campaigns). It cannot happen at
-		// all without a budget, is rare under a generous one, and is
-		// structurally impossible with fewer than two live classes — in
-		// those regimes N per-class proofs measurably cost more than the
-		// one disjunction proof (throughput benchmark,
-		// docs/PERFORMANCE.md), so the canonical path runs instead.
-		// Solve the monolithic query on a preprocessing checker if
-		// preprocessing was requested; otherwise let the caller run the
-		// canonical path.
-		if !opts.Preprocess {
-			return Result{}, false
-		}
-		checker := smt.Checker{ConflictBudget: opts.ConflictBudget, Preprocess: true}
-		res, _ := checker.Check(query)
-		if res != smt.Unsat {
-			return Result{}, false
-		}
-		return Result{
-			Verdict:              Valid,
-			Conflicts:            checker.LastConflicts,
-			Propagations:         checker.LastPropagations,
-			SATVars:              checker.LastVars,
-			PreprocessEliminated: checker.LastEliminated,
-		}, true
+	if opts.ConflictBudget <= 0 || opts.ConflictBudget > sessionMaxBudget || len(live) < 2 {
+		// The split cannot pay for itself. The per-class session earns its
+		// overhead exactly when the monolithic solve is likely to abandon
+		// the query at the conflict budget: each class is a strictly
+		// weaker formula, so its proof can fit under a budget the
+		// disjunction exhausts. That happens under tight budgets (fuzzing
+		// campaigns). It cannot happen at all without a budget, is rare
+		// under a generous one, and is structurally impossible with fewer
+		// than two live classes — in those regimes N per-class proofs
+		// measurably cost more than the one disjunction proof
+		// (docs/PERFORMANCE.md), so the canonical path runs instead.
+		return Result{}, false
 	}
 
 	// Preprocessing is always on for the session: it is size-gated inside

@@ -13,10 +13,12 @@ build:
 test:
 	$(GO) test ./...
 
-# A short native-fuzzing run over the decoders of on-disk bytes: malformed
-# input must return an error, never panic.
+# Short native-fuzzing runs: the decoder of on-disk bytes (malformed
+# input must return an error, never panic), and the incremental SAT
+# solver against brute-force enumeration on small random CNFs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzValidateBench$$' -fuzztime 10s ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz='^FuzzIncrementalAgainstBruteForce$$' -fuzztime 10s ./internal/sat
 
 # internal/campaign's end-to-end tests run many seeded campaigns; under
 # the race detector on a loaded runner they can exceed go test's default

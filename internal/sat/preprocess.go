@@ -95,10 +95,11 @@ func (s *Solver) Preprocess() bool {
 	// Snapshot the problem clauses, simplified under the level-0
 	// assignment. AddClause propagates units to fixpoint, so a surviving
 	// clause always keeps >= 2 literals here.
-	for _, c := range s.clauses {
-		out := make([]Lit, 0, len(c.lits))
+	for _, cr := range s.clauses {
+		lits := s.clauseLits(cr)
+		out := make([]Lit, 0, len(lits))
 		satisfied := false
-		for _, l := range c.lits {
+		for _, l := range lits {
 			switch s.litValue(l) {
 			case lTrue:
 				satisfied = true
@@ -125,10 +126,11 @@ func (s *Solver) Preprocess() bool {
 		return false
 	}
 
-	// Install the simplified database: replace the clause set, rebuild
-	// every watch list from scratch, and drop level-0 reason pointers
-	// (they may reference clauses that no longer exist; conflict analysis
-	// never expands level-0 reasons anyway).
+	// Install the simplified database: refill the arena and the clause
+	// list from scratch, rebuild every watch list, and drop level-0
+	// reasons (they referenced the old arena; conflict analysis never
+	// expands level-0 reasons anyway).
+	s.ca, s.wasted = s.ca[:0], 0
 	s.clauses = s.clauses[:0]
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
@@ -137,12 +139,12 @@ func (s *Solver) Preprocess() bool {
 		if c.dead {
 			continue
 		}
-		cl := &clause{lits: c.lits}
-		s.clauses = append(s.clauses, cl)
-		s.watchClause(cl)
+		cr := s.alloc(c.lits, false)
+		s.clauses = append(s.clauses, cr)
+		s.watchClause(cr)
 	}
 	for _, l := range s.trail {
-		s.reason[l.Var()] = nil
+		s.reason[l.Var()] = crefUndef
 	}
 	s.qhead = len(s.trail)
 	s.preprocessed = true
@@ -215,7 +217,7 @@ func (p *preproc) assignUnit(l Lit) bool {
 	case lFalse:
 		return false
 	}
-	p.s.enqueue(l, nil)
+	p.s.enqueue(l, crefUndef)
 	for _, c := range p.occ[l.Var()] {
 		if c.dead {
 			continue

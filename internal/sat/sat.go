@@ -8,6 +8,8 @@
 // the role Z3 plays for Alive2 in the paper's system.
 package sat
 
+import "math"
+
 // Lit is a literal: variable v (0-based) positively as 2v, negated as
 // 2v+1.
 type Lit int32
@@ -67,11 +69,24 @@ func (r Result) String() string {
 	}
 }
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
-}
+// cref addresses a clause in the solver's clause arena (Solver.ca): the
+// offset of its header word. The arena follows MiniSat's region
+// allocator (Eén & Sörensson): every clause lives in one []Lit, so
+// watchers and reasons hold plain offsets instead of pointers, and the
+// clause database is a handful of large allocations the garbage collector
+// never has to scan. A clause occupies
+//
+//	[activity lo][activity hi] header lit0 lit1 ...
+//
+// where the header word is size<<1 | learnt and the two activity words,
+// present only on learnt clauses, hold the float64 bits of its activity.
+// The literals start right after the header for every clause, so the
+// propagation loop never looks at the learnt bit.
+type cref uint32
+
+// crefUndef is the reason of a decision, an assumption, a unit clause, or
+// an unassigned variable, and propagate's "no conflict".
+const crefUndef cref = math.MaxUint32
 
 // Config parameterizes the solver's search heuristics. The zero value is
 // the canonical configuration — identical to the historically hardcoded
@@ -112,14 +127,16 @@ func (c Config) withDefaults() Config {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses []*clause // problem clauses
-	learnts []*clause // learnt clauses
+	ca      []Lit  // clause arena (see cref)
+	wasted  int    // arena words held by detached clauses
+	clauses []cref // problem clauses, in arena order
+	learnts []cref // learnt clauses, in arena order
 
 	watches [][]watcher // watches[lit] = clauses watching lit
 
 	assign   []lbool // current assignment per var
 	level    []int32 // decision level per var
-	reason   []*clause
+	reason   []cref  // implying clause per assigned var, crefUndef if none
 	trail    []Lit
 	trailLim []int
 	qhead    int
@@ -173,15 +190,17 @@ type Solver struct {
 	// when the formula is unsatisfiable without any assumptions.
 	conflict []Lit
 
-	// Scratch buffers reused across Solve calls so the conflict-analysis
-	// hot path performs no per-conflict allocation.
+	// Scratch buffers reused across calls, so AddClause, conflict
+	// analysis, reduceDB and compaction allocate nothing per call.
+	addScratch     []Lit
 	learntScratch  []Lit
 	cleanupScratch []int
 	actsScratch    []float64
+	gcScratch      []liveClause
 }
 
 type watcher struct {
-	c       *clause
+	cr      cref
 	blocker Lit
 }
 
@@ -203,7 +222,7 @@ func (s *Solver) NewVar() int {
 	v := len(s.assign)
 	s.assign = append(s.assign, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, !s.cfg.PhaseTrue) // canonical default phase: false (neg)
 	s.seen = append(s.seen, false)
@@ -219,6 +238,43 @@ func (s *Solver) NumVars() int { return len(s.assign) }
 
 // NumClauses returns the number of problem (non-learnt) clauses.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
+
+// alloc appends a clause to the arena and returns its reference. A learnt
+// clause starts with activity 0.
+func (s *Solver) alloc(lits []Lit, learnt bool) cref {
+	if need := len(s.ca) + 3 + len(lits); need > cap(s.ca) {
+		// Double: append grows a large slice by only 1.25x, so an arena
+		// built clause by clause would be copied many times over.
+		grown := make([]Lit, len(s.ca), max(need, 2*cap(s.ca)))
+		copy(grown, s.ca)
+		s.ca = grown
+	}
+	hdr := Lit(len(lits)) << 1
+	if learnt {
+		s.ca = append(s.ca, 0, 0) // float64 0 is all-zero bits
+		hdr |= 1
+	}
+	cr := cref(len(s.ca))
+	s.ca = append(s.ca, hdr)
+	s.ca = append(s.ca, lits...)
+	return cr
+}
+
+// clauseLits returns the literals of clause cr, aliasing the arena: the
+// slice is invalidated by the next alloc or garbageCollect.
+func (s *Solver) clauseLits(cr cref) []Lit {
+	return s.ca[cr+1 : cr+1+cref(s.ca[cr])>>1]
+}
+
+// clauseActivity returns the activity of learnt clause cr.
+func (s *Solver) clauseActivity(cr cref) float64 {
+	return math.Float64frombits(uint64(uint32(s.ca[cr-2])) | uint64(uint32(s.ca[cr-1]))<<32)
+}
+
+func (s *Solver) setClauseActivity(cr cref, a float64) {
+	b := math.Float64bits(a)
+	s.ca[cr-2], s.ca[cr-1] = Lit(uint32(b)), Lit(uint32(b>>32))
+}
 
 // litValue returns the literal's value under the current assignment:
 // lTrue, lFalse, or >= lUndef when the variable is unassigned (callers
@@ -238,8 +294,10 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if len(s.trailLim) != 0 {
 		panic("sat: AddClause above decision level 0")
 	}
-	// Sort/dedup; drop clauses with l and ~l or satisfied literals.
-	out := lits[:0:0]
+	// Drop false and duplicate literals; drop the whole clause if it is
+	// satisfied at level 0 or contains both l and ~l. Literal order is
+	// kept.
+	out := s.addScratch[:0]
 	for _, l := range lits {
 		if int(l.Var()) >= len(s.assign) {
 			panic("sat: literal for unallocated variable")
@@ -267,34 +325,36 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			out = append(out, l)
 		}
 	}
+	s.addScratch = out // alloc copies out into the arena
 	switch len(out) {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
-		if !s.enqueue(out[0], nil) {
+		if !s.enqueue(out[0], crefUndef) {
 			s.ok = false
 			return false
 		}
-		if s.propagate() != nil {
+		if s.propagate() != crefUndef {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
-	s.watchClause(c)
+	cr := s.alloc(out, false)
+	s.clauses = append(s.clauses, cr)
+	s.watchClause(cr)
 	return true
 }
 
-func (s *Solver) watchClause(c *clause) {
+func (s *Solver) watchClause(cr cref) {
 	// Watch the negations: when lits[0] becomes false we visit the clause.
-	s.watches[c.lits[0].Neg()] = append(s.watches[c.lits[0].Neg()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], watcher{c, c.lits[0]})
+	l0, l1 := s.ca[cr+1], s.ca[cr+2]
+	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{cr, l1})
+	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{cr, l0})
 }
 
-func (s *Solver) enqueue(l Lit, from *clause) bool {
+func (s *Solver) enqueue(l Lit, from cref) bool {
 	switch s.litValue(l) {
 	case lTrue:
 		return true
@@ -310,8 +370,9 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 }
 
 // propagate performs unit propagation; it returns a conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// crefUndef.
+func (s *Solver) propagate() cref {
+	ca := s.ca // propagation never allocates clauses
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -320,7 +381,7 @@ func (s *Solver) propagate() *clause {
 		np := p.Neg()
 		ws := s.watches[p]
 		kept := ws[:0]
-		var confl *clause
+		confl := crefUndef
 		for wi := 0; wi < len(ws); wi++ {
 			w := ws[wi]
 			bv := s.litValue(w.blocker)
@@ -328,8 +389,9 @@ func (s *Solver) propagate() *clause {
 				kept = append(kept, w)
 				continue
 			}
-			c := w.c
-			if len(c.lits) == 2 {
+			cr := w.cr
+			lits := ca[cr+1 : cr+1+cref(ca[cr])>>1]
+			if len(lits) == 2 {
 				// Binary clause: the blocker is exactly the other literal
 				// (watchClause invariant; the new-watch search below starts
 				// at index 2, so binary watchers are never reordered). With
@@ -340,31 +402,31 @@ func (s *Solver) propagate() *clause {
 				// check, and analyze/analyzeFinal match by value).
 				kept = append(kept, w)
 				if bv == lFalse {
-					confl = c
+					confl = cr
 					for wi++; wi < len(ws); wi++ {
 						kept = append(kept, ws[wi])
 					}
 					s.qhead = len(s.trail)
 					break
 				}
-				s.enqueue(w.blocker, c)
+				s.enqueue(w.blocker, cr)
 				continue
 			}
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == np {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == np {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.litValue(first) == lTrue {
-				kept = append(kept, watcher{c, first})
+				kept = append(kept, watcher{cr, first})
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if s.litValue(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Neg()] = append(s.watches[lits[1].Neg()], watcher{cr, first})
 					found = true
 					break
 				}
@@ -373,9 +435,9 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{c, first})
+			kept = append(kept, watcher{cr, first})
 			if s.litValue(first) == lFalse {
-				confl = c
+				confl = cr
 				// Copy remaining watchers and bail.
 				for wi++; wi < len(ws); wi++ {
 					kept = append(kept, ws[wi])
@@ -383,19 +445,19 @@ func (s *Solver) propagate() *clause {
 				s.qhead = len(s.trail)
 				break
 			}
-			s.enqueue(first, c)
+			s.enqueue(first, cr)
 		}
 		s.watches[p] = kept
-		if confl != nil {
+		if confl != crefUndef {
 			return confl
 		}
 	}
-	return nil
+	return crefUndef
 }
 
 // analyze performs 1UIP conflict analysis, returning the learnt clause
 // (with the asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
 	learnt := append(s.learntScratch[:0], 0) // slot 0 reserved for the asserting literal
 	counter := 0
 	var p Lit = -1
@@ -405,8 +467,9 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	cleanup := s.cleanupScratch[:0]
 	for {
 		s.bumpClause(confl)
-		for i := 0; i < len(confl.lits); i++ {
-			q := confl.lits[i]
+		lits := s.clauseLits(confl)
+		for i := 0; i < len(lits); i++ {
+			q := lits[i]
 			if p != -1 && q == p {
 				continue
 			}
@@ -463,7 +526,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 // to be falsified by propagation of the earlier assumptions: the subset
 // of the assumption literals that is already inconsistent with the
 // formula. At the point of the call every open decision level is an
-// assumption pseudo-decision, so trail entries with a nil reason above
+// assumption pseudo-decision, so trail entries with no reason above
 // trailLim[0] are exactly the assumptions involved.
 func (s *Solver) analyzeFinal(a Lit) {
 	s.conflict = append(s.conflict[:0], a)
@@ -476,11 +539,11 @@ func (s *Solver) analyzeFinal(a Lit) {
 		if !s.seen[v] {
 			continue
 		}
-		if r := s.reason[v]; r == nil {
+		if r := s.reason[v]; r == crefUndef {
 			// Pseudo-decision: this trail literal is one of the assumptions.
 			s.conflict = append(s.conflict, s.trail[i])
 		} else {
-			for _, q := range r.lits {
+			for _, q := range s.clauseLits(r) {
 				if q.Var() != v && s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
@@ -502,7 +565,7 @@ func (s *Solver) cancelUntil(lvl int) {
 			s.polarity[v] = s.assign[v] == lFalse
 		}
 		s.assign[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		s.order.insert(v)
 	}
 	s.trail = s.trail[:bound]
@@ -521,14 +584,15 @@ func (s *Solver) bumpVar(v int) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	if !c.learnt {
-		return
+func (s *Solver) bumpClause(cr cref) {
+	if s.ca[cr]&1 == 0 {
+		return // problem clause
 	}
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+	a := s.clauseActivity(cr) + s.claInc
+	s.setClauseActivity(cr, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.activity *= 1e-20
+			s.setClauseActivity(lc, s.clauseActivity(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -567,47 +631,127 @@ func luby(y float64, x int) float64 {
 }
 
 // reduceDB removes the less active half of the learnt clauses (keeping
-// binary clauses and current reasons).
+// binary clauses and current reasons), then compacts the arena once
+// detached clauses hold more than a fifth of it.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) < 2 {
 		return
 	}
 	// Partial sort: simple threshold on median activity.
 	acts := s.actsScratch[:0]
-	for _, c := range s.learnts {
-		acts = append(acts, c.activity)
+	for _, cr := range s.learnts {
+		acts = append(acts, s.clauseActivity(cr))
 	}
 	s.actsScratch = acts
 	med := quickMedian(acts)
-	// A learnt clause is locked iff it is the reason for its own first
-	// literal's current assignment (the watched asserting literal), so no
-	// reason-set map is needed.
-	locked := func(c *clause) bool {
-		v := c.lits[0].Var()
-		return s.assign[v] != lUndef && s.reason[v] == c
-	}
 	kept := s.learnts[:0]
-	for _, c := range s.learnts {
-		if len(c.lits) <= 2 || locked(c) || c.activity >= med {
-			kept = append(kept, c)
+	for _, cr := range s.learnts {
+		size := int(s.ca[cr] >> 1)
+		if size <= 2 || s.locked(cr) || s.clauseActivity(cr) >= med {
+			kept = append(kept, cr)
 		} else {
-			s.detachClause(c)
+			s.detachClause(cr)
+			s.wasted += 3 + size // activity, header, literals
 		}
 	}
 	s.learnts = kept
+	if s.wasted*5 > len(s.ca) {
+		s.garbageCollect()
+	}
 }
 
-func (s *Solver) detachClause(c *clause) {
-	for _, wl := range []Lit{c.lits[0].Neg(), c.lits[1].Neg()} {
-		ws := s.watches[wl]
-		for i, w := range ws {
-			if w.c == c {
-				ws[i] = ws[len(ws)-1]
-				s.watches[wl] = ws[:len(ws)-1]
-				break
-			}
+// locked reports whether learnt clause cr is the reason for its first
+// literal's current assignment (the watched asserting literal), so no
+// reason-set map is needed.
+func (s *Solver) locked(cr cref) bool {
+	v := s.ca[cr+1].Var()
+	return s.assign[v] != lUndef && s.reason[v] == cr
+}
+
+func (s *Solver) detachClause(cr cref) {
+	s.removeWatch(s.ca[cr+1].Neg(), cr)
+	s.removeWatch(s.ca[cr+2].Neg(), cr)
+}
+
+// removeWatch swap-removes clause cr's watcher from watches[wl].
+func (s *Solver) removeWatch(wl Lit, cr cref) {
+	ws := s.watches[wl]
+	for i, w := range ws {
+		if w.cr == cr {
+			ws[i] = ws[len(ws)-1]
+			s.watches[wl] = ws[:len(ws)-1]
+			return
 		}
 	}
+}
+
+// liveClause is a clause that survives a compaction: its reference before
+// the move and its header word, which garbageCollect overwrites with the
+// clause's new reference while it rewrites references.
+type liveClause struct {
+	from cref
+	hdr  Lit
+}
+
+// garbageCollect compacts the arena in place: every live clause slides
+// down over the space of detached ones, and every reference — watchers,
+// reasons, both clause lists — is rewritten. No list is reordered and no
+// clause changes, so the search after a compaction is exactly the search
+// without it.
+func (s *Solver) garbageCollect() {
+	// The live clauses in arena order. Each list is in arena order already
+	// (clauses are appended, reduceDB filters in order), so merge them.
+	live := s.gcScratch[:0]
+	i, j := 0, 0
+	for i < len(s.clauses) || j < len(s.learnts) {
+		var cr cref
+		if j == len(s.learnts) || i < len(s.clauses) && s.clauses[i] < s.learnts[j] {
+			cr, i = s.clauses[i], i+1
+		} else {
+			cr, j = s.learnts[j], j+1
+		}
+		live = append(live, liveClause{cr, s.ca[cr]})
+	}
+	s.gcScratch = live
+
+	// Assign each clause its new place, recording it in the old header.
+	var dst cref
+	for _, c := range live {
+		pre := cref(c.hdr&1) * 2 // activity words
+		s.ca[c.from] = Lit(dst + pre)
+		dst += pre + 1 + cref(c.hdr)>>1
+	}
+	fwd := func(cr cref) cref { return cref(s.ca[cr]) }
+	for k, cr := range s.clauses {
+		s.clauses[k] = fwd(cr)
+	}
+	for k, cr := range s.learnts {
+		s.learnts[k] = fwd(cr)
+	}
+	for _, ws := range s.watches {
+		for k := range ws {
+			ws[k].cr = fwd(ws[k].cr)
+		}
+	}
+	for _, l := range s.trail {
+		if v := l.Var(); s.reason[v] != crefUndef {
+			s.reason[v] = fwd(s.reason[v])
+		}
+	}
+
+	// Move. A clause's new place never lies past its old one, and earlier
+	// clauses land before it, so copying in arena order overwrites only
+	// words already moved or dead.
+	dst = 0
+	for _, c := range live {
+		pre := cref(c.hdr&1) * 2
+		n := pre + 1 + cref(c.hdr)>>1
+		copy(s.ca[dst:dst+n], s.ca[c.from-pre:])
+		s.ca[dst+pre] = c.hdr
+		dst += n
+	}
+	s.ca = s.ca[:dst]
+	s.wasted = 0
 }
 
 func quickMedian(xs []float64) float64 {
@@ -720,7 +864,7 @@ func (s *Solver) Stepper(assumptions []Lit) *Stepper {
 		}
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != crefUndef {
 		s.ok = false
 		st.done, st.res = true, Unsat
 		return st
@@ -784,7 +928,7 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 	conflicts := int64(0)
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.Conflicts++
 			conflicts++
 			if len(s.trailLim) == 0 {
@@ -792,29 +936,18 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 				return Unsat
 			}
 			learnt, btLevel := s.analyze(confl)
-			// Never backtrack past the assumptions.
-			if btLevel < len(assumptions) {
-				// Check whether the conflict is at/below assumption levels;
-				// if the asserting literal contradicts an assumption the
-				// instance is unsat under assumptions. We conservatively
-				// backtrack to the assumption boundary and re-propagate.
-				if btLevel < 0 {
-					btLevel = 0
-				}
-			}
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
-				if !s.enqueue(learnt[0], nil) {
+				if !s.enqueue(learnt[0], crefUndef) {
 					s.ok = false
 					return Unsat
 				}
 			} else {
-				// learnt aliases a scratch buffer; copy before retaining.
-				c := &clause{lits: append([]Lit(nil), learnt...), learnt: true}
-				s.learnts = append(s.learnts, c)
-				s.watchClause(c)
-				s.bumpClause(c)
-				s.enqueue(learnt[0], c)
+				cr := s.alloc(learnt, true)
+				s.learnts = append(s.learnts, cr)
+				s.watchClause(cr)
+				s.bumpClause(cr)
+				s.enqueue(learnt[0], cr)
 			}
 			s.varInc /= s.cfg.VarDecay // VSIDS decay
 			s.claInc /= s.cfg.ClauseDecay
@@ -844,7 +977,7 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 				return Unsat
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
-			s.enqueue(a, nil)
+			s.enqueue(a, crefUndef)
 			continue
 		}
 
@@ -853,7 +986,7 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 			return Sat // all variables assigned
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(l, nil)
+		s.enqueue(l, crefUndef)
 	}
 }
 

@@ -1,0 +1,185 @@
+package sat_test
+
+// Search-trajectory pins. Each case asserts the exact Conflicts,
+// Decisions and Propagations of a fixed search, so any change to the
+// solver kernel that alters the search — visit order in propagate, the
+// learnt-clause deletion policy, activity arithmetic, the restart
+// schedule — fails here loudly instead of surfacing as a drifted census
+// in a campaign run. A change that means to alter the search re-records
+// these numbers and says why.
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/rng"
+	"repro/internal/sat"
+	"repro/internal/smt"
+)
+
+type trajectory struct {
+	Conflicts, Decisions, Propagations int64
+}
+
+func (tr trajectory) String() string {
+	return fmt.Sprintf("{%d, %d, %d}", tr.Conflicts, tr.Decisions, tr.Propagations)
+}
+
+func countersOf(s *sat.Solver) trajectory {
+	return trajectory{s.Conflicts, s.Decisions, s.Propagations}
+}
+
+func checkTrajectory(t *testing.T, name string, s *sat.Solver, want trajectory) {
+	t.Helper()
+	if got := countersOf(s); got != want {
+		t.Errorf("%s: trajectory %v, want %v", name, got, want)
+	}
+}
+
+func addRandom3SAT(s *sat.Solver, seed uint64, nVars, nClauses int) {
+	r := rng.New(seed)
+	for s.NumVars() < nVars {
+		s.NewVar()
+	}
+	for i := 0; i < nClauses; i++ {
+		s.AddClause(
+			sat.MkLit(r.Intn(nVars), r.Bool()),
+			sat.MkLit(r.Intn(nVars), r.Bool()),
+			sat.MkLit(r.Intn(nVars), r.Bool()))
+	}
+}
+
+// addPHP adds PHP(n+1, n): n+1 pigeons, n holes, unsatisfiable.
+func addPHP(s *sat.Solver, n int) {
+	base := s.NumVars()
+	for i := 0; i < (n+1)*n; i++ {
+		s.NewVar()
+	}
+	v := func(p, h int) int { return base + p*n + h }
+	for p := 0; p <= n; p++ {
+		cl := make([]sat.Lit, n)
+		for h := range cl {
+			cl[h] = sat.MkLit(v(p, h), false)
+		}
+		s.AddClause(cl...)
+	}
+	for h := 0; h < n; h++ {
+		for p1 := 0; p1 <= n; p1++ {
+			for p2 := p1 + 1; p2 <= n; p2++ {
+				s.AddClause(sat.MkLit(v(p1, h), true), sat.MkLit(v(p2, h), true))
+			}
+		}
+	}
+}
+
+// TestTrajectoryRandom3SAT pins a phase-transition instance that learns
+// well over a thousand clauses, so reduceDB runs repeatedly and the clause
+// arena is compacted along the way.
+func TestTrajectoryRandom3SAT(t *testing.T) {
+	s := sat.New()
+	addRandom3SAT(s, 2024, 200, 852)
+	if got := s.Solve(); got != sat.Unsat {
+		t.Fatalf("verdict %v, want unsat", got)
+	}
+	checkTrajectory(t, "random3sat", s, trajectory{7004, 8409, 259253})
+}
+
+// TestTrajectoryPortfolioConfigs pins PHP(8,7) under every configuration
+// of the standard portfolio ladder.
+func TestTrajectoryPortfolioConfigs(t *testing.T) {
+	want := []trajectory{
+		{3717, 4519, 42796},
+		{2506, 3007, 30840},
+		{2868, 3419, 35407},
+		{2792, 3327, 34871},
+		{3237, 3792, 43460},
+		{2785, 3281, 33127},
+	}
+	cfgs := smt.PortfolioConfigs(6)
+	if len(cfgs) != len(want) {
+		t.Fatalf("%d portfolio configurations, want %d", len(cfgs), len(want))
+	}
+	for i, cfg := range cfgs {
+		s := sat.NewWith(cfg)
+		addPHP(s, 7)
+		if got := s.Solve(); got != sat.Unsat {
+			t.Fatalf("config %d: verdict %v, want unsat", i, got)
+		}
+		checkTrajectory(t, fmt.Sprintf("config %d (%+v)", i, cfg), s, want[i])
+	}
+}
+
+// TestTrajectoryIncremental pins one solver through the incremental
+// protocol: assumption solves over activation literals, a
+// budget-exhausted call, then reuse with the budget lifted. The verdict
+// sequence and the final-conflict sizes are pinned alongside the
+// counters.
+func TestTrajectoryIncremental(t *testing.T) {
+	s := sat.New()
+	const nVars = 150
+	addRandom3SAT(s, 77, nVars, 600)
+	r := rng.New(5)
+	acts := make([]sat.Lit, 10)
+	for i := range acts {
+		acts[i] = sat.MkLit(s.NewVar(), false)
+		for j := 0; j < 6; j++ {
+			s.AddClause(acts[i].Neg(), sat.MkLit(r.Intn(nVars), r.Bool()), sat.MkLit(r.Intn(nVars), r.Bool()))
+		}
+	}
+	var log []string
+	solve := func(budget int64, assumps ...sat.Lit) {
+		s.Budget = budget
+		res := s.Solve(assumps...)
+		log = append(log, fmt.Sprintf("%v/%d", res, len(s.Conflict())))
+	}
+	for i := range acts {
+		solve(0, acts[i])
+	}
+	solve(0, acts...)
+	solve(3, acts[:5]...)
+	solve(0, acts[:5]...)
+	solve(0, acts[5:]...)
+	for i := 0; i+2 < len(acts); i++ {
+		solve(0, acts[i], acts[i+1].Neg(), acts[i+2])
+	}
+	solve(0)
+	want := "sat/0 sat/0 sat/0 sat/0 sat/0 sat/0 sat/0 sat/0 sat/0 sat/0 " +
+		"unsat/10 unknown/0 unsat/5 unsat/5 " +
+		"sat/0 sat/0 sat/0 sat/0 sat/0 unsat/2 sat/0 sat/0 sat/0"
+	if got := strings.Join(log, " "); got != want {
+		t.Errorf("verdicts %q, want %q", got, want)
+	}
+	checkTrajectory(t, "incremental", s, trajectory{8731, 11085, 294297})
+}
+
+// TestTrajectoryPreprocessed pins a Preprocessed solver: the simplified
+// clause database is installed by Preprocess, so its order feeds the
+// search as directly as AddClause's does.
+func TestTrajectoryPreprocessed(t *testing.T) {
+	s := sat.New()
+	addRandom3SAT(s, 31, 120, 500)
+	frozen := []int{0, 1, 2, 3}
+	for _, v := range frozen {
+		s.Freeze(v)
+	}
+	if !s.Preprocess() {
+		t.Fatal("Preprocess proved unsat")
+	}
+	var log []string
+	for m := 0; m < 1<<len(frozen); m++ {
+		assumps := make([]sat.Lit, len(frozen))
+		for i, v := range frozen {
+			assumps[i] = sat.MkLit(v, m>>i&1 == 1)
+		}
+		log = append(log, s.Solve(assumps...).String())
+	}
+	want := "unsat unsat unsat unsat sat sat sat unsat unsat unsat unsat unsat unsat unsat sat unsat"
+	if got := strings.Join(log, " "); got != want {
+		t.Errorf("verdicts %q, want %q", got, want)
+	}
+	if got, want := [3]int64{s.EliminatedVars, s.SubsumedClauses, s.StrengthenedClauses}, [3]int64{4, 1, 0}; got != want {
+		t.Errorf("preprocess census %v, want %v", got, want)
+	}
+	checkTrajectory(t, "preprocessed", s, trajectory{935, 1188, 23614})
+}

@@ -5,7 +5,7 @@ GO ?= go
 
 include tools/tools.mk
 
-.PHONY: build test fuzz race vet fmt-check campaign-smoke telemetry-smoke triage-smoke perf-smoke resume-smoke dashboard-smoke profile-smoke stv-smoke cascade-smoke microbench bench bench-baseline ci
+.PHONY: build test fuzz race vet fmt-check campaign-smoke telemetry-smoke triage-smoke resume-smoke dashboard-smoke profile-smoke microbench bench bench-baseline ci
 
 build:
 	$(GO) build ./...
@@ -13,11 +13,14 @@ build:
 test:
 	$(GO) test ./...
 
-# Short native-fuzzing runs: the decoder of on-disk bytes (malformed
-# input must return an error, never panic), and the incremental SAT
-# solver against brute-force enumeration on small random CNFs.
+# Short native-fuzzing runs: the decoders of on-disk bytes (the bench
+# validator, the bitcode reader and the .ll parser; malformed input must
+# return an error, never panic), and the incremental SAT solver against
+# brute-force enumeration on small random CNFs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzValidateBench$$' -fuzztime 10s ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime 10s ./internal/bitcode
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime 10s ./internal/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzIncrementalAgainstBruteForce$$' -fuzztime 10s ./internal/sat
 
 # internal/campaign's end-to-end tests run many seeded campaigns; under
@@ -50,11 +53,22 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# A short-budget end-to-end campaign: exercises the sharded scheduler,
-# the optimizer, and the verifier without a minutes-long run. Any panic
-# or non-zero exit fails the target.
+# The TV cascade's A/B flags end to end: a short-budget campaign over the
+# whole seeded registry, once at the defaults and once with every -no-*
+# flag fuzz-campaign generates from campaign.Layers (-no-analysis is not
+# a cascade layer and stays out). Both runs must exit cleanly and print
+# byte-identical tables; the Go harness TestCampaignLayerInvariance
+# checks each layer on its own.
 campaign-smoke:
-	$(GO) run ./cmd/fuzz-campaign -budget 50 -tvbudget 2000 -workers 4
+	rm -rf campaign-smoke
+	mkdir -p campaign-smoke
+	$(GO) build -o campaign-smoke/fuzz-campaign ./cmd/fuzz-campaign
+	campaign-smoke/fuzz-campaign -budget 50 -tvbudget 2000 -workers 4 -out campaign-smoke/table-default.txt
+	flags="$$(campaign-smoke/fuzz-campaign -h 2>&1 | sed -n 's/^  \(-no-[a-z-]*\)$$/\1/p' | grep -vx -- -no-analysis)"; \
+	test -n "$$flags" || { echo "campaign-smoke: no layer flags found"; exit 1; }; \
+	echo "campaign-smoke: layers off:" $$flags; \
+	campaign-smoke/fuzz-campaign -budget 50 -tvbudget 2000 -workers 4 $$flags -out campaign-smoke/table-layers-off.txt
+	cmp campaign-smoke/table-default.txt campaign-smoke/table-layers-off.txt
 
 # Telemetry end-to-end: a 50-mutant campaign writes a metrics snapshot
 # and an event journal, then the snapshot is validated against the
@@ -77,21 +91,6 @@ triage-smoke:
 	$(GO) run ./cmd/triage-replay -dir triage-smoke
 	$(GO) run ./cmd/telemetry-check -trace-out triage-smoke-trace.json triage-smoke.jsonl
 
-# Acceleration A/B end-to-end: the same seeded campaign with the TV
-# verdict cache on and off must render byte-identical result tables (the
-# cache only ever short-circuits Valid/Unsupported verdicts), and the
-# cache-on run must actually take hits — a cache that is wired up but
-# never taken fails the build, not just the speedup.
-perf-smoke:
-	$(GO) run ./cmd/fuzz-campaign -budget 120 -tvbudget 4000 -seed 7 -workers 4 \
-		-only 53252,53218,55201,55287,58423,59757,64687 \
-		-out perf-smoke-on.txt -metrics-out perf-smoke-on.json
-	$(GO) run ./cmd/fuzz-campaign -budget 120 -tvbudget 4000 -seed 7 -workers 4 \
-		-only 53252,53218,55201,55287,58423,59757,64687 -no-tv-cache \
-		-out perf-smoke-off.txt -metrics-out perf-smoke-off.json
-	cmp perf-smoke-on.txt perf-smoke-off.txt
-	$(GO) run ./cmd/telemetry-check -require-counter tv.cache.hit perf-smoke-on.json
-
 # Checkpoint/resume end-to-end: an uninterrupted reference run, a
 # checkpointed run SIGKILLed mid-campaign, and a -resume continuation at
 # a different worker count; the resumed table and triage tree must be
@@ -106,31 +105,13 @@ resume-smoke:
 dashboard-smoke:
 	bash tools/dashboard-smoke.sh
 
-# Cost-attribution profiling end-to-end: the seeded campaign with and
-# without -spans-out must render byte-identical result tables (span
-# recording is write-only), the deterministic spans file must be
-# byte-identical at -workers 1 and 4, and campaign-profile must produce a
-# hotspot report that validates with telemetry-check
-# (docs/OBSERVABILITY.md).
+# Cost-attribution profiling end-to-end: the seeded campaign writes a
+# deterministic spans file, and campaign-profile must produce a hotspot
+# report that validates with telemetry-check and agrees with the file
+# (docs/OBSERVABILITY.md). Span invariance across -workers and with
+# spans off is TestCampaignLayerInvariance's.
 profile-smoke:
 	bash tools/profile-smoke.sh
-
-# Static pre-verifier end-to-end: the seeded campaign with the static
-# refinement rung on and off must render byte-identical result tables,
-# the on-run must discharge obligations statically (tv.static.proved
-# present and positive), and the off-run must record no tv.static.*
-# activity (docs/ANALYSIS.md, docs/PERFORMANCE.md).
-stv-smoke:
-	bash tools/stv-smoke.sh
-
-# Third-wave cascade end-to-end: the seeded campaign with the concrete
-# rung, shared src encodings, and the solver portfolio toggled off one at
-# a time must render tables byte-identical to the all-on reference at
-# -workers 1 and 4, the default stack must exercise the new rungs
-# (tv.concrete.screened, tv.srcenc.hit), and each off-run must record no
-# activity for its layer (docs/PERFORMANCE.md, docs/OBSERVABILITY.md).
-cascade-smoke:
-	bash tools/cascade-smoke.sh
 
 # Hot-path microbenchmarks: sat.Solve on canned CNFs, smt blasting and
 # sessions, and tv.Verify over the examples corpus — a tracked baseline
@@ -148,4 +129,4 @@ bench-baseline:
 	$(GO) run ./cmd/bench-throughput -count 200 -gen 10 -out res.txt -json BENCH_throughput.json
 	$(GO) run ./cmd/telemetry-check BENCH_throughput.json
 
-ci: build vet fmt-check test fuzz race campaign-smoke telemetry-smoke triage-smoke perf-smoke resume-smoke dashboard-smoke profile-smoke stv-smoke cascade-smoke
+ci: build vet fmt-check test fuzz race campaign-smoke telemetry-smoke triage-smoke resume-smoke dashboard-smoke profile-smoke

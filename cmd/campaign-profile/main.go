@@ -11,8 +11,8 @@
 //	campaign-profile                     run a seeded campaign, then report
 //
 // Run mode defaults reproduce the CI smoke slice (budget 120, seed 7,
-// the seven perf-smoke issues — the "995-mutant slice" of
-// docs/PERFORMANCE.md), so a bare `campaign-profile` invocation prints a
+// the seven issues of internal/campaign's tests — the "995-mutant
+// slice" of docs/PERFORMANCE.md), so a bare `campaign-profile` invocation prints a
 // deterministic hotspot table in seconds; raise -budget / widen -only
 // for a full-registry profile. The campaign verifies with fuzz-campaign's
 // default TV cascade; to profile a cascade with a layer switched off,

@@ -23,6 +23,14 @@
 //	    [-spans-out spans.jsonl] [-spans-deterministic]
 //	    [-triage-dir triage/] [-checkpoint-dir ckpt/]
 //	    [-checkpoint-interval 10s] [-resume]
+//	    [-no-analysis] [-no-tv-cache] [-no-static-tv] [-no-concrete-tv]
+//	    [-no-shared-src] [-no-incremental] [-no-portfolio]
+//
+// A/B comparisons (docs/PERFORMANCE.md): -no-analysis turns off the
+// optimizer's dataflow-analysis-backed folds; each of the other -no-*
+// flags turns off one layer of the TV cascade (campaign.Layers, which
+// the flags are generated from). A cascade layer only skips work, so
+// the table is byte-identical with any of them set.
 //
 // Checkpointing (docs/CHECKPOINTING.md): -checkpoint-dir makes the
 // campaign durable — its progress is periodically serialized to
@@ -103,12 +111,10 @@ func run() int {
 	spansOut := flag.String("spans-out", "", "record cost-attribution spans and write the alive-mutate-spans/v1 file here (see campaign-profile)")
 	spansDet := flag.Bool("spans-deterministic", false, "zero wall-clock in recorded spans so the spans file is byte-identical at any -workers (structure and solver counters only)")
 	noAnalysis := flag.Bool("no-analysis", false, "disable the dataflow-analysis-backed folds (A/B comparison runs)")
-	noTVCache := flag.Bool("no-tv-cache", false, "disable the per-unit refinement-verdict cache (A/B comparison runs)")
-	noIncremental := flag.Bool("no-incremental", false, "disable assumption-based incremental SAT solving (A/B comparison runs)")
-	noStaticTV := flag.Bool("no-static-tv", false, "disable the static refinement pre-verifier (A/B comparison runs)")
-	noConcreteTV := flag.Bool("no-concrete-tv", false, "disable the concrete-execution differential pre-screen (A/B comparison runs)")
-	noSharedSrc := flag.Bool("no-shared-src", false, "disable campaign-level shared src encodings (A/B comparison runs)")
-	portfolio := flag.Int("portfolio", campaign.DefaultPortfolio, "number of solver configurations the deterministic portfolio races on budget-bound queries (0 or 1 = off)")
+	layerOff := make([]*bool, len(campaign.Layers))
+	for i, l := range campaign.Layers {
+		layerOff[i] = flag.Bool(l.Flag, false, l.Usage)
+	}
 	flag.Parse()
 
 	var only []int
@@ -209,8 +215,7 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	start := time.Now()
-	rep, err := campaign.RunBugs(ctx, campaign.BugConfig{
+	cfg := campaign.BugConfig{
 		Budget:             *budget,
 		TVBudget:           *tvBudget,
 		Seed:               *seed,
@@ -224,16 +229,19 @@ func run() int {
 		StallThreshold:     *stall,
 		Triage:             triageSink,
 		NoAnalysis:         *noAnalysis,
-		NoTVCache:          *noTVCache,
-		NoIncremental:      *noIncremental,
-		NoStaticTV:         *noStaticTV,
-		NoConcreteTV:       *noConcreteTV,
-		NoSharedSrcEnc:     *noSharedSrc,
-		Portfolio:          *portfolio,
+		Portfolio:          campaign.DefaultPortfolio,
 		CheckpointDir:      *ckptDir,
 		CheckpointInterval: *ckptInterval,
 		Resume:             *resume,
-	})
+	}
+	for i, l := range campaign.Layers {
+		if *layerOff[i] {
+			l.Off(&cfg)
+		}
+	}
+
+	start := time.Now()
+	rep, err := campaign.RunBugs(ctx, cfg)
 	wall := time.Since(start)
 	stopProgress()
 	if rep == nil {

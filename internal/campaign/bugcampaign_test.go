@@ -7,9 +7,9 @@ import (
 )
 
 // testIssues is a small cross-section of the registry: cheap-to-find
-// miscompilations and crashes plus one bug the tiny budget cannot reach,
-// so the determinism assertions cover found, missed, and both evidence
-// kinds without a minutes-long campaign.
+// miscompilations and crashes plus one bug the tiny budget cannot reach
+// (53252, first), so the invariance assertions cover found, missed, and
+// both evidence kinds without a minutes-long campaign.
 var testIssues = []int{53252, 53218, 55201, 55287, 58423, 59757, 64687}
 
 // mustRunBugs runs a campaign that must not fail with a checkpoint or
@@ -34,40 +34,6 @@ func runSmall(t *testing.T, workers int) *BugReport {
 		Only:     testIssues,
 		Stderr:   io.Discard,
 	})
-}
-
-// TestBugCampaignDeterminism is the refactor's core guarantee: the same
-// campaign run serially and with 8 workers produces identical found/
-// missed sets and identical per-bug mutant counts — scheduling only ever
-// changes wall-clock time. The rendered tables must match byte for byte.
-func TestBugCampaignDeterminism(t *testing.T) {
-	serial := runSmall(t, 1)
-	parallel := runSmall(t, 8)
-
-	if len(serial.Rows) != len(testIssues) || len(parallel.Rows) != len(testIssues) {
-		t.Fatalf("row counts: serial %d, parallel %d, want %d",
-			len(serial.Rows), len(parallel.Rows), len(testIssues))
-	}
-	for i := range serial.Rows {
-		s, p := serial.Rows[i], parallel.Rows[i]
-		if s.Info.Issue != p.Info.Issue || s.Found != p.Found ||
-			s.Iters != p.Iters || s.Kind != p.Kind || s.SeedT != p.SeedT {
-			t.Errorf("issue %d diverged across worker counts:\n  serial:   %+v\n  parallel: %+v",
-				s.Info.Issue, s, p)
-		}
-	}
-	if st, pt := serial.Table(), parallel.Table(); st != pt {
-		t.Errorf("tables differ between workers=1 and workers=8:\n--- serial ---\n%s--- parallel ---\n%s", st, pt)
-	}
-
-	// The tiny budget must still find something (and leave the clamp bug
-	// missed) or the assertions above are vacuous.
-	if serial.Found == 0 {
-		t.Error("small campaign found nothing; test budget too small to be meaningful")
-	}
-	if serial.Rows[0].Found {
-		t.Error("expected issue 53252 to stay missed at budget 120 (it needs ~5000 mutants)")
-	}
 }
 
 // TestBugCampaignAnalysisInvariance: the dataflow-analysis-backed folds
@@ -99,15 +65,6 @@ func TestBugCampaignAnalysisInvariance(t *testing.T) {
 	}
 	if withAnalysis.Found == 0 {
 		t.Error("invariance campaign found nothing; assertions vacuous")
-	}
-}
-
-// TestBugCampaignRepeatable: two identical runs are identical (the
-// engine introduces no hidden per-run state).
-func TestBugCampaignRepeatable(t *testing.T) {
-	a, b := runSmall(t, 4), runSmall(t, 4)
-	if at, bt := a.Table(), b.Table(); at != bt {
-		t.Errorf("same-config runs differ:\n%s\nvs\n%s", at, bt)
 	}
 }
 

@@ -302,6 +302,9 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 		tv.SrcEncMiss: tel.Counter("tv.srcenc.miss"),
 	}
 	ctrSrcEncProved := tel.Counter("tv.srcenc.proved")
+	// Incremental-session accounting: queries the per-class session
+	// proved Valid (the srcenc probe's own assumption query excluded).
+	ctrSessionProved := tel.Counter("tv.session.proved")
 	// Portfolio accounting: races counts queries whose alternates
 	// engaged; the winner counters partition the races by which
 	// configuration's result became the verdict.
@@ -388,6 +391,9 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 		}
 		if r.AssumptionQueries > 0 {
 			ctrAssumptions.Add(r.AssumptionQueries)
+			if !r.CacheHit && !r.SrcEncProved {
+				ctrSessionProved.Add(1)
+			}
 		}
 		if r.PreprocessEliminated > 0 {
 			ctrEliminated.Add(r.PreprocessEliminated)

@@ -79,7 +79,7 @@ func (f *Function) Verify() error {
 				if isLast {
 					return fail("block %s does not end in a terminator", b.Nm)
 				}
-				return fail("block %s has interior terminator %q", b.Nm, in.String())
+				return fail("block %s has interior terminator %s", b.Nm, describe(in))
 			}
 			if in.Op == OpPhi && i > 0 && b.Instrs[i-1].Op != OpPhi {
 				return fail("phi %%%s not at head of block %s", in.Nm, b.Nm)
@@ -99,7 +99,7 @@ func (f *Function) Verify() error {
 				}
 			}
 			if err := checkInstrTypes(in); err != nil {
-				return fail("%s: %v", in.String(), err)
+				return fail("%s: %v", describe(in), err)
 			}
 		}
 	}
@@ -131,6 +131,16 @@ func (f *Function) Verify() error {
 	}
 
 	return f.verifyDominance()
+}
+
+// describe names an instruction in an error message without printing it:
+// a malformed instruction (a decoded one with too few operands, say) may
+// lack what String expects.
+func describe(in *Instr) string {
+	if in.Nm == "" {
+		return in.Op.String()
+	}
+	return fmt.Sprintf("%%%s = %s", in.Nm, in.Op)
 }
 
 // checkInstrTypes validates per-opcode operand/result typing.
@@ -344,7 +354,7 @@ func (f *Function) verifyDominance() error {
 				}
 				db, defined := defBlock[def]
 				if !defined {
-					return fail("%s uses detached value %%%s", in.String(), def.Nm)
+					return fail("%s uses detached value %%%s", describe(in), def.Nm)
 				}
 				if in.Op == OpPhi {
 					// A phi use must be dominated at the end of the
@@ -357,8 +367,8 @@ func (f *Function) verifyDominance() error {
 					continue
 				}
 				if !dominates(db, defIndex[def], b, i) {
-					return fail("use of %%%s in %q is not dominated by its definition",
-						def.Nm, in.String())
+					return fail("use of %%%s in %s is not dominated by its definition",
+						def.Nm, describe(in))
 				}
 			}
 		}

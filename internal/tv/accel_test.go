@@ -146,7 +146,7 @@ func sameOutcome(t *testing.T, name, mode string, base, got Result) {
 // TestAcceleratedModesMatchBaseline: every acceleration mode must
 // reproduce the baseline verdict, reason, and exact counterexample on a
 // mixed corpus. This is the tv-level half of the byte-identity guarantee;
-// TestCampaignTVAccelInvariance covers the campaign tables.
+// campaign.TestCampaignLayerInvariance covers the campaign tables.
 func TestAcceleratedModesMatchBaseline(t *testing.T) {
 	pairs := equivalencePairs(t)
 	verdicts := map[Verdict]int{}

@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # profile-smoke: end-to-end cost-attribution profiling check.
 #
-# Runs the seeded campaign four times:
-#   1. spans off                     -> reference result table
-#   2. -spans-out (deterministic)    -> table + spans file, workers 4
-#   3. -spans-out (deterministic)    -> spans file again, workers 1
-#   4. campaign-profile run mode     -> hotspot table + JSON report
-# and asserts that span recording never changes the result table, that
-# the deterministic spans file is byte-identical across worker counts,
-# and that the spans file and hotspot report validate with
-# telemetry-check. See docs/OBSERVABILITY.md.
+# Runs the seeded campaign twice:
+#   1. -spans-out (deterministic)    -> spans file, workers 4
+#   2. campaign-profile run mode     -> hotspot table + JSON report
+# and asserts that the spans file and hotspot report validate with
+# telemetry-check and that analyzing the file reproduces the report.
+# That span recording leaves the table unchanged and the deterministic
+# file identical at any -workers is checked by the Go harness
+# (TestCampaignLayerInvariance). See docs/OBSERVABILITY.md.
 set -euo pipefail
 
 GO=${GO:-go}
@@ -26,22 +25,9 @@ $GO build -o "$FUZZ" ./cmd/fuzz-campaign
 $GO build -o "$PROFILE" ./cmd/campaign-profile
 $GO build -o "$CHECK" ./cmd/telemetry-check
 
-echo "profile-smoke: reference run (spans off)"
-"$FUZZ" "${ARGS[@]}" -workers 4 -out "$WORK/table-nospans.txt" >/dev/null
-
 echo "profile-smoke: recording run (deterministic spans, workers 4)"
 "$FUZZ" "${ARGS[@]}" -workers 4 -spans-out "$WORK/spans-w4.jsonl" \
-    -spans-deterministic -out "$WORK/table-spans.txt" >/dev/null
-
-echo "profile-smoke: span recording must not change the result table"
-cmp "$WORK/table-nospans.txt" "$WORK/table-spans.txt"
-
-echo "profile-smoke: recording run (deterministic spans, workers 1)"
-"$FUZZ" "${ARGS[@]}" -workers 1 -spans-out "$WORK/spans-w1.jsonl" \
-    -spans-deterministic -out "$WORK/table-w1.txt" >/dev/null
-
-echo "profile-smoke: deterministic spans file must be byte-identical across -workers"
-cmp "$WORK/spans-w4.jsonl" "$WORK/spans-w1.jsonl"
+    -spans-deterministic >/dev/null
 
 echo "profile-smoke: validating the spans file and its hotspot table"
 "$CHECK" -hotspots "$WORK/spans-w4.jsonl" > "$WORK/hotspots-check.txt"
@@ -64,4 +50,4 @@ cmp "$WORK/hotspots-table.txt" "$WORK/hotspots-analyzed.txt"
 echo "profile-smoke: hotspot JSON validates by schema dispatch"
 "$CHECK" "$WORK/hotspots.json"
 
-echo "profile-smoke: OK (spans invariant, deterministic, and attributable)"
+echo "profile-smoke: OK (spans valid and attributable)"

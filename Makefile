@@ -14,13 +14,15 @@ test:
 	$(GO) test ./...
 
 # Short native-fuzzing runs: the decoders of on-disk bytes (the bench
-# validator, the bitcode reader and the .ll parser; malformed input must
-# return an error, never panic), and the incremental SAT solver against
-# brute-force enumeration on small random CNFs.
+# validator, the bitcode reader, the .ll parser and the checkpoint
+# loader; malformed input must return an error, never panic), and the
+# incremental SAT solver against brute-force enumeration on small random
+# CNFs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzValidateBench$$' -fuzztime 10s ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime 10s ./internal/bitcode
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime 10s ./internal/parser
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz='^FuzzIncrementalAgainstBruteForce$$' -fuzztime 10s ./internal/sat
 
 # internal/campaign's end-to-end tests run many seeded campaigns; under

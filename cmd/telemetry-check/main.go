@@ -1,8 +1,9 @@
 // telemetry-check validates telemetry artifacts against their documented
 // schemas (docs/OBSERVABILITY.md) and compares stage-time breakdowns
-// across snapshots. CI runs it over the smoke targets' artifacts; the
-// workers sweep (benchmark/fuzzing/run.sh sweep) uses -compare to print a
-// per-worker-count stage table.
+// and counters across snapshots. CI runs it over the smoke targets'
+// artifacts; the workers sweep (benchmark/fuzzing/run.sh sweep) uses
+// -compare to print a per-worker-count stage table, and a performance
+// change uses it to show that its counters did not move.
 //
 // Usage:
 //
@@ -51,7 +52,7 @@ import (
 )
 
 func main() {
-	compare := flag.Bool("compare", false, "print a stage-time comparison table across the given snapshots")
+	compare := flag.Bool("compare", false, "print stage times and differing counters across the given snapshots")
 	requireCampaign := flag.Bool("require-campaign", false, "additionally require campaign-shaped content (mutants > 0, core stages present)")
 	traceOut := flag.String("trace-out", "", "convert a JSONL event journal to Chrome trace_event JSON at this path")
 	spansPath := flag.String("spans", "", "with -trace-out: nest mutant/stage/query spans from this alive-mutate-spans/v1 file inside the unit slices")
@@ -262,13 +263,20 @@ func checkCampaignShape(s *telemetry.Snapshot) error {
 
 // compareTable renders per-stage total times side by side, one column per
 // snapshot, plus a mutants/sec summary row — the sweep's comparison view.
+// Below it come the counters whose values differ across the snapshots
+// and a count of the identical rest: the deterministic half of a perf
+// change's before/after.
 func compareTable(names []string, snaps []*telemetry.Snapshot) string {
 	stageSet := map[string]bool{}
+	counterSet := map[string]bool{}
 	for _, s := range snaps {
 		for name, h := range s.Histograms {
 			if strings.HasPrefix(name, "stage.") && h.Count > 0 {
 				stageSet[name] = true
 			}
+		}
+		for name := range s.Counters {
+			counterSet[name] = true
 		}
 	}
 	stages := make([]string, 0, len(stageSet))
@@ -276,13 +284,26 @@ func compareTable(names []string, snaps []*telemetry.Snapshot) string {
 		stages = append(stages, name)
 	}
 	sort.Strings(stages)
+	var differ []string
+	for name := range counterSet {
+		for _, s := range snaps[1:] {
+			if s.Counters[name] != snaps[0].Counters[name] {
+				differ = append(differ, name)
+				break
+			}
+		}
+	}
+	sort.Strings(differ)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s", "stage")
-	for _, n := range names {
-		fmt.Fprintf(&b, " %14s", n)
+	header := func(first string, width int) {
+		fmt.Fprintf(&b, "%-*s", width, first)
+		for _, n := range names {
+			fmt.Fprintf(&b, " %14s", n)
+		}
+		b.WriteString("\n")
 	}
-	b.WriteString("\n")
+	header("stage", 16)
 	for _, stage := range stages {
 		fmt.Fprintf(&b, "%-16s", strings.TrimPrefix(stage, "stage."))
 		for _, s := range snaps {
@@ -296,6 +317,23 @@ func compareTable(names []string, snaps []*telemetry.Snapshot) string {
 		fmt.Fprintf(&b, " %14d", s.Counters["mutants"])
 	}
 	b.WriteString("\n")
+
+	if len(differ) > 0 {
+		width := len("counter")
+		for _, name := range differ {
+			width = max(width, len(name))
+		}
+		b.WriteString("\n")
+		header("counter", width)
+		for _, name := range differ {
+			fmt.Fprintf(&b, "%-*s", width, name)
+			for _, s := range snaps {
+				fmt.Fprintf(&b, " %14d", s.Counters[name])
+			}
+			b.WriteString("\n")
+		}
+	}
+	fmt.Fprintf(&b, "%d counters identical\n", len(counterSet)-len(differ))
 	return b.String()
 }
 

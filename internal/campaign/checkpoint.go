@@ -200,6 +200,12 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
+	return decodeCheckpoint(path, data)
+}
+
+// decodeCheckpoint validates and decodes the bytes of a checkpoint
+// document read from path (named in errors only).
+func decodeCheckpoint(path string, data []byte) (*Checkpoint, error) {
 	fail := func(format string, args ...any) (*Checkpoint, error) {
 		return nil, fmt.Errorf("checkpoint %s: %s", path, fmt.Sprintf(format, args...))
 	}

@@ -453,3 +453,63 @@ func TestMergeSnapshot(t *testing.T) {
 		t.Errorf("merged snapshot invalid: %v", err)
 	}
 }
+
+// FuzzLoadCheckpoint: the checkpoint decoder must reject malformed bytes
+// with an error, never panic, and whatever it accepts must survive a
+// WriteCheckpoint/LoadCheckpoint round trip unchanged. The corpus starts
+// from a real checkpoint and its truncated and reordered variants.
+func FuzzLoadCheckpoint(f *testing.F) {
+	path := filepath.Join(f.TempDir(), CheckpointFile)
+	coll := telemetry.NewCollector()
+	coll.Add("checkpoint.test", 3)
+	records := []UnitRecord{
+		{Group: "53218", Index: 0, Name: "icmp_eq_chain", Seed: 99, DurNS: 1000, State: json.RawMessage(`{"spent":60}`)},
+		{Group: "55287", Index: 0, Name: "with_err", Seed: 7, Done: true, Err: "seed broken", State: json.RawMessage(`{}`)},
+	}
+	if _, err := WriteCheckpoint(path, CheckpointMeta{Kind: "bugs", Fingerprint: "seed=7", Units: 2}, coll.Snapshot(), records); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	for _, n := range []int{1, len(data) / 2, len(data) - 1} {
+		f.Add(data[:n])
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	lines = lines[:len(lines)-1] // the empty string after the final newline
+	join := func(idx ...int) []byte {
+		var b strings.Builder
+		for _, i := range idx {
+			b.WriteString(lines[i])
+		}
+		return []byte(b.String())
+	}
+	// lines: 0 header, 1 metrics, 2-3 units, 4 trailer.
+	f.Add(join(0, 1, 2, 3))       // no trailer
+	f.Add(join(0, 2, 1, 3, 4))    // metrics after a unit
+	f.Add(join(0, 1, 4, 2, 3, 4)) // trailer in the middle
+	f.Add(join(0, 0, 1, 2, 3, 4)) // two headers
+	f.Add(join(1, 0, 2, 3, 4))    // metrics first
+	f.Add(join(0, 1, 2, 4))       // trailer count mismatch
+	f.Add([]byte(strings.Replace(string(data), `"line":"unit"`, `"line":"metrics"`, 1)))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cp, err := decodeCheckpoint("fuzz", data)
+		if err != nil {
+			return
+		}
+		path := filepath.Join(t.TempDir(), CheckpointFile)
+		if _, err := WriteCheckpoint(path, cp.Meta, cp.Metrics, cp.Records); err != nil {
+			t.Fatalf("re-encoding an accepted checkpoint: %v", err)
+		}
+		again, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatalf("reloading an accepted checkpoint: %v", err)
+		}
+		if again.Meta != cp.Meta || len(again.Records) != len(cp.Records) || (again.Metrics == nil) != (cp.Metrics == nil) {
+			t.Fatalf("round trip changed the checkpoint: %+v -> %+v", cp, again)
+		}
+	})
+}

@@ -827,8 +827,8 @@ func (s *Solver) SolveUnderAssumptions(assumptions []Lit) Result {
 // already cancelled to level 0 — so a stepped solve that decides in
 // round r returns a bit-identical result (and model) to the plain call.
 // That property is what lets the deterministic solver portfolio
-// interleave k configurations in conflict quanta with no wall-clock in
-// any decision: the canonical configuration's stepped verdict is exactly
+// judge k configurations by restart round with no wall-clock in any
+// decision: the canonical configuration's stepped verdict is exactly
 // the verdict it would have produced running alone.
 //
 // The Stepper ignores the solver's Budget field; the scheduler applies

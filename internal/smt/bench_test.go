@@ -91,7 +91,7 @@ func BenchmarkBlastSharedDAG(bm *testing.B) {
 
 // BenchmarkPortfolioAdjudication measures the full rescue race: the
 // canonical leg exhausts its budget on a distributivity refutation, the
-// alternates engage in round-robin quanta, and one of them proves Unsat.
+// alternates engage on their own goroutines, and one of them proves Unsat.
 // This is the portfolio's worst-case per-query cost — it only ever runs
 // on canonical-Unknown queries, so the absolute number matters more than
 // a ratio to the canonical path.

@@ -1,6 +1,10 @@
 package smt
 
 import (
+	"math"
+	"sync"
+	"sync/atomic"
+
 	"repro/internal/sat"
 )
 
@@ -13,26 +17,30 @@ import (
 //
 // Determinism is the design constraint: verdicts, models, and effort
 // counters must be pure functions of (formula, configs, budget) at any
-// worker count, so the race is run in *virtual time* — the legs are
-// stepped in restart-round quanta on the calling goroutine
-// (sat.Stepper), never against the wall clock. The schedule is
-// second-chance, adjudicated by fixed priority:
+// worker count, so the race is judged in *virtual time*, never against
+// the wall clock. The schedule is second-chance, adjudicated by fixed
+// priority:
 //
 //   - Configs[0] is the canonical configuration. Its leg runs to its own
-//     conclusion first, exactly as sat.SolveUnderAssumptions would run
-//     it (the Stepper preserves the uninterrupted trajectory bit for
-//     bit), so whenever the canonical leg decides — the overwhelming
-//     majority of queries — the result, including the Sat model, is
-//     byte-identical to a non-portfolio solve and the alternates are
-//     never even blasted.
-//   - Only on a canonical budget Unknown do the alternates engage,
-//     round-robin. An alternate may contribute exactly one thing: an
-//     Unsat proof, which is config-independent ground truth. The first
-//     leg to prove Unsat (ties broken by leg index within a round)
-//     ends the race.
-//   - An alternate Sat also ends the race, with the canonical Unknown
-//     standing: satisfiability rules out any Unsat proof, and a
-//     non-canonical model cannot replace the canonical one.
+//     conclusion first, alone, exactly as sat.SolveUnderAssumptions
+//     would run it (the sat.Stepper preserves the uninterrupted
+//     trajectory bit for bit), so whenever the canonical leg decides —
+//     the overwhelming majority of queries — the result, including the
+//     Sat model, is byte-identical to a non-portfolio solve and the
+//     alternates are never even blasted.
+//   - Only on a canonical budget Unknown do the alternates engage, each
+//     on its own goroutine with its own solver and blaster. The verdict
+//     is the one a round-robin schedule on one goroutine would reach:
+//     round r of alternate j (0-based, n alternates) sorts at r*n + j,
+//     the lowest-sorting decision ends the race, and effort is counted
+//     up to it. A leg's trajectory depends on nothing but its own
+//     configuration (Terms are immutable), so goroutine timing can only
+//     waste CPU on rounds past that point, never change a number.
+//   - An alternate may contribute exactly one thing: an Unsat proof,
+//     which is config-independent ground truth. An alternate Sat also
+//     ends the race, with the canonical Unknown standing:
+//     satisfiability rules out any Unsat proof, and a non-canonical
+//     model cannot replace the canonical one.
 //
 // The only way a portfolio verdict can differ from the canonical
 // verdict is therefore Unknown→Unsat — the same strictly one-directional
@@ -56,8 +64,9 @@ type Portfolio struct {
 	AlternateBudget int64
 
 	// Stats from the most recent Check. LastConflicts/LastPropagations
-	// sum over every raced leg (the honest cost of the race);
-	// LastVars is the canonical leg's CNF size.
+	// sum over every raced leg up to the deciding round of the virtual
+	// schedule (the honest cost of the race, independent of how far the
+	// goroutines ran past it); LastVars is the canonical leg's CNF size.
 	LastConflicts    int64
 	LastPropagations int64
 	LastVars         int
@@ -101,9 +110,6 @@ type leg struct {
 	s  *sat.Solver
 	bl *Blast
 	st *sat.Stepper
-	// alive is cleared when the leg exhausts its budget or is retired
-	// (alternates after a Sat sighting).
-	alive bool
 }
 
 func newLeg(cfg sat.Config, formula *Term, vars []*Term) *leg {
@@ -116,28 +122,32 @@ func newLeg(cfg sat.Config, formula *Term, vars []*Term) *leg {
 		bl.Bits(v)
 	}
 	bl.AssertTrue(formula)
-	return &leg{s: s, bl: bl, st: s.Stepper(nil), alive: true}
+	return &leg{s: s, bl: bl, st: s.Stepper(nil)}
 }
 
-// step advances the leg one restart round and applies the per-leg budget
-// (the same post-round boundary sat.SolveUnderAssumptions uses).
-func (l *leg) step(budget int64) sat.Result {
-	r := l.st.Step()
-	if r != sat.Unknown {
-		l.alive = false
-		return r
+// step advances the leg one restart round. It reports the round's
+// result and whether the leg is still undecided within its budget (the
+// same post-round boundary sat.SolveUnderAssumptions uses).
+func (l *leg) step(budget int64) (sat.Result, bool) {
+	if r := l.st.Step(); r != sat.Unknown {
+		return r, false
 	}
-	if budget > 0 && l.st.Conflicts() > budget {
-		l.st.Abandon()
-		l.alive = false
-	}
-	return sat.Unknown
+	return sat.Unknown, budget <= 0 || l.st.Conflicts() <= budget
 }
 
-// retire abandons a still-running leg.
-func (l *leg) retire() {
-	l.st.Abandon()
-	l.alive = false
+// effort is a leg's cumulative solver effort at a round boundary.
+type effort struct{ conflicts, propagations int64 }
+
+func (l *leg) effort() effort { return effort{l.s.Conflicts, l.s.Propagations} }
+
+// altRun is what one alternate leg leaves behind for adjudication.
+type altRun struct {
+	// rounds[0] is the effort after construction and rounds[r+1] the
+	// effort after round r.
+	rounds []effort
+	// res is the verdict of the leg's last round (Unknown when it ran
+	// out of budget or stopped at the cut).
+	res sat.Result
 }
 
 // Check decides satisfiability of the bv1 term formula. On Sat it
@@ -161,81 +171,106 @@ func (p *Portfolio) Check(formula *Term) (Result, Model) {
 	if len(p.Configs) > 0 {
 		canonCfg = p.Configs[0]
 	}
-	legs := []*leg{newLeg(canonCfg, formula, vars)}
-	canon := legs[0]
+	canon := newLeg(canonCfg, formula, vars)
 	p.LastVars = canon.s.NumVars()
-
-	finish := func(res Result, winner int) (Result, Model) {
-		for _, l := range legs {
-			if l.alive {
-				l.retire()
-			}
-			p.LastConflicts += l.s.Conflicts
-			p.LastPropagations += l.s.Propagations
-		}
-		p.LastWinner = winner
-		if res != Sat {
-			return res, nil
-		}
-		m := make(Model, len(vars))
-		for _, v := range vars {
-			m[v.Name] = canon.bl.ModelValue(v)
-		}
-		return Sat, m
-	}
 
 	// Phase 1: the canonical leg runs to its own conclusion, exactly as
 	// a lone solver would — every decided query returns here without
 	// paying a cent for the portfolio.
-	for canon.alive {
-		switch canon.step(p.ConflictBudget) {
+	for {
+		res, running := canon.step(p.ConflictBudget)
+		p.LastConflicts, p.LastPropagations = canon.s.Conflicts, canon.s.Propagations
+		switch res {
 		case sat.Sat:
-			return finish(Sat, 0)
+			p.LastWinner = 0
+			m := make(Model, len(vars))
+			for _, v := range vars {
+				m[v.Name] = canon.bl.ModelValue(v)
+			}
+			return Sat, m
 		case sat.Unsat:
-			return finish(Unsat, 0)
+			p.LastWinner = 0
+			return Unsat, nil
+		}
+		if !running {
+			break
 		}
 	}
 	if len(p.Configs) < 2 {
-		return finish(Unknown, -1)
+		return Unknown, nil
 	}
 
 	// Phase 2 — the race proper, entered only on a canonical budget
 	// Unknown: the alternates hunt the Unsat proof the canonical
-	// schedule could not afford, round-robin in restart-round quanta
-	// (the growth of the Luby rounds keeps them in rough conflict parity
-	// without any clock). An alternate Sat ends the race: satisfiability
-	// rules out any Unsat proof, and a non-canonical model cannot
-	// upgrade the canonical Unknown.
+	// schedule could not afford. An alternate Sat ends the race:
+	// satisfiability rules out any Unsat proof, and a non-canonical
+	// model cannot upgrade the canonical Unknown.
 	altBudget := p.AlternateBudget
 	if altBudget == 0 {
 		altBudget = p.ConflictBudget
 	}
 	p.LastRaced = true
-	for _, cfg := range p.Configs[1:] {
-		legs = append(legs, newLeg(cfg, formula, vars))
+	n := len(p.Configs) - 1
+	runs := make([]altRun, n)
+	// cut is the lowest key, r*n + j for round r of alternate j, at
+	// which a leg has decided so far; no leg starts a round that sorts
+	// after it.
+	var cut atomic.Int64
+	cut.Store(math.MaxInt64)
+	var wg sync.WaitGroup
+	for j, cfg := range p.Configs[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l := newLeg(cfg, formula, vars)
+			run := &runs[j]
+			run.rounds = append(run.rounds, l.effort())
+			for key := int64(j); key <= cut.Load(); key += int64(n) {
+				res, running := l.step(altBudget)
+				run.rounds = append(run.rounds, l.effort())
+				if res != sat.Unknown {
+					run.res = res
+					// Lower the cut to key, keeping the minimum.
+					for c := cut.Load(); key < c && !cut.CompareAndSwap(c, key); c = cut.Load() {
+					}
+					return
+				}
+				if !running {
+					return
+				}
+			}
+		}()
 	}
-	for {
-		anyAlive := false
-		for i, l := range legs[1:] {
-			if !l.alive {
-				continue
+	wg.Wait()
+
+	// Adjudicate in virtual time. A decision at round r of alternate w
+	// ends the round-robin schedule there: alternates up to w have run
+	// rounds 0..r, those after it rounds 0..r-1, and a leg that ran out
+	// of budget earlier stops at its last round. Rounds run past the cut
+	// in wall-clock time are wasted CPU, never counted.
+	c := cut.Load()
+	decided := c != math.MaxInt64
+	round, w := int(c/int64(n)), int(c%int64(n))
+	for j, run := range runs {
+		counted := len(run.rounds) - 1
+		if decided {
+			rounds := round
+			if j <= w {
+				rounds++
 			}
-			switch l.step(altBudget) {
-			case sat.Unsat:
-				// Unsat is ground truth whoever proves it; fixed index
-				// order within the round makes the winner deterministic.
-				return finish(Unsat, i+1)
-			case sat.Sat:
-				return finish(Unknown, -1)
-			}
-			if l.alive {
-				anyAlive = true
-			}
+			counted = min(counted, rounds)
 		}
-		if !anyAlive {
-			// Every alternate budget-exhausted too: the canonical
-			// Unknown stands.
-			return finish(Unknown, -1)
-		}
+		e := run.rounds[counted]
+		p.LastConflicts += e.conflicts
+		p.LastPropagations += e.propagations
 	}
+	if decided && runs[w].res == sat.Unsat {
+		// Unsat is ground truth whoever proves it; the lowest virtual
+		// time makes the winner deterministic.
+		p.LastWinner = w + 1
+		return Unsat, nil
+	}
+	// An alternate Sat, or every alternate out of budget too: the
+	// canonical Unknown stands.
+	return Unknown, nil
 }

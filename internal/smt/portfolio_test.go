@@ -1,6 +1,8 @@
 package smt
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -148,5 +150,202 @@ func TestPortfolioConfigsLadder(t *testing.T) {
 	}
 	if got := PortfolioConfigs(0); len(got) != 1 {
 		t.Fatalf("k=0 returned %d rungs, want the canonical singleton", len(got))
+	}
+}
+
+// raceTrace describes how the round-robin reference schedule ended, so
+// the oracle test can require that every way of ending is covered.
+type raceTrace struct {
+	// winnerRound is the round in which an alternate decided (-1 if
+	// none did); earlierRunning reports that an alternate before the
+	// deciding one ran that round and stayed within budget.
+	winnerRound    int
+	earlierRunning bool
+	altSat         bool
+	// exhausted[j] is the round after which alternate j ran out of
+	// budget (-1 if it never did).
+	exhausted []int
+}
+
+// sequentialCheck is the reference schedule for Portfolio.Check's race:
+// the alternates step one restart round each, round-robin in index
+// order, on the calling goroutine, and the first decision ends the race.
+// It fills in p's Last* fields exactly as Check must.
+func sequentialCheck(p *Portfolio, formula *Term) (Result, Model, raceTrace) {
+	p.LastConflicts, p.LastPropagations, p.LastVars = 0, 0, 0
+	p.LastWinner, p.LastRaced = -1, false
+	tr := raceTrace{winnerRound: -1}
+	if formula.IsTrue() {
+		return Sat, Model{}, tr
+	}
+	if formula.IsFalse() {
+		return Unsat, nil, tr
+	}
+	vars := Vars(formula)
+	legs := []*leg{newLeg(p.Configs[0], formula, vars)}
+	canon := legs[0]
+	p.LastVars = canon.s.NumVars()
+	finish := func(res Result, winner int) (Result, Model, raceTrace) {
+		for _, l := range legs {
+			p.LastConflicts += l.s.Conflicts
+			p.LastPropagations += l.s.Propagations
+		}
+		p.LastWinner = winner
+		if res != Sat {
+			return res, nil, tr
+		}
+		m := make(Model, len(vars))
+		for _, v := range vars {
+			m[v.Name] = canon.bl.ModelValue(v)
+		}
+		return Sat, m, tr
+	}
+
+	for {
+		res, running := canon.step(p.ConflictBudget)
+		switch res {
+		case sat.Sat:
+			return finish(Sat, 0)
+		case sat.Unsat:
+			return finish(Unsat, 0)
+		}
+		if !running {
+			break
+		}
+	}
+	if len(p.Configs) < 2 {
+		return finish(Unknown, -1)
+	}
+
+	altBudget := p.AlternateBudget
+	if altBudget == 0 {
+		altBudget = p.ConflictBudget
+	}
+	p.LastRaced = true
+	alive := make([]bool, len(p.Configs)-1)
+	tr.exhausted = make([]int, len(alive))
+	for j, cfg := range p.Configs[1:] {
+		legs = append(legs, newLeg(cfg, formula, vars))
+		alive[j] = true
+		tr.exhausted[j] = -1
+	}
+	for round := 0; ; round++ {
+		anyAlive := false
+		for j, l := range legs[1:] {
+			if !alive[j] {
+				continue
+			}
+			res, running := l.step(altBudget)
+			switch res {
+			case sat.Unsat:
+				tr.winnerRound, tr.earlierRunning = round, anyAlive
+				return finish(Unsat, j+1)
+			case sat.Sat:
+				tr.winnerRound, tr.altSat = round, true
+				return finish(Unknown, -1)
+			}
+			if !running {
+				alive[j] = false
+				tr.exhausted[j] = round
+				continue
+			}
+			anyAlive = true
+		}
+		if !anyAlive {
+			return finish(Unknown, -1)
+		}
+	}
+}
+
+// raceStats are a Portfolio's Last* fields.
+type raceStats struct {
+	conflicts, propagations int64
+	vars, winner            int
+	raced                   bool
+}
+
+func lastStats(p *Portfolio) raceStats {
+	return raceStats{p.LastConflicts, p.LastPropagations, p.LastVars, p.LastWinner, p.LastRaced}
+}
+
+// TestPortfolioRaceMatchesSequentialSchedule: the concurrent race must
+// give exactly what the round-robin schedule gives — verdict, model,
+// winner, and the effort counted up to the deciding round — whatever
+// order the legs' goroutines run in. Besides the standard ladder, each
+// query races a fast ladder (restart units cut tenfold) whose legs
+// decide and run out of budget many rounds in. The cases must cover
+// every way a race ends: a rescue by the first alternate, a rescue by a
+// later one in a round where an earlier one is still running, an
+// alternate Sat, every leg out of budget, and legs running out of
+// budget in different rounds.
+func TestPortfolioRaceMatchesSequentialSchedule(t *testing.T) {
+	var queries []*Term
+	for _, w := range []int{4, 5} {
+		queries = append(queries, distributivityQuery(w))
+	}
+	r := rng.New(4242)
+	for i := 0; i < 24; i++ {
+		b := NewBuilder()
+		w := 6 + r.Intn(7)
+		vars := []*Term{b.Var(w, "x"), b.Var(w, "y")}
+		queries = append(queries, b.Eq(buildRandomTerm(b, r, vars, 4), buildRandomTerm(b, r, vars, 4)))
+	}
+	fast := func(k int) []sat.Config {
+		cfgs := PortfolioConfigs(k)
+		for i := 1; i < k; i++ {
+			cfgs[i].RestartBase /= 10
+		}
+		return cfgs
+	}
+	ladders := []func(int) []sat.Config{PortfolioConfigs, fast}
+	budgets := [][2]int64{{1, 1}, {1, 600}}
+
+	seen := map[string]bool{}
+	for qi, f := range queries {
+		for li, ladder := range ladders {
+			for k := 2; k <= 6; k++ {
+				for _, bud := range budgets {
+					ref := Portfolio{Configs: ladder(k), ConflictBudget: bud[0], AlternateBudget: bud[1]}
+					wantRes, wantM, tr := sequentialCheck(&ref, f)
+					if !ref.LastRaced {
+						continue
+					}
+					switch {
+					case wantRes == Unsat && ref.LastWinner == 1:
+						seen["rescue by leg 1"] = true
+					case wantRes == Unsat && tr.earlierRunning:
+						seen["rescue by a later leg"] = true
+					case tr.altSat:
+						seen["alternate Sat"] = true
+					case tr.winnerRound < 0:
+						seen["every leg out of budget"] = true
+					}
+					exhaustedIn := map[int]bool{}
+					for _, e := range tr.exhausted {
+						if e >= 0 {
+							exhaustedIn[e] = true
+						}
+					}
+					if len(exhaustedIn) > 1 {
+						seen["out of budget in different rounds"] = true
+					}
+					for _, procs := range []int{1, 4} {
+						prev := runtime.GOMAXPROCS(procs)
+						got := Portfolio{Configs: ref.Configs, ConflictBudget: ref.ConflictBudget, AlternateBudget: ref.AlternateBudget}
+						gotRes, gotM := got.Check(f)
+						runtime.GOMAXPROCS(prev)
+						if gotRes != wantRes || !reflect.DeepEqual(gotM, wantM) || lastStats(&got) != lastStats(&ref) {
+							t.Fatalf("query %d, ladder %d, k=%d, budgets %v, GOMAXPROCS %d: race gave %v %v %+v, sequential schedule %v %v %+v",
+								qi, li, k, bud, procs, gotRes, gotM, lastStats(&got), wantRes, wantM, lastStats(&ref))
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []string{"rescue by leg 1", "rescue by a later leg", "alternate Sat", "every leg out of budget", "out of budget in different rounds"} {
+		if !seen[c] {
+			t.Errorf("no case covered %q", c)
+		}
 	}
 }

@@ -14,12 +14,17 @@ test:
 	$(GO) test ./...
 
 # Short native-fuzzing runs: the decoders of on-disk bytes (the bench
-# validator, the bitcode reader, the .ll parser and the checkpoint
+# validator, the campaign's snapshot, status, spans and hotspot
+# documents, the bitcode reader, the .ll parser and the checkpoint
 # loader; malformed input must return an error, never panic), and the
 # incremental SAT solver against brute-force enumeration on small random
 # CNFs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzValidateBench$$' -fuzztime 10s ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz='^FuzzValidateSnapshot$$' -fuzztime 10s ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz='^FuzzValidateStatus$$' -fuzztime 10s ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz='^FuzzReadSpans$$' -fuzztime 10s ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz='^FuzzValidateHotspots$$' -fuzztime 10s ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime 10s ./internal/bitcode
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime 10s ./internal/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/campaign

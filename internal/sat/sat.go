@@ -8,7 +8,10 @@
 // the role Z3 plays for Alive2 in the paper's system.
 package sat
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // Lit is a literal: variable v (0-based) positively as 2v, negated as
 // 2v+1.
@@ -57,6 +60,11 @@ const (
 	// Unsat means the formula is unsatisfiable.
 	Unsat
 )
+
+// interrupted is search's report of a round ended by Stop. It never
+// leaves the package: the Stepper turns it into Unknown and marks the
+// search Interrupted.
+const interrupted Result = -1
 
 func (r Result) String() string {
 	switch r {
@@ -171,6 +179,15 @@ type Solver struct {
 	// cost of a conflict grows with the accumulated clause database and
 	// a conflict cap alone no longer bounds wall time.
 	PropBudget int64
+	// Stop, when non-nil, interrupts the search: it is polled once per
+	// conflict, and once it reads true the current restart round ends
+	// with Unknown and the Stepper reports Interrupted. An interrupted
+	// round is not a round of the search's trajectory — it stopped at a
+	// wall-clock moment — so no caller may count its effort, and the
+	// solver is not reused afterwards. The deterministic portfolio
+	// (internal/smt.Portfolio) sets it on a leg whose result can no
+	// longer matter.
+	Stop *atomic.Bool
 
 	seen  []bool // scratch for analyze
 	model []lbool
@@ -806,7 +823,7 @@ func (s *Solver) SolveUnderAssumptions(assumptions []Lit) Result {
 	st := s.Stepper(assumptions)
 	for {
 		res := st.Step()
-		if res != Unknown {
+		if res != Unknown || st.interrupted {
 			return res
 		}
 		if s.Budget > 0 && st.Conflicts() > s.Budget {
@@ -844,6 +861,7 @@ type Stepper struct {
 	start       int64 // s.Conflicts at construction
 	startProps  int64 // s.Propagations at construction
 	done        bool
+	interrupted bool
 	res         Result
 }
 
@@ -882,6 +900,10 @@ func (st *Stepper) Step() Result {
 	s := st.s
 	budgetC := int64(s.cfg.RestartBase) * int64(luby(2, st.curRestart))
 	res := s.search(budgetC, st.assumptions, &st.maxLearnts)
+	if res == interrupted {
+		st.done, st.interrupted, st.res = true, true, Unknown
+		return Unknown
+	}
 	if res != Unknown {
 		if res == Sat {
 			s.model = append(s.model[:0], s.assign...)
@@ -905,6 +927,11 @@ func (st *Stepper) Propagations() int64 { return st.s.Propagations - st.startPro
 // Done reports whether the search has reached a final result.
 func (st *Stepper) Done() bool { return st.done }
 
+// Interrupted reports whether the last Step was ended by the solver's
+// Stop flag rather than by a decision or the round's restart boundary.
+// An interrupted search is done and its last round must not be counted.
+func (st *Stepper) Interrupted() bool { return st.interrupted }
+
 // Abandon ends an undecided search, returning the solver to decision
 // level 0 so it is reusable. A decided stepper is already finished and
 // Abandon is a no-op.
@@ -923,7 +950,8 @@ func (st *Stepper) Abandon() {
 func (s *Solver) Conflict() []Lit { return s.conflict }
 
 // search runs CDCL until a result, a restart (conflict budget for this
-// round exhausted → Unknown), or an assumption conflict (→ Unsat).
+// round exhausted → Unknown), an assumption conflict (→ Unsat), or a
+// raised Stop flag after a conflict (→ interrupted).
 func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64) Result {
 	conflicts := int64(0)
 	for {
@@ -951,6 +979,10 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 			}
 			s.varInc /= s.cfg.VarDecay // VSIDS decay
 			s.claInc /= s.cfg.ClauseDecay
+			if s.Stop != nil && s.Stop.Load() {
+				s.cancelUntil(0)
+				return interrupted
+			}
 			continue
 		}
 

@@ -91,7 +91,8 @@ func BenchmarkBlastSharedDAG(bm *testing.B) {
 
 // BenchmarkPortfolioAdjudication measures the full rescue race: the
 // canonical leg exhausts its budget on a distributivity refutation, the
-// alternates engage on their own goroutines, and one of them proves Unsat.
+// alternates run beside it on their own goroutines, one of them proves
+// Unsat, and the legs in rounds past it are interrupted.
 // This is the portfolio's worst-case per-query cost — it only ever runs
 // on canonical-Unknown queries, so the absolute number matters more than
 // a ratio to the canonical path.

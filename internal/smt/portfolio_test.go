@@ -1,9 +1,11 @@
 package smt
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 	"repro/internal/sat"
@@ -182,7 +184,7 @@ func sequentialCheck(p *Portfolio, formula *Term) (Result, Model, raceTrace) {
 		return Unsat, nil, tr
 	}
 	vars := Vars(formula)
-	legs := []*leg{newLeg(p.Configs[0], formula, vars)}
+	legs := []*leg{newLeg(p.Configs[0], formula, vars, nil)}
 	canon := legs[0]
 	p.LastVars = canon.s.NumVars()
 	finish := func(res Result, winner int) (Result, Model, raceTrace) {
@@ -225,7 +227,7 @@ func sequentialCheck(p *Portfolio, formula *Term) (Result, Model, raceTrace) {
 	alive := make([]bool, len(p.Configs)-1)
 	tr.exhausted = make([]int, len(alive))
 	for j, cfg := range p.Configs[1:] {
-		legs = append(legs, newLeg(cfg, formula, vars))
+		legs = append(legs, newLeg(cfg, formula, vars, nil))
 		alive[j] = true
 		tr.exhausted[j] = -1
 	}
@@ -268,6 +270,48 @@ func lastStats(p *Portfolio) raceStats {
 	return raceStats{p.LastConflicts, p.LastPropagations, p.LastVars, p.LastWinner, p.LastRaced}
 }
 
+// soloRounds is alternate cfg's trajectory run alone: its effort after
+// construction and after each restart round, up to its decision or the
+// end of its budget. A racing leg's record must be a prefix of it.
+func soloRounds(cfg sat.Config, formula *Term, budget int64) []effort {
+	l := newLeg(cfg, formula, Vars(formula), nil)
+	rounds := []effort{l.effort()}
+	for {
+		_, running := l.step(budget)
+		rounds = append(rounds, l.effort())
+		if !running {
+			return rounds
+		}
+	}
+}
+
+// checkRoundRecords requires every alternate's recorded rounds to be
+// true round boundaries of its solo trajectory: an interrupted round,
+// which stops at a wall-clock moment, must never be recorded.
+func checkRoundRecords(t *testing.T, what string, race *Race, solo [][]effort) {
+	t.Helper()
+	for j := range race.alts {
+		got := race.alts[j].rounds
+		if len(got) > len(solo[j]) || !reflect.DeepEqual(got, solo[j][:len(got)]) {
+			t.Fatalf("%s: alternate %d recorded rounds %v, not a prefix of its solo trajectory %v", what, j+1, got, solo[j])
+		}
+	}
+}
+
+// waitGoroutines requires the goroutine count to come back to baseline:
+// every leg must have returned once Wait or Cancel has. A leg signals
+// its end from a deferred call, so it may take a moment to disappear.
+func waitGoroutines(t *testing.T, what string, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines still running, baseline %d", what, runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestPortfolioRaceMatchesSequentialSchedule: the concurrent race must
 // give exactly what the round-robin schedule gives — verdict, model,
 // winner, and the effort counted up to the deciding round — whatever
@@ -278,6 +322,11 @@ func lastStats(p *Portfolio) raceStats {
 // later one in a round where an earlier one is still running, an
 // alternate Sat, every leg out of budget, and legs running out of
 // budget in different rounds.
+//
+// Every case runs Check, Start then Wait after a random delay, and
+// Start then Cancel after a random delay, at GOMAXPROCS 1 and 4. After
+// each call every leg must have returned, and every round an alternate
+// recorded must be a true round of its solo trajectory.
 func TestPortfolioRaceMatchesSequentialSchedule(t *testing.T) {
 	var queries []*Term
 	for _, w := range []int{4, 5} {
@@ -299,6 +348,7 @@ func TestPortfolioRaceMatchesSequentialSchedule(t *testing.T) {
 	}
 	ladders := []func(int) []sat.Config{PortfolioConfigs, fast}
 	budgets := [][2]int64{{1, 1}, {1, 600}}
+	delay := func() time.Duration { return time.Duration(r.Intn(400)) * time.Microsecond }
 
 	seen := map[string]bool{}
 	for qi, f := range queries {
@@ -329,15 +379,41 @@ func TestPortfolioRaceMatchesSequentialSchedule(t *testing.T) {
 					if len(exhaustedIn) > 1 {
 						seen["out of budget in different rounds"] = true
 					}
+					var solo [][]effort
+					for _, cfg := range ref.Configs[1:] {
+						solo = append(solo, soloRounds(cfg, f, bud[1]))
+					}
 					for _, procs := range []int{1, 4} {
 						prev := runtime.GOMAXPROCS(procs)
+						where := fmt.Sprintf("query %d, ladder %d, k=%d, budgets %v, GOMAXPROCS %d", qi, li, k, bud, procs)
+						check := func(how string, gotRes Result, gotM Model, got *Portfolio) {
+							if gotRes != wantRes || !reflect.DeepEqual(gotM, wantM) || lastStats(got) != lastStats(&ref) {
+								t.Fatalf("%s, %s: race gave %v %v %+v, sequential schedule %v %v %+v",
+									where, how, gotRes, gotM, lastStats(got), wantRes, wantM, lastStats(&ref))
+							}
+						}
+						baseline := runtime.NumGoroutine()
+
 						got := Portfolio{Configs: ref.Configs, ConflictBudget: ref.ConflictBudget, AlternateBudget: ref.AlternateBudget}
 						gotRes, gotM := got.Check(f)
-						runtime.GOMAXPROCS(prev)
-						if gotRes != wantRes || !reflect.DeepEqual(gotM, wantM) || lastStats(&got) != lastStats(&ref) {
-							t.Fatalf("query %d, ladder %d, k=%d, budgets %v, GOMAXPROCS %d: race gave %v %v %+v, sequential schedule %v %v %+v",
-								qi, li, k, bud, procs, gotRes, gotM, lastStats(&got), wantRes, wantM, lastStats(&ref))
+						check("Check", gotRes, gotM, &got)
+						waitGoroutines(t, where+", Check", baseline)
+
+						race := got.Start(f)
+						time.Sleep(delay())
+						gotRes, gotM = race.Wait()
+						check("Start, delay, Wait", gotRes, gotM, &got)
+						checkRoundRecords(t, where+", Start, delay, Wait", race, solo)
+						waitGoroutines(t, where+", Start, delay, Wait", baseline)
+
+						race = got.Start(f)
+						time.Sleep(delay())
+						race.Cancel()
+						if res, m := race.Wait(); res != Unknown || m != nil || lastStats(&got) != (raceStats{winner: -1}) {
+							t.Fatalf("%s: a cancelled race reported %v %v %+v", where, res, m, lastStats(&got))
 						}
+						waitGoroutines(t, where+", Start, delay, Cancel", baseline)
+						runtime.GOMAXPROCS(prev)
 					}
 				}
 			}
@@ -347,5 +423,29 @@ func TestPortfolioRaceMatchesSequentialSchedule(t *testing.T) {
 		if !seen[c] {
 			t.Errorf("no case covered %q", c)
 		}
+	}
+}
+
+// TestPortfolioCancelDuringRace: cancelling a race whose alternates are
+// running interrupts them all and returns with no leg left behind, at
+// any point of the race.
+func TestPortfolioCancelDuringRace(t *testing.T) {
+	f := distributivityQuery(10) // far beyond every leg's budget
+	r := rng.New(77)
+	for i := 0; i < 40; i++ {
+		baseline := runtime.NumGoroutine()
+		p := Portfolio{Configs: PortfolioConfigs(6), ConflictBudget: 1, AlternateBudget: 1 << 30}
+		race := p.Start(f)
+		// Wait would block until some leg ends; start the alternates as
+		// Wait does, then cancel mid-race.
+		race.startAlternates()
+		time.Sleep(time.Duration(r.Intn(3000)) * time.Microsecond)
+		race.Cancel()
+		for j := range race.alts {
+			if res := race.alts[j].res; res != sat.Unknown {
+				t.Fatalf("cancel %d: alternate %d decided %v on a query no leg can afford", i, j+1, res)
+			}
+		}
+		waitGoroutines(t, fmt.Sprintf("cancel %d", i), baseline)
 	}
 }

@@ -126,9 +126,9 @@ type Result struct {
 	SrcEncOutcome string
 	SrcEncProved  bool
 
-	// PortfolioRaced marks a query on which the solver portfolio engaged
-	// its alternate configurations (the canonical leg survived its first
-	// restart round with racing on). PortfolioWinner is the configuration
+	// PortfolioRaced marks a query on which the solver portfolio's
+	// alternate configurations counted (the canonical leg ran out of
+	// budget with racing on). PortfolioWinner is the configuration
 	// index whose result became the verdict (0 = canonical, i>0 = the
 	// i-th alternate, -1 = every leg exhausted its budget); it is
 	// meaningful only when PortfolioRaced is set.
@@ -153,21 +153,24 @@ type Options struct {
 	// Incremental solves the refinement query as per-class
 	// (calls/UB/return/memory) assumption-gated queries on one shared
 	// SAT session instead of one monolithic CNF, retaining learnt
-	// clauses across the classes. The incremental path may conclude
-	// Valid on its own; any other outcome re-solves the canonical
-	// monolithic query from scratch, so Invalid counterexamples and
-	// Unsupported reasons are byte-identical with the baseline. The one
-	// permitted divergence is strictly one-directional: a query the
-	// monolithic baseline abandons at the conflict budget (Unknown) may
-	// be proven Valid here, because the per-class queries can fit under
-	// a budget the monolithic CNF exhausts. Acceleration never turns a
-	// decided verdict into anything else (docs/PERFORMANCE.md).
+	// clauses across the classes. The canonical monolithic solve starts
+	// on its own goroutine just before the session and runs beside it.
+	// The incremental path may conclude Valid on its own, and the
+	// canonical solve is then interrupted and discarded; any other
+	// outcome takes the canonical solve's result, so Invalid
+	// counterexamples and Unsupported reasons are byte-identical with the
+	// baseline. The one permitted divergence is strictly
+	// one-directional: a query the monolithic baseline abandons at the
+	// conflict budget (Unknown) may be proven Valid here, because the
+	// per-class queries can fit under a budget the monolithic CNF
+	// exhausts. Acceleration never turns a decided verdict into anything
+	// else (docs/PERFORMANCE.md).
 	//
 	// The session engages only under a tight conflict budget (0 <
 	// ConflictBudget <= 10000) and when at least two refinement classes
 	// survive structural folding; otherwise budget Unknowns are absent
 	// or rare, the split cannot beat the monolithic solve, and the
-	// canonical path runs directly (see solveAccelerated).
+	// canonical path runs alone (see sessionEngages).
 	Incremental bool
 	// Static enables the static refinement pre-verifier as the first
 	// rung after encoding: structural query folding, term-level summary
@@ -202,7 +205,10 @@ type Options struct {
 	// and witness — is preserved bit for bit, while alternate
 	// restart/activity/phase variants may rescue a budget-bound query by
 	// proving Unsat (Valid) where the canonical solver alone would return
-	// Unknown. 0 or 1 disables racing. Like Incremental, the only
+	// Unknown. The alternates start beside the canonical leg, or, with
+	// the incremental session engaged, as soon as the session fails; the
+	// race is judged as if they had started after the session and the
+	// canonical leg. 0 or 1 disables racing. Like Incremental, the only
 	// permitted divergence is one-directional Unknown→Valid.
 	Portfolio int
 	// Cache, when non-nil, memoizes Valid/Unsupported verdicts keyed by
@@ -276,26 +282,11 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 		return Result{Verdict: Unsupported, Reason: err.Error()}
 	}
 
-	b := smt.NewBuilder()
-	b.Rewrite = !opts.DisableRewrites
-	ctx := semantics.NewContext(b)
-	enc := &semantics.Encoder{Ctx: ctx, Mod: mod, MaxPaths: opts.MaxPaths}
-
-	srcSum, err := enc.Encode(src)
-	if err != nil {
-		return Result{Verdict: Unsupported, Reason: err.Error()}
-	}
-	tgtSum, err := enc.Encode(tgt)
-	if err != nil {
-		return Result{Verdict: Unsupported, Reason: err.Error()}
-	}
-
-	vc, reason, supported := buildViolation(ctx, src, srcSum, tgtSum)
-	if !supported {
+	e, reason := encode(mod, src, tgt, opts)
+	if e == nil {
 		return Result{Verdict: Unsupported, Reason: reason}
 	}
-
-	query := b.And(ctx.Axioms(), vc.monolithic)
+	ctx, srcSum, tgtSum, vc, query := e.ctx, e.srcSum, e.tgtSum, e.vc, e.query
 
 	var staticOutcome string
 	var staticNS int64
@@ -362,14 +353,21 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 		probeConflicts, probeProps = pr.Conflicts, pr.Propagations
 	}
 
-	if opts.Incremental && !diverged {
+	if opts.Incremental && !diverged && sessionEngages(vc, query, opts) {
+		// The canonical solve starts first, on its own goroutine, and the
+		// session runs beside it. Only a session Valid short-circuits: the
+		// canonical leg is interrupted and discarded. Anything else falls
+		// back to the canonical result — the exact baseline query — with
+		// the session's solver already dropped, so Invalid counterexamples
+		// and budget-boundary Unknowns are byte-identical with
+		// acceleration off and judged as if the canonical solve had
+		// started after the session.
+		m := startMonolithic(query, opts)
 		if r, done := solveAccelerated(ctx, vc, query, opts); done {
+			m.race.Cancel()
 			return finish(r)
 		}
-		// Canonical fallback: anything the session could not conclude as
-		// Valid is re-solved monolithically on a fresh solver — the exact
-		// baseline query — so Invalid counterexamples and budget-boundary
-		// Unknowns are byte-identical with acceleration off.
+		return finish(m.wait(src))
 	}
 	if diverged {
 		// The portfolio's alternates can only contribute Unsat proofs;
@@ -380,40 +378,76 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 	return finish(solveMonolithic(src, query, opts))
 }
 
-// solveMonolithic is the baseline decision procedure: one fresh solver,
-// one CNF for the whole violation disjunction.
+// encoding is a pair's refinement query, built once per Verify.
+type encoding struct {
+	ctx            *semantics.Context
+	srcSum, tgtSum *semantics.Summary
+	vc             violationClasses
+	query          *smt.Term
+}
+
+// encode builds the pair's violation query: satisfiable exactly when tgt
+// fails to refine src. A nil encoding comes with the Unsupported reason.
+func encode(mod *ir.Module, src, tgt *ir.Function, opts Options) (*encoding, string) {
+	b := smt.NewBuilder()
+	b.Rewrite = !opts.DisableRewrites
+	ctx := semantics.NewContext(b)
+	enc := &semantics.Encoder{Ctx: ctx, Mod: mod, MaxPaths: opts.MaxPaths}
+
+	srcSum, err := enc.Encode(src)
+	if err != nil {
+		return nil, err.Error()
+	}
+	tgtSum, err := enc.Encode(tgt)
+	if err != nil {
+		return nil, err.Error()
+	}
+	vc, reason, supported := buildViolation(ctx, src, srcSum, tgtSum)
+	if !supported {
+		return nil, reason
+	}
+	return &encoding{ctx, srcSum, tgtSum, vc, b.And(ctx.Axioms(), vc.monolithic)}, ""
+}
+
+// monolithic is the canonical decision procedure in flight: one fresh
+// solver per portfolio leg, one CNF for the whole violation disjunction.
+type monolithic struct {
+	p    smt.Portfolio
+	race *smt.Race
+}
+
+// startMonolithic starts the canonical solve of query. With racing off
+// (Options.Portfolio below 2) the portfolio has the canonical leg alone.
+func startMonolithic(query *smt.Term, opts Options) *monolithic {
+	m := &monolithic{p: smt.Portfolio{
+		Configs:        smt.PortfolioConfigs(opts.Portfolio),
+		ConflictBudget: opts.ConflictBudget,
+		// Alternates get the full per-query budget: the rescues the
+		// ladder was tuned on need trajectories comparable in length to
+		// the canonical one, and the race only counts at all on the rare
+		// canonical-Unknown queries.
+		AlternateBudget: opts.ConflictBudget,
+	}}
+	m.race = m.p.Start(query)
+	return m
+}
+
+// solveMonolithic is the baseline decision procedure, start to finish.
 func solveMonolithic(src *ir.Function, query *smt.Term, opts Options) Result {
-	var (
-		res   smt.Result
-		model smt.Model
-		out   Result
-	)
-	if opts.Portfolio > 1 {
-		p := smt.Portfolio{
-			Configs:        smt.PortfolioConfigs(opts.Portfolio),
-			ConflictBudget: opts.ConflictBudget,
-			// Alternates get the full per-query budget: the rescues the
-			// ladder was tuned on need trajectories comparable in length
-			// to the canonical one, and the race only runs at all on the
-			// rare canonical-Unknown queries.
-			AlternateBudget: opts.ConflictBudget,
-		}
-		res, model = p.Check(query)
-		out = Result{
-			Conflicts:       p.LastConflicts,
-			Propagations:    p.LastPropagations,
-			SATVars:         p.LastVars,
-			PortfolioRaced:  p.LastRaced,
-			PortfolioWinner: p.LastWinner,
-		}
-	} else {
-		checker := smt.Checker{ConflictBudget: opts.ConflictBudget}
-		res, model = checker.Check(query)
-		out = Result{
-			Conflicts:    checker.LastConflicts,
-			Propagations: checker.LastPropagations,
-			SATVars:      checker.LastVars,
-		}
+	return startMonolithic(query, opts).wait(src)
+}
+
+// wait finishes the canonical solve and renders its verdict.
+func (m *monolithic) wait(src *ir.Function) Result {
+	res, model := m.race.Wait()
+	p := &m.p
+	out := Result{
+		Conflicts:    p.LastConflicts,
+		Propagations: p.LastPropagations,
+		SATVars:      p.LastVars,
+	}
+	if p.LastRaced {
+		out.PortfolioRaced, out.PortfolioWinner = true, p.LastWinner
 	}
 	switch res {
 	case smt.Unsat:
@@ -439,42 +473,46 @@ func solveMonolithic(src *ir.Function, query *smt.Term, opts Options) Result {
 // the benchmark/offline regimes. Tuned in docs/PERFORMANCE.md.
 const sessionMaxBudget = 10000
 
-// solveAccelerated runs the incremental per-class decision phase. It may
-// only short-circuit the Valid verdict (every refinement class refuted);
-// for any other outcome it reports done=false and the caller falls back
-// to the canonical monolithic solve. Valid verdicts carry the session's
-// solver statistics.
-func solveAccelerated(ctx *semantics.Context, vc violationClasses, query *smt.Term, opts Options) (Result, bool) {
-	if query.IsFalse() {
-		// The violation folded away structurally; the baseline Checker
-		// would return Unsat without touching a solver.
-		return Result{Verdict: Valid}, true
+// sessionEngages is the incremental session's gate: a tight conflict
+// budget and at least two refinement classes that survive structural
+// folding. The split cannot pay for itself otherwise. The per-class
+// session earns its overhead exactly when the monolithic solve is likely
+// to abandon the query at the conflict budget: each class is a strictly
+// weaker formula, so its proof can fit under a budget the disjunction
+// exhausts. That happens under tight budgets (fuzzing campaigns). It
+// cannot happen at all without a budget, is rare under a generous one,
+// and is structurally impossible with fewer than two live classes — in
+// those regimes N per-class proofs measurably cost more than the one
+// disjunction proof (docs/PERFORMANCE.md), so the canonical path runs
+// alone. A query the builder already folded to a constant needs no
+// solver either way.
+func sessionEngages(vc violationClasses, query *smt.Term, opts Options) bool {
+	if opts.ConflictBudget <= 0 || opts.ConflictBudget > sessionMaxBudget ||
+		query.IsTrue() || query.IsFalse() {
+		return false
 	}
-	if query.IsTrue() {
-		return Result{}, false
-	}
+	return len(vc.live()) >= 2
+}
 
-	classes := []*smt.Term{vc.calls, vc.ub, vc.ret, vc.mem}
-	live := classes[:0:0]
-	for _, cl := range classes {
+// live returns the refinement classes that survive structural folding.
+func (vc violationClasses) live() []*smt.Term {
+	var live []*smt.Term
+	for _, cl := range []*smt.Term{vc.calls, vc.ub, vc.ret, vc.mem} {
 		if !cl.IsFalse() {
 			live = append(live, cl)
 		}
 	}
-	if opts.ConflictBudget <= 0 || opts.ConflictBudget > sessionMaxBudget || len(live) < 2 {
-		// The split cannot pay for itself. The per-class session earns its
-		// overhead exactly when the monolithic solve is likely to abandon
-		// the query at the conflict budget: each class is a strictly
-		// weaker formula, so its proof can fit under a budget the
-		// disjunction exhausts. That happens under tight budgets (fuzzing
-		// campaigns). It cannot happen at all without a budget, is rare
-		// under a generous one, and is structurally impossible with fewer
-		// than two live classes — in those regimes N per-class proofs
-		// measurably cost more than the one disjunction proof
-		// (docs/PERFORMANCE.md), so the canonical path runs instead.
-		return Result{}, false
-	}
+	return live
+}
 
+// solveAccelerated runs the incremental per-class decision phase on a
+// query sessionEngages admits. It may only short-circuit the Valid
+// verdict (every refinement class refuted); for any other outcome it
+// reports done=false and the caller falls back to the canonical
+// monolithic solve. Valid verdicts carry the session's solver
+// statistics.
+func solveAccelerated(ctx *semantics.Context, vc violationClasses, query *smt.Term, opts Options) (Result, bool) {
+	live := vc.live()
 	// Preprocessing is always on for the session: it is size-gated inside
 	// smt (small CNFs skip it entirely), and on the hard tail — the only
 	// queries whose sessions blast past the gate — BVE both shrinks the
@@ -488,21 +526,19 @@ func solveAccelerated(ctx *semantics.Context, vc violationClasses, query *smt.Te
 		acts = append(acts, se.Activation(cl))
 	}
 	for _, a := range acts {
-		if opts.ConflictBudget > 0 {
-			// The conflict budget is shared across the class queries, not
-			// per class: the session as a whole never spends more than one
-			// monolithic solve's budget, so a budget-exhausting pair costs
-			// at most 2x baseline (session + canonical fallback) instead of
-			// (classes+1)x. The cap is deliberately not tighter: the
-			// budget-boundary Valid proofs the split makes possible need
-			// most of it (halving the cap loses them, measured on the
-			// 995-mutant slice).
-			remaining := opts.ConflictBudget - se.S.Conflicts
-			if remaining <= 0 {
-				return Result{}, false
-			}
-			se.S.Budget = remaining
+		// The conflict budget is shared across the class queries, not per
+		// class: the session as a whole never spends more than one
+		// monolithic solve's budget, so a budget-exhausting pair costs at
+		// most 2x baseline (session + canonical fallback) instead of
+		// (classes+1)x. The cap is deliberately not tighter: the
+		// budget-boundary Valid proofs the split makes possible need most
+		// of it (halving the cap loses them, measured on the 995-mutant
+		// slice).
+		remaining := opts.ConflictBudget - se.S.Conflicts
+		if remaining <= 0 {
+			return Result{}, false
 		}
+		se.S.Budget = remaining
 		if se.Solve(a) != smt.Unsat {
 			return Result{}, false
 		}

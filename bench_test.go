@@ -21,6 +21,7 @@ package repro
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -60,6 +61,19 @@ const benchInput = `define i32 @clamp(i32 %x, i32 %low, i32 %high) {
 func BenchmarkLoopIntegrated(b *testing.B) {
 	mod := parser.MustParse(benchInput)
 	fz, err := core.New(mod, core.Options{Passes: "O2", Seed: 1, NumMutants: b.N})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	fz.Run()
+}
+
+// BenchmarkLoopIntegratedWorkers is BenchmarkLoopIntegrated with the
+// iterations on every core, committed in seed order as alive-mutate runs
+// them.
+func BenchmarkLoopIntegratedWorkers(b *testing.B) {
+	mod := parser.MustParse(benchInput)
+	fz, err := core.New(mod, core.Options{Passes: "O2", Seed: 1, NumMutants: b.N, Workers: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		b.Fatal(err)
 	}

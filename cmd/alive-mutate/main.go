@@ -16,6 +16,11 @@
 //	-verify-mutants run the IR verifier on every mutant
 //	-quiet          suppress the per-finding log
 //
+// Each file's mutate→optimize→verify iterations run on GOMAXPROCS
+// goroutines (all cores by default) and are committed in seed order, so
+// the log, the findings and the summary are the same at any GOMAXPROCS;
+// GOMAXPROCS=1 runs the serial loop.
+//
 // Observability (docs/OBSERVABILITY.md):
 //
 //	-metrics-addr A serve live expvar + pprof on a localhost address
@@ -30,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -115,8 +121,9 @@ func main() {
 		if !*quiet {
 			logw = os.Stdout
 		}
-		// alive-mutate is serial, so files record straight into the shared
-		// collector (live -progress reads it) — no shard merge needed.
+		// Files run one after another, so each records straight into the
+		// shared collector (live -progress reads it) — no shard merge
+		// needed. Within a file the iterations run on every core.
 		opts := core.Options{
 			Passes:        *passSpec,
 			Bugs:          bugs,
@@ -128,6 +135,7 @@ func main() {
 			VerifyMutants: *verifyMutants,
 			Log:           logw,
 			Telemetry:     sink,
+			Workers:       runtime.GOMAXPROCS(0),
 		}
 		fz, err := core.New(mod, opts)
 		if err != nil {

@@ -363,7 +363,9 @@ func measureFile(ctx context.Context, path, tmpDir string, tools discrete.Tools,
 		return r, nil
 	}
 
-	// Integrated workflow.
+	// Integrated workflow. Workers stays unset: the discrete side runs
+	// one process at a time, so the integrated side runs the serial loop,
+	// and the §V-B ratio compares one core against one core.
 	fz, err := core.New(mod.Clone(), core.Options{
 		Passes: passes, Seed: seed, NumMutants: count,
 		Telemetry: tel, DisableAnalysis: noAnalysis,

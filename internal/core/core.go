@@ -25,6 +25,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/ir"
@@ -115,17 +116,21 @@ type Options struct {
 	TimeLimit time.Duration
 	// StopAtFirstFinding ends the run at the first bug (campaign mode).
 	StopAtFirstFinding bool
-	// Stop, when non-nil, is polled between iterations; returning true
-	// ends the run early with the stats gathered so far. The campaign
-	// scheduler uses it to propagate context cancellation (deadline,
-	// SIGINT) into a running loop without losing the partial report.
+	// Stop, when non-nil, is polled before each iteration starts;
+	// returning true ends the run early with the stats gathered so far.
+	// The campaign scheduler uses it to propagate context cancellation
+	// (deadline, SIGINT) into a running loop without losing the partial
+	// report. With Workers > 1 the workers poll it, one call at a time,
+	// and the iterations already started are still committed.
 	Stop func() bool
 	// SaveFindings captures mutant/optimized .ll text in findings.
 	SaveFindings bool
-	// Mutations configures the mutation engine.
+	// Mutations configures the mutation engine. With Workers > 1 its
+	// ObserveOp hook may be called concurrently.
 	Mutations mutate.Config
 	// TV configures the refinement checker. A zero ConflictBudget gets a
-	// sensible default so one hard mutant cannot stall the campaign.
+	// sensible default so one hard mutant cannot stall the campaign. With
+	// Workers > 1 the caller's TV.Observe hook may be called concurrently.
 	TV tv.Options
 	// VerifyMutants runs the IR verifier on every mutant (the §II validity
 	// claim); enabled in tests, off in throughput runs.
@@ -143,6 +148,14 @@ type Options struct {
 	// reads it — so results are bit-identical with telemetry on or off.
 	// In a sharded campaign this is the shard-local sink.
 	Telemetry *telemetry.Sink
+	// Workers is the number of goroutines that run iterations; 0 or 1
+	// runs them on the calling goroutine. Seeds are still drawn in order,
+	// and every iteration's stats, findings, log lines and journal events
+	// are committed to the Report in iteration order, so the report is
+	// the same for every worker count. New rejects Workers > 1 together
+	// with StopAtFirstFinding, a spans recorder, or a TV Cache or SrcEnc:
+	// each of them depends on iterations running one at a time.
+	Workers int
 }
 
 // Report is the result of a fuzzing run.
@@ -173,7 +186,7 @@ type Fuzzer struct {
 	histOpt         *telemetry.Histogram
 	histInterp      *telemetry.Histogram
 	verdictCtr      map[tv.Verdict]*telemetry.Counter
-	ruleCtrs        map[string]*telemetry.Counter
+	ruleCtrs        *lazyHandles[telemetry.Counter]
 	observePass     func(pass string, d time.Duration)
 	observeAnalysis func(d time.Duration)
 }
@@ -187,6 +200,9 @@ func New(mod *ir.Module, opts Options) (*Fuzzer, error) {
 	}
 	if opts.TV.ConflictBudget == 0 {
 		opts.TV.ConflictBudget = 30000
+	}
+	if err := checkWorkers(opts); err != nil {
+		return nil, err
 	}
 	passes, err := opt.ByName(opts.Passes)
 	if err != nil {
@@ -205,6 +221,28 @@ func New(mod *ir.Module, opts Options) (*Fuzzer, error) {
 	f.initTelemetry(tel)
 	f.mutator = mutate.New(f.orig, f.opts.Mutations)
 	return f, nil
+}
+
+// checkWorkers rejects the options whose state depends on iterations
+// running one at a time, when Workers would run them concurrently.
+func checkWorkers(opts Options) error {
+	if opts.Workers <= 1 {
+		return nil
+	}
+	var what string
+	switch {
+	case opts.StopAtFirstFinding:
+		what = "StopAtFirstFinding"
+	case opts.Telemetry.SpansRecorder() != nil:
+		what = "a spans recorder"
+	case opts.TV.Cache != nil:
+		what = "a TV verdict cache"
+	case opts.TV.SrcEnc != nil:
+		what = "shared TV src encodings"
+	default:
+		return nil
+	}
+	return fmt.Errorf("core: %d workers cannot be combined with %s", opts.Workers, what)
 }
 
 // initTelemetry resolves every hot-loop telemetry handle once and
@@ -283,7 +321,7 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 		tv.StaticRefuted: tel.Counter("tv.static.refuted-to-sat"),
 		tv.StaticBailout: tel.Counter("tv.static.bailout"),
 	}
-	staticRuleCtrs := map[string]*telemetry.Counter{}
+	staticRuleCtrs := lazy(tel.Counter, "tv.static.rule.")
 	// Concrete-execution rung accounting: screened counts every query
 	// the rung actually executed (outcomes partition it), stage.ctv is
 	// the rung's own latency.
@@ -309,7 +347,7 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 	// engaged; the winner counters partition the races by which
 	// configuration's result became the verdict.
 	ctrPortfolioRaces := tel.Counter("sat.portfolio.races")
-	portfolioWinnerCtrs := map[string]*telemetry.Counter{}
+	portfolioWinnerCtrs := lazy(tel.Counter, "sat.portfolio.winner.")
 	prevTV := f.opts.TV.Observe
 	f.opts.TV.Observe = func(r tv.Result, d time.Duration) {
 		histTV.Observe(d)
@@ -324,12 +362,7 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 				c.Add(1)
 			}
 			if r.StaticRule != "" {
-				c, ok := staticRuleCtrs[r.StaticRule]
-				if !ok {
-					c = tel.Counter("tv.static.rule." + r.StaticRule)
-					staticRuleCtrs[r.StaticRule] = c
-				}
-				c.Add(1)
+				staticRuleCtrs.get(r.StaticRule).Add(1)
 			}
 		}
 		if r.ConcreteOutcome != "" && !r.CacheHit {
@@ -349,13 +382,7 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 		}
 		if r.PortfolioRaced {
 			ctrPortfolioRaces.Add(1)
-			label := portfolioWinnerLabel(r.PortfolioWinner)
-			c, ok := portfolioWinnerCtrs[label]
-			if !ok {
-				c = tel.Counter("sat.portfolio.winner." + label)
-				portfolioWinnerCtrs[label] = c
-			}
-			c.Add(1)
+			portfolioWinnerCtrs.get(portfolioWinnerLabel(r.PortfolioWinner)).Add(1)
 		}
 		if f.spans != nil {
 			cache := ""
@@ -406,15 +433,11 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 	// Per-pass histograms, resolved lazily once per pass name (pass sets
 	// are tiny and fixed, so after the first pipeline run this is one map
 	// hit per pass execution).
-	passHists := map[string]*telemetry.Histogram{}
+	passHists := lazy(tel.Histogram, "pass.")
 	f.observePass = func(pass string, d time.Duration) {
-		h, ok := passHists[pass]
-		if !ok {
-			h = tel.Histogram("pass." + pass)
-			passHists[pass] = h
-		}
-		h.Observe(d)
+		passHists.get(pass).Observe(d)
 	}
+	f.ruleCtrs = lazy(tel.Counter, "opt.rule.")
 
 	// Time spent inside dataflow-analysis-backed folds, as its own stage
 	// so the docs/OBSERVABILITY.md overhead budget is measurable directly.
@@ -422,6 +445,27 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 	f.observeAnalysis = func(d time.Duration) {
 		histAnalysis.Observe(d)
 	}
+}
+
+// lazyHandles caches telemetry handles resolved by name on first use.
+// Loop workers share one, so it is safe for concurrent use; after warm-up
+// a lookup is one lock-free map hit.
+type lazyHandles[T any] struct {
+	m       sync.Map // name → *T
+	resolve func(name string) *T
+}
+
+func (l *lazyHandles[T]) get(name string) *T {
+	if h, ok := l.m.Load(name); ok {
+		return h.(*T)
+	}
+	h, _ := l.m.LoadOrStore(name, l.resolve(name))
+	return h.(*T)
+}
+
+// lazy returns the handles resolve gives for prefix+name.
+func lazy[T any](resolve func(string) *T, prefix string) *lazyHandles[T] {
+	return &lazyHandles[T]{resolve: func(name string) *T { return resolve(prefix + name) }}
 }
 
 // portfolioWinnerLabel renders a portfolio winner index as the stable
@@ -443,19 +487,8 @@ func portfolioWinnerLabel(winner int) string {
 // into the opt.rule.* counters. Handles are cached by name: pipelines fire
 // a small fixed set of rules, so after warm-up this is a map hit per rule.
 func (f *Fuzzer) recordRuleStats(stats map[string]int) {
-	if len(stats) == 0 {
-		return
-	}
-	if f.ruleCtrs == nil {
-		f.ruleCtrs = make(map[string]*telemetry.Counter)
-	}
 	for name, n := range stats {
-		c, ok := f.ruleCtrs[name]
-		if !ok {
-			c = f.tel.Counter("opt.rule." + name)
-			f.ruleCtrs[name] = c
-		}
-		c.Add(int64(n))
+		f.ruleCtrs.get(name).Add(int64(n))
 	}
 }
 
@@ -504,40 +537,191 @@ func preprocess(mod *ir.Module, passes []opt.Pass, opts Options, dropped *[]stri
 	return clean
 }
 
-// Run executes the fuzzing loop.
+// Run executes the fuzzing loop. With Options.Workers > 1 iterations run
+// on that many goroutines; either way they are committed in iteration
+// order, so the Report is the same for every worker count.
 func (f *Fuzzer) Run() *Report {
 	start := time.Now() // vet:determinism — Stats.Elapsed, reporting only
 	rep := &Report{}
 	rep.Stats.Dropped = f.dropped
 	master := rng.New(f.opts.Seed)
-
-	for iter := 1; ; iter++ {
-		if f.opts.NumMutants > 0 && iter > f.opts.NumMutants {
-			break
-		}
-		if f.opts.TimeLimit > 0 && time.Since(start) >= f.opts.TimeLimit {
-			break
-		}
-		if f.opts.Stop != nil && f.opts.Stop() {
-			break
-		}
-		seed := master.SplitSeed()
-		stop := f.iteration(rep, iter, seed)
-		rep.Stats.Iterations = iter
-		if stop && f.opts.StopAtFirstFinding {
-			break
+	if f.opts.Workers > 1 {
+		f.runWorkers(rep, start, master)
+	} else {
+		for iter := 1; f.more(iter, start); iter++ {
+			o := f.iteration(iter, master.SplitSeed())
+			if f.commit(rep, &o) {
+				break
+			}
 		}
 	}
 	rep.Stats.Elapsed = time.Since(start)
 	return rep
 }
 
-// iteration performs one mutate→optimize→verify cycle; reports whether a
-// finding was recorded. Stage timings are taken manually (paired
-// time.Now calls gated on f.tel) rather than through closures: this is
-// the hot loop, and a closure per stage per mutant is an allocation the
-// throughput experiment would notice.
-func (f *Fuzzer) iteration(rep *Report, iter int, seed uint64) bool {
+// more reports whether iteration iter may start: the mutant budget, the
+// time budget and the Stop hook are all checked before its seed is drawn.
+func (f *Fuzzer) more(iter int, start time.Time) bool {
+	switch {
+	case f.opts.NumMutants > 0 && iter > f.opts.NumMutants:
+		return false
+	case f.opts.TimeLimit > 0 && time.Since(start) >= f.opts.TimeLimit:
+		return false
+	case f.opts.Stop != nil && f.opts.Stop():
+		return false
+	}
+	return true
+}
+
+// aheadPerWorker bounds, per worker, how far the workers may run ahead
+// of the oldest uncommitted iteration. Query times are heavy-tailed (on
+// alive-mutate's generated inputs one query can cost as much as the other
+// few hundred together), so the bound must let the other workers go on
+// while one solves it; an outcome waiting for its commit holds only its
+// counts and findings.
+const aheadPerWorker = 256
+
+// runWorkers is Run's loop on Options.Workers goroutines. Each worker
+// takes the next iteration as the serial loop does: under the lock it
+// checks the limits (more) and draws the next seed from master, then runs
+// the iteration at once. The calling goroutine commits the outcomes in
+// iteration order. It takes the first iteration itself, so a run whose
+// limits allow none starts no goroutine. A panic in an iteration is
+// re-raised here when that iteration's turn to commit comes, so it is the
+// earliest one's, as in the serial loop.
+func (f *Fuzzer) runWorkers(rep *Report, start time.Time, master *rng.Rand) {
+	if !f.more(1, start) {
+		return
+	}
+	window := aheadPerWorker * f.opts.Workers
+	var (
+		mu sync.Mutex
+		// Iterations 1..taken have been taken, 1..committed committed;
+		// ring[i%window] holds iteration i's outcome until its commit.
+		taken, committed = 1, 0
+		ended            bool // no further iteration will be taken
+		ring             = make([]*outcome, window)
+		arrived          = sync.NewCond(&mu) // an outcome arrived, or ended
+		room             = sync.NewCond(&mu) // the window has room, or ended
+		wg               sync.WaitGroup
+	)
+	take := func() (iter int, seed uint64, ok bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		for !ended && taken-committed >= window {
+			room.Wait()
+		}
+		// The check and the draw are one step, as in the serial loop, so
+		// Stop is polled under the lock: one call at a time, in order.
+		if ended || !f.more(taken+1, start) {
+			ended = true
+			arrived.Signal()
+			return 0, 0, false
+		}
+		taken++
+		return taken, master.SplitSeed(), true
+	}
+	work := func(iter int, seed uint64, ok bool) {
+		defer wg.Done()
+		for ; ok; iter, seed, ok = take() {
+			o := f.recoveredIteration(iter, seed)
+			mu.Lock()
+			ring[iter%window] = &o
+			mu.Unlock()
+			arrived.Signal()
+		}
+	}
+	// On return, and on a re-raised panic, no further iteration is taken
+	// and the running ones finish, so no worker outlives Run.
+	defer func() {
+		mu.Lock()
+		ended = true
+		mu.Unlock()
+		room.Broadcast()
+		wg.Wait()
+	}()
+	wg.Add(f.opts.Workers)
+	go work(1, master.SplitSeed(), true)
+	for i := 1; i < f.opts.Workers; i++ {
+		go func() { work(take()) }()
+	}
+	for i := 1; ; i++ {
+		mu.Lock()
+		for ring[i%window] == nil && !(ended && i > taken) {
+			arrived.Wait()
+		}
+		o := ring[i%window]
+		ring[i%window] = nil
+		mu.Unlock()
+		if o == nil {
+			return
+		}
+		if o.panicked != nil {
+			panic(o.panicked)
+		}
+		f.commit(rep, o)
+		mu.Lock()
+		committed = i
+		mu.Unlock()
+		room.Signal()
+	}
+}
+
+// outcome is everything one iteration contributes to the Report, held
+// apart from it so that iterations can run on workers while commit folds
+// them in in iteration order.
+type outcome struct {
+	iter     int
+	stats    Stats // the counts only
+	findings []Finding
+	events   []telemetry.Event
+	log      []string
+	found    bool
+	panicked any // a worker's recovered panic, for runWorkers to re-raise
+}
+
+// commit folds one iteration's outcome into the report, the journal and
+// the log; it reports whether the run should stop at this finding.
+func (f *Fuzzer) commit(rep *Report, o *outcome) bool {
+	s := &rep.Stats
+	s.Iterations = o.iter
+	s.Checked += o.stats.Checked
+	s.Valid += o.stats.Valid
+	s.Invalid += o.stats.Invalid
+	s.Unsupported += o.stats.Unsupported
+	s.Unknown += o.stats.Unknown
+	s.Crashes += o.stats.Crashes
+	rep.Findings = append(rep.Findings, o.findings...)
+	for _, ev := range o.events {
+		f.opts.Telemetry.Emit(ev)
+	}
+	for _, line := range o.log {
+		io.WriteString(f.opts.Log, line)
+	}
+	return o.found && f.opts.StopAtFirstFinding
+}
+
+// recoveredIteration runs one iteration on a worker, carrying a panic
+// back to the committing goroutine instead of crashing the process.
+func (f *Fuzzer) recoveredIteration(iter int, seed uint64) (o outcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			o = outcome{iter: iter, panicked: r}
+		}
+	}()
+	return f.iteration(iter, seed)
+}
+
+// iteration performs one mutate→optimize→verify cycle and returns its
+// outcome. It writes nothing to the Report, the journal or the log, so it
+// may run on any goroutine: counters and histograms are atomic, and the
+// spans recorder it also feeds is refused with workers (checkWorkers). Stage
+// timings are taken manually (paired time.Now calls gated on f.timed)
+// rather than through closures: this is the hot loop, and a closure per
+// stage per mutant is an allocation the throughput experiment would
+// notice.
+func (f *Fuzzer) iteration(iter int, seed uint64) outcome {
+	o := outcome{iter: iter}
 	var t0 time.Time
 	if f.timed {
 		f.ctrMutants.Add(1)
@@ -585,7 +769,7 @@ func (f *Fuzzer) iteration(rep *Report, iter int, seed uint64) bool {
 		f.recordRuleStats(ctx.Stats)
 	}
 	if crashMsg != "" {
-		rep.Stats.Crashes++
+		o.stats.Crashes++
 		f.ctrCrashes.Add(1)
 		fd := Finding{
 			Kind: Crash, Seed: seed, Iter: iter, PanicMsg: crashMsg,
@@ -595,30 +779,30 @@ func (f *Fuzzer) iteration(rep *Report, iter int, seed uint64) bool {
 		if f.opts.SaveFindings {
 			fd.MutantText = mutant.String()
 		}
-		rep.Findings = append(rep.Findings, fd)
-		f.opts.Telemetry.Emit(telemetry.Event{
+		o.findings = append(o.findings, fd)
+		f.emit(&o, telemetry.Event{
 			Type: "bug_found", Seed: seed, Iters: iter,
 			Detail: "crash: " + crashMsg, Trace: fd.TraceID,
 		})
-		f.logf("iter %d seed %#x: CRASH: %s", iter, seed, crashMsg)
+		f.logf(&o, "iter %d seed %#x: CRASH: %s", iter, seed, crashMsg)
 		f.spans.EndMutant(true)
-		return true
+		o.found = true
+		return o
 	}
 
-	found := false
 	for _, fn := range optimized.Defs() {
 		src := mutant.FuncByName(fn.Name)
 		if src == nil {
 			continue
 		}
-		rep.Stats.Checked++
+		o.stats.Checked++
 		f.ctrChecks.Add(1)
 		// Fast path: when the pipeline left the function textually
 		// unchanged, refinement holds trivially — no solver query needed.
 		// A large share of mutants are not touched by the optimizer, so
 		// this materially raises fuzzing throughput.
 		if fn.String() == src.String() {
-			rep.Stats.Valid++
+			o.stats.Valid++
 			f.ctrFast.Add(1)
 			continue
 		}
@@ -631,20 +815,20 @@ func (f *Fuzzer) iteration(rep *Report, iter int, seed uint64) bool {
 			// Valid is the overwhelming majority; journaling only the
 			// interesting verdicts keeps the journal proportional to
 			// campaign *events*, not campaign *size*.
-			f.opts.Telemetry.Emit(telemetry.Event{
+			f.emit(&o, telemetry.Event{
 				Type: "tv_verdict", Seed: seed, Iters: iter,
 				Unit: fn.Name, Detail: r.Verdict.String(),
 			})
 		}
 		switch r.Verdict {
 		case tv.Valid:
-			rep.Stats.Valid++
+			o.stats.Valid++
 		case tv.Unsupported:
-			rep.Stats.Unsupported++
+			o.stats.Unsupported++
 		case tv.Unknown:
-			rep.Stats.Unknown++
+			o.stats.Unknown++
 		case tv.Invalid:
-			rep.Stats.Invalid++
+			o.stats.Invalid++
 			fd := Finding{
 				Kind: Miscompilation, Seed: seed, Iter: iter, Func: fn.Name,
 				TraceID: mutate.TraceID(seed),
@@ -667,22 +851,30 @@ func (f *Fuzzer) iteration(rep *Report, iter int, seed uint64) bool {
 				fd.MutantText = mutant.String()
 				fd.OptimizedText = optimized.String()
 			}
-			rep.Findings = append(rep.Findings, fd)
-			f.opts.Telemetry.Emit(telemetry.Event{
+			o.findings = append(o.findings, fd)
+			f.emit(&o, telemetry.Event{
 				Type: "bug_found", Seed: seed, Iters: iter, Unit: fn.Name,
 				Detail: "miscompilation", Trace: fd.TraceID,
 			})
-			f.logf("iter %d seed %#x: MISCOMPILE @%s (%s)", iter, seed, fn.Name, fd.CEX)
-			found = true
+			f.logf(&o, "iter %d seed %#x: MISCOMPILE @%s (%s)", iter, seed, fn.Name, fd.CEX)
+			o.found = true
 		}
 	}
-	f.spans.EndMutant(found)
-	return found
+	f.spans.EndMutant(o.found)
+	return o
 }
 
-func (f *Fuzzer) logf(format string, args ...any) {
+// emit queues a journal event for the iteration's commit.
+func (f *Fuzzer) emit(o *outcome, ev telemetry.Event) {
+	if f.opts.Telemetry != nil {
+		o.events = append(o.events, ev)
+	}
+}
+
+// logf queues a progress line for the iteration's commit.
+func (f *Fuzzer) logf(o *outcome, format string, args ...any) {
 	if f.opts.Log != nil {
-		fmt.Fprintf(f.opts.Log, format+"\n", args...)
+		o.log = append(o.log, fmt.Sprintf(format+"\n", args...))
 	}
 }
 

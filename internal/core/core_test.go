@@ -83,14 +83,17 @@ func TestListing1ScenarioFindsClampBug(t *testing.T) {
 	t.Logf("found after %d iterations; %s", fd.Iter, fd.CEX)
 }
 
-// TestFindsCrashBug: a seeded assertion failure is caught and attributed.
-func TestFindsCrashBug(t *testing.T) {
-	// smax-of-add pattern: mutation must toggle both wrap flags on.
-	mod := parser.MustParse(`define i8 @smax_offset(i8 %x) {
+// crashSeed is the smax-of-add pattern: mutation must toggle both wrap
+// flags on to reach the seeded Bug52884NuwNswSmax assertion.
+const crashSeed = `define i8 @smax_offset(i8 %x) {
   %a = add i8 50, %x
   %m = call i8 @llvm.smax.i8(i8 %a, i8 -124)
   ret i8 %m
-}`)
+}`
+
+// TestFindsCrashBug: a seeded assertion failure is caught and attributed.
+func TestFindsCrashBug(t *testing.T) {
+	mod := parser.MustParse(crashSeed)
 	bugs := (&opt.BugSet{}).Enable(opt.Bug52884NuwNswSmax)
 	fz, err := New(mod, Options{
 		Passes:             "instcombine",

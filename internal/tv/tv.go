@@ -145,9 +145,10 @@ type Options struct {
 	// DisableRewrites turns off the SMT builder's algebraic rewriting
 	// (ablation knob).
 	DisableRewrites bool
-	// Observe, when non-nil, receives every query's Result and wall time.
-	// The fuzzing loop wires this to per-verdict latency histograms; it
-	// is nil — and costs nothing — otherwise.
+	// Observe, when non-nil, receives every query's Result and wall time,
+	// on the goroutine that called Verify. The fuzzing loop wires this to
+	// per-verdict latency histograms; it is nil — and costs nothing —
+	// otherwise. A loop running on several workers calls it concurrently.
 	Observe func(r Result, d time.Duration)
 
 	// Incremental solves the refinement query as per-class

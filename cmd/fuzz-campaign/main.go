@@ -23,8 +23,8 @@
 //	    [-spans-out spans.jsonl] [-spans-deterministic]
 //	    [-triage-dir triage/] [-checkpoint-dir ckpt/]
 //	    [-checkpoint-interval 10s] [-resume]
-//	    [-no-analysis] [-no-tv-cache] [-no-static-tv] [-no-concrete-tv]
-//	    [-no-shared-src] [-no-incremental] [-no-portfolio]
+//	    [-no-analysis] [-no-static-tv] [-no-concrete-tv] [-no-shared-src]
+//	    [-no-tv-cache] [-no-incremental] [-no-portfolio]
 //
 // A/B comparisons (docs/PERFORMANCE.md): -no-analysis turns off the
 // optimizer's dataflow-analysis-backed folds; each of the other -no-*
@@ -234,11 +234,16 @@ func run() int {
 		CheckpointInterval: *ckptInterval,
 		Resume:             *resume,
 	}
+	var off []string
 	for i, l := range campaign.Layers {
 		if *layerOff[i] {
 			l.Off(&cfg)
+			off = append(off, l.Name)
 		}
 	}
+	// telemetry-check -require-campaign checks the cascade's identities
+	// for the layers that were on.
+	sink.Collector().SetLabel(telemetry.LayersOffLabel, strings.Join(off, ","))
 
 	start := time.Now()
 	rep, err := campaign.RunBugs(ctx, cfg)

@@ -24,7 +24,9 @@
 // alive-mutate-hotspots/v1 reports all validate. The process exits
 // non-zero on the first violation. -require-campaign additionally
 // asserts a snapshot came from a real campaign run: a positive mutants
-// counter and the three core pipeline stages present. -trace-out
+// counter and the three core pipeline stages present, and, on a
+// fuzz-campaign snapshot (its layers_off label), the TV cascade's
+// partition identities for the layers that were on. -trace-out
 // converts a JSONL event journal into Chrome trace_event JSON loadable
 // in Perfetto / chrome://tracing; with -spans the trace gains true
 // nested mutant/stage/solver-query slices joined from a -spans-out file.
@@ -247,7 +249,9 @@ func exportTrace(journalPath, spansPath, outPath string) {
 	fmt.Printf("%s: %d events -> %s%s (load in Perfetto or chrome://tracing)\n", journalPath, n, outPath, nested)
 }
 
-// checkCampaignShape asserts the snapshot records an actual campaign.
+// checkCampaignShape asserts the snapshot records an actual campaign and,
+// when it names the TV layers it ran with off (fuzz-campaign does), that
+// the cascade's partition identities hold for the layers that were on.
 func checkCampaignShape(s *telemetry.Snapshot) error {
 	if s.Counters["mutants"] <= 0 {
 		return fmt.Errorf("campaign snapshot has no mutants counter (got %d)", s.Counters["mutants"])
@@ -256,6 +260,11 @@ func checkCampaignShape(s *telemetry.Snapshot) error {
 		h, ok := s.Histograms[stage]
 		if !ok || h.Count == 0 {
 			return fmt.Errorf("campaign snapshot is missing %s timings", stage)
+		}
+	}
+	if label, ok := s.Labels[telemetry.LayersOffLabel]; ok {
+		if err := telemetry.CheckCascade(s.Counters, telemetry.ParseLayersOff(label)); err != nil {
+			return fmt.Errorf("cascade identities (layers off: %q): %w", label, err)
 		}
 	}
 	return nil

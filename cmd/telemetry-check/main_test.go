@@ -54,3 +54,31 @@ func TestCompareTable(t *testing.T) {
 		t.Errorf("output lists an identical counter or a non-stage histogram:\n%s", got)
 	}
 }
+
+// TestCheckCampaignShapeCascade: -require-campaign checks the cascade's
+// identities on a snapshot that names its switched-off layers, for the
+// layers that were on, and leaves a snapshot without the label alone.
+func TestCheckCampaignShapeCascade(t *testing.T) {
+	snap := func(labels map[string]string) *telemetry.Snapshot {
+		s := compareSnap(int64(time.Second), map[string]int64{
+			"mutants": 10, "verdict.valid": 5,
+			"tv.static.proved": 2, "tv.static.bailout": 3,
+			"tv.cache.miss": 2, // one short of the 3 solve-stage queries
+		})
+		s.Labels = labels
+		for _, st := range []string{"stage.mutate", "stage.opt"} {
+			s.Histograms[st] = telemetry.HistSnapshot{Count: 1, TotalNS: 1}
+		}
+		return s
+	}
+	if err := checkCampaignShape(snap(nil)); err != nil {
+		t.Errorf("no layers_off label: %v", err)
+	}
+	err := checkCampaignShape(snap(map[string]string{telemetry.LayersOffLabel: "concrete,shared-src"}))
+	if err == nil || !strings.Contains(err.Error(), "cache hit+miss") {
+		t.Errorf("cache on, one miss short: error %v, want the cache identity", err)
+	}
+	if err := checkCampaignShape(snap(map[string]string{telemetry.LayersOffLabel: "concrete,shared-src,cache"})); err != nil {
+		t.Errorf("cache off: %v", err)
+	}
+}

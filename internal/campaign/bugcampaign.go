@@ -97,8 +97,9 @@ type BugConfig struct {
 	StopAfterUnits int
 
 	// NoTVCache disables the per-unit refinement-verdict cache. The
-	// default (cache on) memoizes Valid/Unsupported verdicts across the
-	// mutants of one unit execution; because each unit gets a fresh
+	// default (cache on) replays the solve stage's Valid and budget
+	// Unknown results across the mutants of one unit execution, keyed on
+	// the encoded query (tv.Cache); because each unit gets a fresh
 	// cache, hit/miss counts — not just verdicts — are deterministic at
 	// any worker count (docs/PERFORMANCE.md).
 	NoTVCache bool
@@ -106,7 +107,8 @@ type BugConfig struct {
 	// the per-class refinement queries (A/B comparisons; on by default).
 	NoIncremental bool
 	// NoStaticTV disables the static refinement pre-verifier (on by
-	// default), forcing every non-cached query through the SAT solver.
+	// default), sending every encoded query on to the srcenc probe and
+	// the solve stage.
 	// The rung only short-circuits provable Valids, so tables, witness
 	// logs, and triage trees are byte-identical either way; like the
 	// other acceleration modes it is excluded from the checkpoint

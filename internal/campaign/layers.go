@@ -20,12 +20,6 @@ type Layer struct {
 // layer is one entry here.
 var Layers = []Layer{
 	{
-		Name: "cache", Flag: "no-tv-cache",
-		Usage:    "disable the per-unit refinement-verdict cache (A/B comparison runs)",
-		Off:      func(c *BugConfig) { c.NoTVCache = true },
-		Counters: "tv.cache.",
-	},
-	{
 		Name: "static", Flag: "no-static-tv",
 		Usage:    "disable the static refinement pre-verifier (A/B comparison runs)",
 		Off:      func(c *BugConfig) { c.NoStaticTV = true },
@@ -42,6 +36,12 @@ var Layers = []Layer{
 		Usage:    "disable campaign-level shared src encodings (A/B comparison runs)",
 		Off:      func(c *BugConfig) { c.NoSharedSrcEnc = true },
 		Counters: "tv.srcenc.",
+	},
+	{
+		Name: "cache", Flag: "no-tv-cache",
+		Usage:    "disable the per-unit verdict cache, which replays a repeated encoded query's solve-stage result (A/B comparison runs)",
+		Off:      func(c *BugConfig) { c.NoTVCache = true },
+		Counters: "tv.cache.",
 	},
 	{
 		Name: "incremental", Flag: "no-incremental",

@@ -47,12 +47,22 @@ func harnessConfig(workers int) BugConfig {
 	}
 }
 
-// runLayers runs the harness campaign with the given layers off and every
-// write-only sink attached: a metrics collector, a triage sink and a
-// deterministic spans store.
-func runLayers(name string, workers int, off []Layer) (layerRun, error) {
-	r := layerRun{name: fmt.Sprintf("%s/w%d", name, workers), off: map[string]bool{}}
+// repeatConfig is a small campaign on the budget-exhausting division bug
+// whose mutants repeat an encoded query after the static, concrete and
+// srcenc rungs, so the verdict cache hits. The harness's seven-bug
+// campaign has no such repeat.
+func repeatConfig(workers int) BugConfig {
 	cfg := harnessConfig(workers)
+	cfg.Budget = 12
+	cfg.Only = []int{55490}
+	return cfg
+}
+
+// runLayers runs cfg with the given layers off and every write-only sink
+// attached: a metrics collector, a triage sink and a deterministic spans
+// store.
+func runLayers(name string, cfg BugConfig, off []Layer) (layerRun, error) {
+	r := layerRun{name: fmt.Sprintf("%s/w%d", name, cfg.Workers), off: map[string]bool{}}
 	for _, l := range off {
 		l.Off(&cfg)
 		r.off[l.Name] = true
@@ -93,9 +103,11 @@ func runLayers(name string, workers int, off []Layer) (layerRun, error) {
 // layerHarness holds the harness's campaigns: a sink-free reference at
 // workers 1, then (workers 1, workers 8) pairs — the default stack first,
 // then each layer of Layers off — and last all layers off at workers 8.
+// Beside them, repeat is the repeatConfig campaign at workers 1 and 8.
 type layerHarness struct {
-	ref  *BugReport
-	runs []layerRun
+	ref    *BugReport
+	runs   []layerRun
+	repeat [2]layerRun
 }
 
 // harnessRuns runs the harness's campaigns once per test binary. The
@@ -116,7 +128,7 @@ var harnessRuns = sync.OnceValues(func() (*layerHarness, error) {
 	// The campaigns are independent, so they run concurrently, as many
 	// at a time as GOMAXPROCS.
 	h := &layerHarness{runs: make([]layerRun, len(configs))}
-	errs := make([]error, len(configs)+1)
+	errs := make([]error, len(configs)+3)
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	launch := func(i int, run func() error) {
@@ -132,9 +144,15 @@ var harnessRuns = sync.OnceValues(func() (*layerHarness, error) {
 		h.ref, err = RunBugs(context.Background(), harnessConfig(1))
 		return err
 	})
+	for i, w := range []int{1, 8} {
+		launch(len(configs)+1+i, func() (err error) {
+			h.repeat[i], err = runLayers("repeat", repeatConfig(w), nil)
+			return err
+		})
+	}
 	for i, c := range configs {
 		launch(i, func() (err error) {
-			h.runs[i], err = runLayers(c.name, c.workers, c.off)
+			h.runs[i], err = runLayers(c.name, harnessConfig(c.workers), c.off)
 			return err
 		})
 	}
@@ -292,22 +310,23 @@ func TestCampaignTVAccelInvariance(t *testing.T) {
 	checkTables(t, h.ref, runs)
 }
 
-// TestCampaignTVCacheHitsDeterministic: the cache both hits and misses
-// wherever it is on, its counters are the same at workers 1 and 8, and
-// they are silent while it is off.
+// TestCampaignTVCacheHitsDeterministic: on a campaign that repeats a
+// solve-stage query the cache both hits and misses, with the same counts
+// at workers 1 and 8; in the harness its counters are the same at
+// workers 1 and 8 and silent while it is off.
 func TestCampaignTVCacheHitsDeterministic(t *testing.T) {
 	h := layerRuns(t)
+	w1 := h.repeat[0]
+	if w1.counters["tv.cache.hit"] <= 0 || w1.counters["tv.cache.miss"] <= 0 {
+		t.Errorf("%s: tv.cache.hit = %d, tv.cache.miss = %d, want both positive",
+			w1.name, w1.counters["tv.cache.hit"], w1.counters["tv.cache.miss"])
+	}
 	for _, r := range h.runs {
 		if r.off["cache"] {
 			checkSilent(t, r, "tv.cache.")
-			continue
-		}
-		if r.counters["tv.cache.hit"] <= 0 || r.counters["tv.cache.miss"] <= 0 {
-			t.Errorf("%s: tv.cache.hit = %d, tv.cache.miss = %d, want both positive",
-				r.name, r.counters["tv.cache.hit"], r.counters["tv.cache.miss"])
 		}
 	}
-	for _, p := range h.twins() {
+	for _, p := range append(h.twins(), h.repeat) {
 		for _, k := range []string{"tv.cache.hit", "tv.cache.miss"} {
 			if p[0].counters[k] != p[1].counters[k] {
 				t.Errorf("%s: %s = %d, workers 1 had %d", p[1].name, k, p[1].counters[k], p[0].counters[k])
@@ -338,6 +357,9 @@ func TestCampaignCascadeCounters(t *testing.T) {
 		checkPartitions(t, r)
 		checkUpstream(t, r, h.def())
 	}
+	for _, r := range h.repeat {
+		checkPartitions(t, r)
+	}
 }
 
 // TestCampaignStaticTVInvariance: the static pre-verifier only skips
@@ -359,24 +381,24 @@ func TestCampaignStaticTVInvariance(t *testing.T) {
 	}
 }
 
-// TestCampaignStaticTVCounters: wherever the cache and static TV are
-// both on, the static rung proves something and its outcomes partition
-// the cache misses; with it off its counters are silent.
+// TestCampaignStaticTVCounters: wherever static TV is on, the static
+// rung proves something and its outcomes partition the encoded queries
+// (every verdict but Unsupported, which only encoding returns); with it
+// off its counters are silent.
 func TestCampaignStaticTVCounters(t *testing.T) {
 	h := layerRuns(t)
 	for _, r := range h.runs {
 		c := r.counters
-		switch {
-		case r.off["static"]:
+		if r.off["static"] {
 			checkSilent(t, r, "tv.static.")
-		case r.off["cache"]:
-		default:
-			if c["tv.static.proved"] <= 0 {
-				t.Errorf("%s: tv.static.proved = %d, want positive", r.name, c["tv.static.proved"])
-			}
-			if got := c["tv.static.proved"] + c["tv.static.refuted-to-sat"] + c["tv.static.bailout"]; got != c["tv.cache.miss"] {
-				t.Errorf("%s: static outcomes %d, want the %d cache misses", r.name, got, c["tv.cache.miss"])
-			}
+			continue
+		}
+		if c["tv.static.proved"] <= 0 {
+			t.Errorf("%s: tv.static.proved = %d, want positive", r.name, c["tv.static.proved"])
+		}
+		encoded := c["verdict.valid"] + c["verdict.invalid"] + c["verdict.unknown"]
+		if got := c["tv.static.proved"] + c["tv.static.refuted-to-sat"] + c["tv.static.bailout"]; got != encoded {
+			t.Errorf("%s: static outcomes %d, want the %d encoded queries", r.name, got, encoded)
 		}
 	}
 }
@@ -415,44 +437,25 @@ func checkTree(t *testing.T, r, def layerRun) {
 	}
 }
 
-// checkPartitions checks the cascade's accounting on every run whose
-// layers it involves are on: the concrete and shared-src rungs take work,
-// each rung's outcomes partition the queries it saw, and the partitions
-// chain from rung to rung.
+// checkPartitions checks the cascade's accounting on every run: the
+// concrete and shared-src rungs take work while on, and the partition
+// identities of telemetry.CheckCascade hold for the layers that are on —
+// among them, the cache's hits and misses count the solve-stage queries
+// (with concrete on: screened - tv.srcenc.proved).
 func checkPartitions(t *testing.T, r layerRun) {
 	t.Helper()
-	c, on := r.counters, func(l string) bool { return !r.off[l] }
-	partition := func(what string, got, want int64) {
-		if got != want {
-			t.Errorf("%s: %s: %d, want %d", r.name, what, got, want)
-		}
-	}
+	c := r.counters
 	// A rung that is on must take work, or one wired up but never
 	// taken would pass every identity.
 	for _, w := range [][2]string{
 		{"concrete", "tv.concrete.screened"}, {"shared-src", "tv.srcenc.hit"},
 	} {
-		if on(w[0]) && c[w[1]] <= 0 {
+		if !r.off[w[0]] && c[w[1]] <= 0 {
 			t.Errorf("%s: layer %s is on but %s = %d", r.name, w[0], w[1], c[w[1]])
 		}
 	}
-	screened := c["tv.concrete.screened"]
-	probes := c["tv.srcenc.hit"] + c["tv.srcenc.miss"]
-	if on("concrete") {
-		partition("concrete outcomes vs screened queries",
-			c["tv.concrete.agreed"]+c["tv.concrete.diverged"]+c["tv.concrete.bailout"], screened)
-	}
-	if on("static") && on("concrete") {
-		// The concrete rung screens exactly what static left solver-bound.
-		partition("screened queries vs static refuted+bailout",
-			screened, c["tv.static.refuted-to-sat"]+c["tv.static.bailout"])
-	}
-	if on("concrete") && on("shared-src") {
-		// Diverged queries route straight to the monolithic solve.
-		partition("srcenc probes vs non-diverged screened queries", probes, screened-c["tv.concrete.diverged"])
-	}
-	if c["tv.srcenc.proved"] > probes {
-		t.Errorf("%s: srcenc proved %d exceeds probes %d", r.name, c["tv.srcenc.proved"], probes)
+	if err := telemetry.CheckCascade(c, r.off); err != nil {
+		t.Errorf("%s: %v", r.name, err)
 	}
 }
 

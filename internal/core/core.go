@@ -302,7 +302,7 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 	}
 	// Acceleration counters (docs/PERFORMANCE.md). Cache hit/miss are
 	// counted only when a cache is configured, so the pair always sums to
-	// the number of cached-path queries.
+	// the number of queries that reached the solve stage.
 	cacheOn := f.opts.TV.Cache != nil
 	ctrCacheHit := tel.Counter("tv.cache.hit")
 	ctrCacheMiss := tel.Counter("tv.cache.miss")
@@ -310,11 +310,11 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 	ctrEliminated := tel.Counter("sat.preprocess.eliminated")
 	ctrConflicts := tel.Counter("sat.conflicts")
 	ctrProps := tel.Counter("sat.propagations")
-	// Static pre-verifier accounting (docs/OBSERVABILITY.md). Outcomes
-	// are counted only on cache misses so tv.cache.hit/miss stay
-	// identical with the rung on or off; stage.stv is the rung's own
-	// latency, attributed per outcome class by construction (a proved
-	// query never reaches the solver).
+	// Static pre-verifier accounting (docs/OBSERVABILITY.md). The rung
+	// runs on every encoded query, cache hits included (the cache sits
+	// at the solve stage), so its outcomes partition them; stage.stv is
+	// the rung's own latency, attributed per outcome class by
+	// construction (a proved query never reaches the solver).
 	histSTV := tel.Histogram("stage.stv")
 	staticCtrs := map[string]*telemetry.Counter{
 		tv.StaticProved:  tel.Counter("tv.static.proved"),
@@ -356,7 +356,7 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 		}
 		ctrConflicts.Add(r.Conflicts)
 		ctrProps.Add(r.Propagations)
-		if r.StaticOutcome != "" && !r.CacheHit {
+		if r.StaticOutcome != "" {
 			histSTV.Observe(time.Duration(r.StaticNS))
 			if c, ok := staticCtrs[r.StaticOutcome]; ok {
 				c.Add(1)
@@ -365,14 +365,14 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 				staticRuleCtrs.get(r.StaticRule).Add(1)
 			}
 		}
-		if r.ConcreteOutcome != "" && !r.CacheHit {
+		if r.ConcreteOutcome != "" {
 			histCTV.Observe(time.Duration(r.ConcreteNS))
 			ctrConcreteScreened.Add(1)
 			if c, ok := concreteCtrs[r.ConcreteOutcome]; ok {
 				c.Add(1)
 			}
 		}
-		if r.SrcEncOutcome != "" && !r.CacheHit {
+		if r.SrcEncOutcome != "" {
 			if c, ok := srcEncCtrs[r.SrcEncOutcome]; ok {
 				c.Add(1)
 			}
@@ -386,7 +386,7 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 		}
 		if f.spans != nil {
 			cache := ""
-			if cacheOn {
+			if cacheOn && r.ReachedSolveStage() {
 				cache = spans.CacheMiss
 				if r.CacheHit {
 					cache = spans.CacheHit
@@ -398,18 +398,16 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 				Cache:        cache,
 				Conflicts:    r.Conflicts,
 				Propagations: r.Propagations,
+				Static:       r.StaticOutcome,
+				Concrete:     r.ConcreteOutcome,
+				SrcEnc:       r.SrcEncOutcome,
 			}
-			if !r.CacheHit {
-				q.Static = r.StaticOutcome
-				q.Concrete = r.ConcreteOutcome
-				q.SrcEnc = r.SrcEncOutcome
-				if r.PortfolioRaced {
-					q.Portfolio = portfolioWinnerLabel(r.PortfolioWinner)
-				}
+			if r.PortfolioRaced {
+				q.Portfolio = portfolioWinnerLabel(r.PortfolioWinner)
 			}
 			f.spans.Query(q, d)
 		}
-		if cacheOn {
+		if cacheOn && r.ReachedSolveStage() {
 			if r.CacheHit {
 				ctrCacheHit.Add(1)
 			} else {
@@ -418,7 +416,7 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 		}
 		if r.AssumptionQueries > 0 {
 			ctrAssumptions.Add(r.AssumptionQueries)
-			if !r.CacheHit && !r.SrcEncProved {
+			if !r.SrcEncProved {
 				ctrSessionProved.Add(1)
 			}
 		}

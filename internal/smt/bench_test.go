@@ -110,3 +110,31 @@ func BenchmarkPortfolioAdjudication(bm *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDigest measures the verdict cache's key on a query shaped like
+// the budget-exhausting tail's: 32-bit udiv/urem pairs under
+// division-by-zero guards, joined over a few path pairs. The cache saves
+// a solve of about a second on each hit, so the digest must stay far
+// below that.
+func BenchmarkDigest(bm *testing.B) {
+	b := NewBuilder()
+	x, y, z := b.Var(32, "x"), b.Var(32, "y"), b.Var(32, "z")
+	zero := b.Const(32, 0)
+	query := b.Bool(false)
+	for i := uint64(1); i <= 4; i++ {
+		d := b.Or(y, b.Const(32, i))
+		q, r := b.UDiv(x, d), b.URem(x, d)
+		tq, tr := b.UDiv(b.Add(x, z), d), b.URem(b.Add(x, z), d)
+		guard := b.And(b.Ne(d, zero), b.Ult(z, b.Const(32, i)))
+		viol := b.Or(b.Ne(q, tq), b.Ne(r, tr))
+		query = b.Or(query, b.And(guard, viol))
+	}
+	axiom := b.Ult(y, b.Const(32, 1<<20))
+	bm.ResetTimer()
+	for i := 0; i < bm.N; i++ {
+		digestSink = Digest(query, axiom)
+	}
+}
+
+// digestSink keeps BenchmarkDigest's call from being optimized away.
+var digestSink [32]byte

@@ -78,9 +78,10 @@ func fmtETA(etaNS int64) string {
 }
 
 // accelStats renders the TV acceleration segment of the progress line:
-// verdict-cache hit rate and cumulative SAT conflicts, each shown only
-// once it is non-zero (a run without the cache, or before the first
-// solver query, keeps the historical line shape).
+// the verdict cache's hit rate over the queries that reached the solve
+// stage, and cumulative SAT conflicts, each shown only once it is
+// non-zero (a run without the cache, or before the first solve-stage
+// query, keeps the historical line shape).
 func accelStats(c *Collector) string {
 	hits := c.Counter("tv.cache.hit").Value()
 	misses := c.Counter("tv.cache.miss").Value()

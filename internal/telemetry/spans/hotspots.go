@@ -70,7 +70,7 @@ type Hotspots struct {
 // Compute aggregates unit span deltas into a hotspot report. topN bounds
 // each ranking (<=0 means the default of 10). Unknown verdicts on
 // budget-exhausted units are what the "raise the TV budget here" signal
-// keys on; cache misses name the formulas worth hash-consing.
+// keys on; cache misses name the formulas the solve stage paid for.
 func Compute(units []*UnitSpans, deterministic bool, topN int) *Hotspots {
 	if topN <= 0 {
 		topN = 10

@@ -34,8 +34,10 @@ const (
 	StageInterp = "interp"
 )
 
-// Cache attribute values on query spans. Empty means the verdict cache
-// was disabled for the run.
+// Cache attribute values on query spans. The verdict cache's lookup is
+// the first step of the solve stage, so empty means the cache was
+// disabled for the run or the query never got that far (Unsupported, or
+// proved by the static rung or the srcenc probe).
 const (
 	CacheHit  = "hit"
 	CacheMiss = "miss"
@@ -77,7 +79,7 @@ type Span struct {
 	// "bailout"); SrcEnc the shared-src-encoding layer's ("hit", "miss");
 	// Portfolio the racing winner ("canonical", "cfg1", ..., "none").
 	// Each is empty when its layer was off or never reached (e.g. a
-	// cache hit).
+	// query the static rung proved has no Concrete).
 	Func         string `json:"func,omitempty"`
 	FP           string `json:"fp,omitempty"`
 	Verdict      string `json:"verdict,omitempty"`

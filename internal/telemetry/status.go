@@ -123,15 +123,19 @@ type StatusSnapshot struct {
 	// TVCacheHits/TVCacheMisses/SATConflicts surface the TV acceleration
 	// counters (docs/PERFORMANCE.md) live: stamped by the HTTP layer from
 	// the Collector at read time, like Stages, so the dashboard tiles and
-	// the -progress ticker read the same source.
+	// the -progress ticker read the same source. The cache's lookup is
+	// the first step of the solve stage, so hits and misses together
+	// count the queries the static rung and the srcenc probe left to it;
+	// a hit replays a stored Valid or budget Unknown without solving.
 	TVCacheHits   int64 `json:"tv_cache_hits,omitempty"`
 	TVCacheMisses int64 `json:"tv_cache_misses,omitempty"`
 	SATConflicts  int64 `json:"sat_conflicts,omitempty"`
 
 	// TVStaticProved and TVSrcEncProved feed the dashboard's cascade
-	// discharge-rate tile: the share of cache-missing queries the cheap
-	// rungs (static fold, shared-src probe) proved Valid without a fresh
-	// monolithic solve. Stamped at read time like the counters above.
+	// discharge-rate tile: the share of encoded queries (these two plus
+	// the cache's hits and misses) the cheap rungs (static fold,
+	// shared-src probe) proved Valid before the solve stage. Stamped at
+	// read time like the counters above.
 	TVStaticProved int64 `json:"tv_static_proved,omitempty"`
 	TVSrcEncProved int64 `json:"tv_srcenc_proved,omitempty"`
 

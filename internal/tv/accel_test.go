@@ -171,9 +171,12 @@ func TestAcceleratedModesMatchBaseline(t *testing.T) {
 		sameOutcome(t, p.name, "cache-fill", base, Verify(p.mod, p.src, p.tgt, o))
 		replay := Verify(p.mod, p.src, p.tgt, o)
 		sameOutcome(t, p.name, "cache-replay", base, replay)
-		if base.Verdict == Valid || base.Verdict == Unsupported {
+		// Valid and budget Unknown results are served on replay; Invalid
+		// ones re-solve, and an encoding-time Unsupported never reaches
+		// the cache.
+		if base.Verdict == Valid || base.Verdict == Unknown {
 			if !replay.CacheHit {
-				t.Fatalf("%s: second lookup of %v verdict missed the cache", p.name, base.Verdict)
+				t.Fatalf("%s: second lookup of %v result missed the cache", p.name, base.Verdict)
 			}
 		} else if replay.CacheHit {
 			t.Fatalf("%s: %v verdict must never be served from cache", p.name, base.Verdict)
@@ -209,8 +212,10 @@ func TestAcceleratedBudgetVerdictsMatch(t *testing.T) {
 	}
 }
 
-// TestCacheStatsAndStorePolicy: hits/misses count every lookup, and only
-// Valid/Unsupported verdicts are retained.
+// TestCacheStatsAndStorePolicy: hits and misses count the solve-stage
+// lookups; Valid and budget Unknown results are stored and replayed,
+// Invalid ones always re-solve, and an encoding-time Unsupported never
+// reaches the cache.
 func TestCacheStatsAndStorePolicy(t *testing.T) {
 	valid := parser.MustParse(`define i32 @f(i32 %x) {
   %a = add i32 %x, 0
@@ -230,9 +235,10 @@ entry:
 loop:
   br label %loop
 }`)
+	unknownMod, unknownSrc, unknownTgt := assocPair(t, "x", "y", "z", "")
 
 	c := NewCache()
-	o := Options{Cache: c}
+	o := Options{ConflictBudget: 300, Cache: c}
 
 	r := Verify(valid, valid.Defs()[0], valid.Defs()[0], o)
 	if r.Verdict != Valid || r.CacheHit {
@@ -250,16 +256,20 @@ loop:
 		}
 	}
 
-	r = Verify(unsup, unsup.Defs()[0], unsup.Defs()[0], o)
-	if r.Verdict != Unsupported || r.CacheHit {
-		t.Fatalf("first unsupported query: %+v", r)
+	first := Verify(unknownMod, unknownSrc, unknownTgt, o)
+	if first.Verdict != Unknown || first.CacheHit {
+		t.Fatalf("first budget-exhausted query: %+v", first)
 	}
-	r = Verify(unsup, unsup.Defs()[0], unsup.Defs()[0], o)
-	if r.Verdict != Unsupported || !r.CacheHit {
-		t.Fatalf("second unsupported query should hit: %+v", r)
+	r = Verify(unknownMod, unknownSrc, unknownTgt, o)
+	if r.Verdict != Unknown || !r.CacheHit || r.Reason != first.Reason {
+		t.Fatalf("second budget-exhausted query should hit with reason %q: %+v", first.Reason, r)
 	}
-	if r.Reason == "" {
-		t.Fatal("cached unsupported verdict lost its reason")
+
+	for i := 0; i < 2; i++ {
+		r = Verify(unsup, unsup.Defs()[0], unsup.Defs()[0], o)
+		if r.Verdict != Unsupported || r.CacheHit || r.Reason == "" {
+			t.Fatalf("unsupported query %d: %+v", i, r)
+		}
 	}
 
 	hits, misses := c.Stats()
@@ -267,7 +277,7 @@ loop:
 		t.Fatalf("stats = %d hits / %d misses, want 2/4", hits, misses)
 	}
 	if c.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2 (valid + unsupported)", c.Len())
+		t.Fatalf("cache holds %d entries, want 2 (valid + unknown)", c.Len())
 	}
 }
 

@@ -75,7 +75,8 @@ func BenchmarkVerifyExamplesIncremental(b *testing.B) {
 }
 
 // BenchmarkVerifyExamplesCached measures the steady-state cache-hit path:
-// after the first iteration every query is a fingerprint lookup.
+// after the first iteration every query is encoded, digested and
+// replayed from the solve stage's cache.
 func BenchmarkVerifyExamplesCached(b *testing.B) {
 	defs := exampleDefs(b)
 	c := NewCache()
@@ -136,8 +137,8 @@ func BenchmarkSharedSrcEncoding(b *testing.B) {
 	}
 }
 
-// BenchmarkFingerprint isolates the cache-key cost — the overhead every
-// lookup pays even on a miss.
+// BenchmarkFingerprint isolates the cost of the pair fingerprint that
+// cost-attribution spans group queries by (NeedFingerprint).
 func BenchmarkFingerprint(b *testing.B) {
 	defs := exampleDefs(b)
 	b.ResetTimer()

@@ -1,38 +1,48 @@
 package tv
 
-// Cache memoizes refinement verdicts across mutants. Mutation-based
-// fuzzing re-derives structurally identical (src, tgt) pairs constantly —
-// mutants that differ only in value names, or whose optimization touched
-// a different function of the module — so the same refinement query is
-// solved over and over. The cache keys the full structural fingerprint of
-// the pair (see Fingerprint) to the prior verdict.
+import (
+	"crypto/sha256"
+	"encoding/binary"
+
+	"repro/internal/smt"
+)
+
+// Cache memoizes the solve stage's results across the queries of one
+// campaign unit. Mutation-based fuzzing re-derives the same refinement
+// formula constantly: mutants that differ only in value names, and
+// mutants whose mutation folds away during encoding, reach the solver as
+// the same query. The cache sits after the static, concrete and srcenc
+// rungs, just before the incremental session and the monolithic solve,
+// and keys a digest of the encoded query (see solveKey).
 //
-// Only Valid and Unsupported verdicts are stored: both are safe to replay
-// from the verdict alone. Invalid results carry a counterexample model
-// and Unknown results sit on the solver's budget boundary; replaying
-// either could perturb triage bundles and journals, so they always
-// re-solve (docs/PERFORMANCE.md).
+// Everything that stage returns is a function of the key: every leg's
+// CNF, and the session's, is built by a walk over the key's DAGs that
+// never reads a variable name, and the portfolio's race is judged in
+// virtual time. So a stored result is exactly what a re-solve would
+// return, budget Unknowns included. Only Invalid results are never
+// stored: their counterexample reads the names of the pair's parameters.
 //
 // A Cache is not safe for concurrent use. Like SrcEncodings, the campaign
 // creates one per unit execution, which keeps hit/miss counts — not just
 // verdicts — deterministic at any worker count.
 type Cache struct {
-	m map[Key]cachedVerdict
+	m map[Key]cachedResult
 
 	hits, misses int64
 }
 
-// Key is a structural fingerprint of a (src, tgt, options) triple.
+// Key is a 32-byte structural digest: the verdict cache's key, or a
+// pair's Fingerprint.
 type Key [32]byte
 
-type cachedVerdict struct {
+type cachedResult struct {
 	verdict Verdict
 	reason  string
 }
 
 // NewCache returns an empty verdict cache.
 func NewCache() *Cache {
-	return &Cache{m: make(map[Key]cachedVerdict)}
+	return &Cache{m: make(map[Key]cachedResult)}
 }
 
 // Stats returns the cumulative hit and miss counts.
@@ -40,11 +50,33 @@ func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits, c.misses
 }
 
-// Len returns the number of cached verdicts.
+// Len returns the number of cached results.
 func (c *Cache) Len() int {
 	return len(c.m)
 }
 
+// solveKey digests everything the solve stage reads: the query, the
+// axioms and the refinement classes the session solves, whether the
+// concrete rung saw a divergence (which drops the session and the
+// portfolio), and the options that shape the solve.
+func solveKey(e *encoding, diverged bool, opts Options) Key {
+	vc := e.vc
+	d := smt.Digest(e.query, e.ctx.Axioms(), vc.monolithic, vc.calls, vc.ub, vc.ret, vc.mem)
+	buf := append([]byte("alive-mutate-tvsolve/1"), d[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.ConflictBudget))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.Portfolio))
+	for _, b := range []bool{diverged, opts.Incremental} {
+		v := byte(0)
+		if b {
+			v = 1
+		}
+		buf = append(buf, v)
+	}
+	return Key(sha256.Sum256(buf))
+}
+
+// lookup replays the stored result for k, if any, as a cache hit: the
+// verdict and reason only, with the solver statistics zero.
 func (c *Cache) lookup(k Key) (Result, bool) {
 	v, ok := c.m[k]
 	if !ok {
@@ -56,8 +88,8 @@ func (c *Cache) lookup(k Key) (Result, bool) {
 }
 
 func (c *Cache) store(k Key, r Result) {
-	if r.Verdict != Valid && r.Verdict != Unsupported {
+	if r.Verdict == Invalid {
 		return
 	}
-	c.m[k] = cachedVerdict{verdict: r.Verdict, reason: r.Reason}
+	c.m[k] = cachedResult{verdict: r.Verdict, reason: r.Reason}
 }

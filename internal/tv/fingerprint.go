@@ -18,13 +18,17 @@ import (
 // fingerprints produce identical verification outcomes; two pairs that
 // differ in any Verify-visible way hash differently (collision odds are
 // those of SHA-256).
+//
+// Cost-attribution spans group solver effort by it (NeedFingerprint). It
+// is not the verdict cache's key: the cache keys the encoded query, which
+// also matches pairs whose differences fold away during encoding.
 func Fingerprint(mod *ir.Module, src, tgt *ir.Function, opts Options) Key {
 	w := &fpWriter{}
 	w.str("alive-mutate-tvfp/1")
 
 	// Options digest: every knob that can alter a Result. Incremental
 	// and Static are included defensively — they are verdict-preserving
-	// by design, but a cache must never replay across modes.
+	// by design, but spans must never group formulas across modes.
 	w.u64(uint64(opts.ConflictBudget))
 	w.u64(uint64(opts.MaxPaths))
 	w.u64(uint64(opts.Portfolio))

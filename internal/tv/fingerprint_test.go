@@ -212,8 +212,8 @@ func indexOf(s, sub string) int {
 }
 
 // TestFingerprintOptionsSensitivity: every Options knob that can alter a
-// Result must be part of the key, so the cache never replays a
-// verdict computed under different settings.
+// Result must be part of the key, so spans never group effort spent
+// under different settings.
 func TestFingerprintOptionsSensitivity(t *testing.T) {
 	mod := parser.MustParse(richFn(nil))
 	f := mod.FuncByName("f")

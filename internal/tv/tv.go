@@ -84,13 +84,17 @@ type Result struct {
 	Propagations int64
 	SATVars      int
 
-	// CacheHit marks a verdict replayed from the verdict cache without
-	// solving (solver statistics are zero in that case).
+	// CacheHit marks a solve-stage result replayed from the verdict
+	// cache: Verdict and Reason are the stored ones, and the solve
+	// stage's statistics (Conflicts and Propagations beyond the srcenc
+	// probe's, SATVars, AssumptionQueries, PreprocessEliminated,
+	// PortfolioRaced) are zero. The static, concrete and srcenc fields
+	// are this query's own, because those rungs ran.
 	CacheHit bool
 	// FP is the hex form of the pair's structural fingerprint (see
-	// Fingerprint), populated when the verdict cache is enabled or
-	// NeedFingerprint is set. Cost-attribution spans use it to group
-	// solver effort by formula; it never influences the verdict.
+	// Fingerprint), populated when NeedFingerprint is set. Cost-attribution
+	// spans use it to group solver effort by formula; it never influences
+	// the verdict.
 	FP string
 	// AssumptionQueries counts the incremental per-class queries issued
 	// on the shared solver session (0 on the monolithic path).
@@ -100,7 +104,7 @@ type Result struct {
 
 	// StaticOutcome records what the static refinement pre-verifier did
 	// with this query: StaticProved, StaticRefuted, StaticBailout, or ""
-	// when the rung was off or never reached (cache hit, Unsupported).
+	// when the rung was off or never reached (Unsupported).
 	StaticOutcome string
 	// StaticRule names the rung that proved refinement ("fold",
 	// "term-equal", "alpha-equal", "subsume"); empty unless proved.
@@ -111,8 +115,8 @@ type Result struct {
 
 	// ConcreteOutcome records what the concrete-execution rung did with
 	// this query: ConcreteAgreed, ConcreteDiverged, ConcreteBailout, or
-	// "" when the rung was off or never reached (cache hit, Unsupported,
-	// statically proved).
+	// "" when the rung was off or never reached (Unsupported, statically
+	// proved).
 	ConcreteOutcome string
 	// ConcreteNS is the wall time the concrete rung spent, measured only
 	// when Observe is set (stage.ctv histogram); 0 otherwise.
@@ -212,15 +216,15 @@ type Options struct {
 	// canonical leg. 0 or 1 disables racing. Like Incremental, the only
 	// permitted divergence is one-directional Unknown→Valid.
 	Portfolio int
-	// Cache, when non-nil, memoizes Valid/Unsupported verdicts keyed by
-	// the pair's structural fingerprint (see Fingerprint). Invalid and
-	// Unknown verdicts are never cached, so counterexamples are always
-	// freshly solved.
+	// Cache, when non-nil, memoizes the solve stage's results keyed by a
+	// digest of the encoded query (see cache.go): the lookup comes after
+	// the static, concrete and srcenc rungs, and a hit replays the stored
+	// Valid or budget Unknown exactly. Invalid results are never cached,
+	// so counterexamples are always freshly solved. Not safe for
+	// concurrent use; the campaign creates one per unit.
 	Cache *Cache
-	// NeedFingerprint forces Result.FP to be populated even when the
-	// verdict cache is off (the fingerprint is computed anyway when the
-	// cache is on). Verdict-neutral: it is excluded from the options
-	// digest and never changes solving.
+	// NeedFingerprint populates Result.FP. Verdict-neutral: it is
+	// excluded from the options digest and never changes solving.
 	NeedFingerprint bool
 }
 
@@ -238,25 +242,9 @@ func Verify(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 }
 
 func verify(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
-	if opts.Cache == nil {
-		if !opts.NeedFingerprint {
-			return verifySolve(mod, src, tgt, opts)
-		}
-		key := Fingerprint(mod, src, tgt, opts)
-		r := verifySolve(mod, src, tgt, opts)
-		r.FP = hex.EncodeToString(key[:])
-		return r
-	}
-	key := Fingerprint(mod, src, tgt, opts)
-	if r, ok := opts.Cache.lookup(key); ok {
-		if opts.NeedFingerprint {
-			r.FP = hex.EncodeToString(key[:])
-		}
-		return r
-	}
 	r := verifySolve(mod, src, tgt, opts)
-	opts.Cache.store(key, r)
 	if opts.NeedFingerprint {
+		key := Fingerprint(mod, src, tgt, opts)
 		r.FP = hex.EncodeToString(key[:])
 	}
 	return r
@@ -287,7 +275,7 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 	if e == nil {
 		return Result{Verdict: Unsupported, Reason: reason}
 	}
-	ctx, srcSum, tgtSum, vc, query := e.ctx, e.srcSum, e.tgtSum, e.vc, e.query
+	srcSum, tgtSum, query := e.srcSum, e.tgtSum, e.query
 
 	var staticOutcome string
 	var staticNS int64
@@ -354,7 +342,27 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 		probeConflicts, probeProps = pr.Conflicts, pr.Propagations
 	}
 
-	if opts.Incremental && !diverged && sessionEngages(vc, query, opts) {
+	// Verdict cache: a query already solved in this unit replays its
+	// result (see cache.go), with this query's own rung outcomes and
+	// probe effort.
+	var key Key
+	if opts.Cache != nil {
+		key = solveKey(e, diverged, opts)
+		if r, ok := opts.Cache.lookup(key); ok {
+			return finish(r)
+		}
+	}
+	r := solve(src, e, diverged, opts)
+	if opts.Cache != nil {
+		opts.Cache.store(key, r)
+	}
+	return finish(r)
+}
+
+// solve is the solve stage: the incremental session beside the canonical
+// monolithic solve, or the monolithic solve alone.
+func solve(src *ir.Function, e *encoding, diverged bool, opts Options) Result {
+	if opts.Incremental && !diverged && sessionEngages(e.vc, e.query, opts) {
 		// The canonical solve starts first, on its own goroutine, and the
 		// session runs beside it. Only a session Valid short-circuits: the
 		// canonical leg is interrupted and discarded. Anything else falls
@@ -363,12 +371,12 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 		// and budget-boundary Unknowns are byte-identical with
 		// acceleration off and judged as if the canonical solve had
 		// started after the session.
-		m := startMonolithic(query, opts)
-		if r, done := solveAccelerated(ctx, vc, query, opts); done {
+		m := startMonolithic(e.query, opts)
+		if r, done := solveAccelerated(e.ctx, e.vc, e.query, opts); done {
 			m.race.Cancel()
-			return finish(r)
+			return r
 		}
-		return finish(m.wait(src))
+		return m.wait(src)
 	}
 	if diverged {
 		// The portfolio's alternates can only contribute Unsat proofs;
@@ -376,7 +384,14 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 		// leaves the canonical leg — and hence the model — untouched.
 		opts.Portfolio = 0
 	}
-	return finish(solveMonolithic(src, query, opts))
+	return solveMonolithic(src, e.query, opts)
+}
+
+// ReachedSolveStage reports whether the query got past encoding, the
+// static rung and the srcenc probe to the solve stage, where the verdict
+// cache's lookup comes first. Only encoding returns Unsupported.
+func (r Result) ReachedSolveStage() bool {
+	return r.Verdict != Unsupported && r.StaticOutcome != StaticProved && !r.SrcEncProved
 }
 
 // encoding is a pair's refinement query, built once per Verify.

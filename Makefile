@@ -5,13 +5,20 @@ GO ?= go
 
 include tools/tools.mk
 
-.PHONY: build test fuzz race vet fmt-check campaign-smoke telemetry-smoke triage-smoke resume-smoke dashboard-smoke profile-smoke microbench bench bench-baseline ci
+.PHONY: build test perfbench-test fuzz race vet fmt-check campaign-smoke telemetry-smoke triage-smoke resume-smoke dashboard-smoke profile-smoke microbench bench bench-baseline ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The benchmark's own code: perfbench is a separate Go module (its trace
+# replay reads tv.Result fields and campaign.BugConfig directly, so
+# `go test ./...` at the root never compiles it) plus run.py's unit tests.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+	python3 -m unittest discover -s perfbench
 
 # Short native-fuzzing runs: the decoders of on-disk bytes (the bench
 # validator, the campaign's snapshot, status, spans and hotspot
@@ -136,4 +143,4 @@ bench-baseline:
 	$(GO) run ./cmd/bench-throughput -count 200 -gen 10 -out res.txt -json BENCH_throughput.json
 	$(GO) run ./cmd/telemetry-check BENCH_throughput.json
 
-ci: build vet fmt-check test fuzz race campaign-smoke telemetry-smoke triage-smoke resume-smoke dashboard-smoke profile-smoke
+ci: build vet fmt-check test perfbench-test fuzz race campaign-smoke telemetry-smoke triage-smoke resume-smoke dashboard-smoke profile-smoke

@@ -11,10 +11,10 @@
 //   - The coordinator (coordinator.go) owns the unit queue, the group
 //     chains, budget/result aggregation, and checkpointing. It is the only
 //     place campaign state lives.
-//   - Executors (executor.go) run units. They speak a transport-agnostic
-//     shard protocol — a stream of ShardRequest in, ShardResult out — so
-//     the in-process LocalExecutor of today and an HTTP/JSON worker fleet
-//     tomorrow slot behind the same interface.
+//   - The executor (executor.go) runs units on a pool of in-process
+//     worker goroutines. It shares no state with the coordinator: a
+//     stream of ShardRequest goes in, one ShardResult per request comes
+//     out.
 //   - Checkpoints (checkpoint.go) durably serialize the coordinator's
 //     completed-unit state to a versioned JSONL file, so a killed campaign
 //     resumes byte-identical to an uninterrupted run
@@ -91,11 +91,8 @@ func (o *Outcome) Elapsed() time.Duration {
 // Options configures an engine run.
 type Options struct {
 	// Workers is the number of worker goroutines; <= 0 means
-	// runtime.NumCPU(). Ignored when Executor is set.
+	// runtime.NumCPU().
 	Workers int
-	// Executor runs the campaign's units. Nil means an in-process
-	// LocalExecutor with Workers goroutines.
-	Executor Executor
 	// Deadline bounds the whole campaign's wall-clock time (0 = none).
 	// On expiry, running units are asked to stop via their context and
 	// unstarted units are skipped.

@@ -1,10 +1,10 @@
 // The coordinator half of the split: a single-goroutine scheduler that
 // owns every piece of campaign state — the unit table, the group chains,
-// dispatch, result aggregation, and checkpointing. Executors only ever
-// see one ShardRequest at a time per group, which is what lets Unit.Run
-// read its chained prev without locks (the happens-before edge is the
-// request/result channel pair), and what makes the coordinator's state a
-// complete, serializable description of campaign progress.
+// dispatch, result aggregation, and checkpointing. The executor only
+// ever sees one ShardRequest at a time per group, which is what lets
+// Unit.Run read its chained prev without locks (the happens-before edge
+// is the request/result channel pair), and what makes the coordinator's
+// state a complete, serializable description of campaign progress.
 
 package campaign
 
@@ -112,13 +112,10 @@ func (co *coordinator) run(ctx context.Context) ([]Outcome, error) {
 	co.writeCheckpoint()
 	co.publishStatus()
 
-	exec := co.opts.Executor
-	if exec == nil {
-		exec = &LocalExecutor{
-			NumWorkers:     co.opts.Workers,
-			Telemetry:      co.opts.Telemetry,
-			StallThreshold: co.opts.StallThreshold,
-		}
+	exec := &LocalExecutor{
+		NumWorkers:     co.opts.Workers,
+		Telemetry:      co.opts.Telemetry,
+		StallThreshold: co.opts.StallThreshold,
 	}
 	workers := exec.Workers()
 	reqs := make(chan ShardRequest, workers)

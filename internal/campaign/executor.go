@@ -1,12 +1,7 @@
-// The executor half of the coordinator/executor split: executors run
-// units handed to them over a shard protocol and report results back.
-// The protocol is deliberately transport-shaped — a request stream in, a
-// result stream out, no shared state with the coordinator — so the
-// in-process LocalExecutor below and a future HTTP/JSON worker fleet
-// (the fuzz-serve daemon of ROADMAP.md) implement the same interface. A
-// remote transport would ship (Group, Name, Seed) plus the campaign spec
-// instead of the Run closure, and carry Err as a string; everything else
-// crosses the wire as-is.
+// The executor half of the coordinator/executor split: a pool of
+// in-process workers runs units handed to it over a channel protocol —
+// a request stream in, a result stream out, no shared state with the
+// coordinator — and reports each result back.
 
 package campaign
 
@@ -19,7 +14,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ShardRequest asks an executor to run one unit. Prev is the chained
+// ShardRequest asks the executor to run one unit. Prev is the chained
 // result of the unit's group predecessor (nil for a group head); the
 // coordinator guarantees at most one in-flight request per group, so the
 // executor may hand Prev to Unit.Run without synchronization.
@@ -40,24 +35,8 @@ type ShardResult struct {
 	Worker     int  // executing worker index (telemetry stamp)
 }
 
-// Executor runs campaign units on behalf of the coordinator.
-type Executor interface {
-	// Start launches the executor's workers. Workers pull from reqs until
-	// it is closed and deliver every pulled request's result to results —
-	// exactly one ShardResult per ShardRequest, cancelled requests
-	// included (with Canceled set). Start must not block.
-	Start(ctx context.Context, reqs <-chan ShardRequest, results chan<- ShardResult)
-	// Workers reports the executor's concurrency, which the coordinator
-	// uses to size the protocol's channel buffers (backpressure, not
-	// queue depth, keeps memory flat on thousand-shard campaigns).
-	Workers() int
-	// Wait blocks until every worker has exited (reqs closed and
-	// drained).
-	Wait()
-}
-
-// LocalExecutor runs units on a pool of in-process goroutines — the
-// transport-free executor every CLI uses today.
+// LocalExecutor runs campaign units on a pool of in-process goroutines
+// on behalf of the coordinator.
 type LocalExecutor struct {
 	// NumWorkers is the pool size; <= 0 means runtime.NumCPU().
 	NumWorkers int
@@ -70,7 +49,9 @@ type LocalExecutor struct {
 	wg sync.WaitGroup
 }
 
-// Workers resolves the configured pool size.
+// Workers resolves the configured pool size, which the coordinator also
+// uses to size the protocol's channel buffers (backpressure, not queue
+// depth, keeps memory flat on thousand-shard campaigns).
 func (e *LocalExecutor) Workers() int {
 	if e.NumWorkers <= 0 {
 		return runtime.NumCPU()
@@ -78,7 +59,10 @@ func (e *LocalExecutor) Workers() int {
 	return e.NumWorkers
 }
 
-// Start launches the worker pool.
+// Start launches the worker pool without blocking. Workers pull from
+// reqs until it is closed and deliver every pulled request's result to
+// results — exactly one ShardResult per ShardRequest, cancelled requests
+// included (with Canceled set).
 func (e *LocalExecutor) Start(ctx context.Context, reqs <-chan ShardRequest, results chan<- ShardResult) {
 	for w := 0; w < e.Workers(); w++ {
 		e.wg.Add(1)
@@ -86,7 +70,7 @@ func (e *LocalExecutor) Start(ctx context.Context, reqs <-chan ShardRequest, res
 	}
 }
 
-// Wait blocks until the pool has drained.
+// Wait blocks until every worker has exited (reqs closed and drained).
 func (e *LocalExecutor) Wait() { e.wg.Wait() }
 
 // worker executes requests until reqs closes.

@@ -307,7 +307,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 	ctrCacheHit := tel.Counter("tv.cache.hit")
 	ctrCacheMiss := tel.Counter("tv.cache.miss")
 	ctrAssumptions := tel.Counter("sat.assumptions")
-	ctrEliminated := tel.Counter("sat.preprocess.eliminated")
 	ctrConflicts := tel.Counter("sat.conflicts")
 	ctrProps := tel.Counter("sat.propagations")
 	// Static pre-verifier accounting (docs/OBSERVABILITY.md). The rung
@@ -419,9 +418,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 			if !r.SrcEncProved {
 				ctrSessionProved.Add(1)
 			}
-		}
-		if r.PreprocessEliminated > 0 {
-			ctrEliminated.Add(r.PreprocessEliminated)
 		}
 		if prevTV != nil {
 			prevTV(r, d)

@@ -60,34 +60,3 @@ func BenchmarkSolveFreshPerQuery(b *testing.B) {
 		s.Solve()
 	}
 }
-
-func benchAddTseitinChain(s *Solver, n int) {
-	x := make([]int, n)
-	for i := range x {
-		x[i] = s.NewVar()
-	}
-	for i := 0; i+1 < n; i++ {
-		y := s.NewVar() // y = x_i AND x_{i+1}, plus redundant copies
-		s.AddClause(MkLit(y, true), MkLit(x[i], false))
-		s.AddClause(MkLit(y, true), MkLit(x[i+1], false))
-		s.AddClause(MkLit(y, false), MkLit(x[i], true), MkLit(x[i+1], true))
-		s.AddClause(MkLit(x[i], false), MkLit(x[i+1], false), MkLit(y, true))
-	}
-}
-
-func BenchmarkPreprocess(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := New()
-		benchAddTseitinChain(s, 200)
-		s.Preprocess()
-	}
-}
-
-func BenchmarkSolvePreprocessedPigeonhole(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := New()
-		addPigeonhole(s, 6)
-		s.Preprocess()
-		s.Solve()
-	}
-}

@@ -212,142 +212,3 @@ func bruteForce(nVars int, clauses [][]Lit) bool {
 	}
 	return false
 }
-
-// TestPreprocessEquivalence cross-checks Preprocess against brute force
-// on random 3-SAT: same verdict, and Sat models (extended back over
-// eliminated variables) must satisfy every ORIGINAL clause.
-func TestPreprocessEquivalence(t *testing.T) {
-	r := rng.New(1234)
-	for trial := 0; trial < 300; trial++ {
-		nVars := 4 + r.Intn(9) // 4..12
-		nClauses := 5 + r.Intn(45)
-		clauses := randomCNF(r, nVars, nClauses)
-		want := Unsat
-		if bruteForce(nVars, clauses) {
-			want = Sat
-		}
-
-		s := New()
-		for i := 0; i < nVars; i++ {
-			s.NewVar()
-		}
-		for _, cl := range clauses {
-			s.AddClause(cl...)
-		}
-		pre := s.Preprocess()
-		if !pre && want == Sat {
-			t.Fatalf("trial %d: Preprocess proved unsat but instance is sat", trial)
-		}
-		if got := s.Solve(); got != want {
-			t.Fatalf("trial %d: preprocessed solve=%v want=%v (%d vars, %d clauses)",
-				trial, got, want, nVars, nClauses)
-		}
-		if want == Sat {
-			for ci, cl := range clauses {
-				ok := false
-				for _, l := range cl {
-					if s.Value(l.Var()) != l.Sign() {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Fatalf("trial %d: extended model violates original clause %d", trial, ci)
-				}
-			}
-		}
-	}
-}
-
-// TestPreprocessWithFrozenAssumptions: frozen variables survive
-// elimination and remain legal assumptions; every (formula, assumption)
-// combination must agree with an unpreprocessed reference solver.
-func TestPreprocessWithFrozenAssumptions(t *testing.T) {
-	r := rng.New(77)
-	for trial := 0; trial < 150; trial++ {
-		nVars := 5 + r.Intn(8)
-		clauses := randomCNF(r, nVars, 4+r.Intn(35))
-
-		ref := New()
-		pp := New()
-		for i := 0; i < nVars; i++ {
-			ref.NewVar()
-			pp.NewVar()
-		}
-		for _, cl := range clauses {
-			ref.AddClause(cl...)
-			pp.AddClause(cl...)
-		}
-		// Freeze two assumption variables.
-		a0, a1 := 0, 1
-		pp.Freeze(a0)
-		pp.Freeze(a1)
-		pp.Preprocess()
-
-		for mask := 0; mask < 4; mask++ {
-			assumps := []Lit{MkLit(a0, mask&1 == 1), MkLit(a1, mask&2 == 2)}
-			want := ref.SolveUnderAssumptions(assumps)
-			got := pp.SolveUnderAssumptions(assumps)
-			if got != want {
-				t.Fatalf("trial %d mask %d: preprocessed=%v reference=%v", trial, mask, got, want)
-			}
-		}
-	}
-}
-
-// TestPreprocessReducesRedundantFormula: on a formula with duplicated and
-// widened clauses plus Tseitin-style definitions, the preprocessor must
-// actually fire (counters nonzero) — guards against it silently becoming
-// a no-op.
-func TestPreprocessReducesRedundantFormula(t *testing.T) {
-	s := New()
-	n := 20
-	x := make([]int, n)
-	for i := range x {
-		x[i] = s.NewVar()
-	}
-	for i := 0; i+2 < n; i++ {
-		s.AddClause(lit(x[i]), lit(x[i+1]))              // c
-		s.AddClause(lit(x[i]), lit(x[i+1]), lit(x[i+2])) // subsumed by c
-		s.AddClause(nlit(x[i]), lit(x[i+1]), lit(x[i+2]))
-	}
-	// Tseitin AND definitions y_i = x_i ∧ x_{i+1}: y_i unfrozen → BVE fodder.
-	for i := 0; i+1 < n; i += 2 {
-		y := s.NewVar()
-		s.AddClause(nlit(y), lit(x[i]))
-		s.AddClause(nlit(y), lit(x[i+1]))
-		s.AddClause(lit(y), nlit(x[i]), nlit(x[i+1]))
-	}
-	if !s.Preprocess() {
-		t.Fatal("redundant-but-sat formula declared unsat")
-	}
-	if s.SubsumedClauses == 0 {
-		t.Error("no clauses subsumed on a formula with literal duplicates")
-	}
-	if s.EliminatedVars == 0 {
-		t.Error("no variables eliminated despite unfrozen Tseitin definitions")
-	}
-	if got := s.Solve(); got != Sat {
-		t.Fatalf("Solve = %v, want sat", got)
-	}
-}
-
-// TestPreprocessDetectsUnsat: unit-cascade through strengthening must be
-// able to prove unsatisfiability during preprocessing itself.
-func TestPreprocessDetectsUnsat(t *testing.T) {
-	s := New()
-	a, b := s.NewVar(), s.NewVar()
-	s.AddClause(lit(a), lit(b))
-	s.AddClause(lit(a), nlit(b))
-	s.AddClause(nlit(a), lit(b))
-	s.AddClause(nlit(a), nlit(b))
-	if s.Preprocess() {
-		// Elimination orders may legitimately defer the contradiction to
-		// the solve; verdict is what matters.
-		if got := s.Solve(); got != Unsat {
-			t.Fatalf("Solve = %v, want unsat", got)
-		}
-	} else if got := s.Solve(); got != Unsat {
-		t.Fatalf("Solve after failed Preprocess = %v, want unsat", got)
-	}
-}

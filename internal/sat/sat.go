@@ -164,11 +164,6 @@ type Solver struct {
 	Decisions    int64
 	Propagations int64
 
-	// Preprocessing statistics (see preprocess.go).
-	EliminatedVars      int64
-	SubsumedClauses     int64
-	StrengthenedClauses int64
-
 	// Budget caps the number of conflicts per Solve call; 0 means no cap.
 	Budget int64
 	// PropBudget caps the number of unit propagations per Solve call;
@@ -191,15 +186,6 @@ type Solver struct {
 
 	seen  []bool // scratch for analyze
 	model []lbool
-
-	// Preprocessing state: frozen variables may not be eliminated (the
-	// caller still needs their model values or will assume them);
-	// eliminated variables are resolved away by Preprocess and restored
-	// into models by extendModel.
-	frozen       []bool
-	eliminated   []bool
-	elimStack    []elimRecord
-	preprocessed bool
 
 	// conflict is the final conflict of the last failed
 	// SolveUnderAssumptions call: the subset of assumption literals
@@ -243,8 +229,6 @@ func (s *Solver) NewVar() int {
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, !s.cfg.PhaseTrue) // canonical default phase: false (neg)
 	s.seen = append(s.seen, false)
-	s.frozen = append(s.frozen, false)
-	s.eliminated = append(s.eliminated, false)
 	s.watches = append(s.watches, nil, nil)
 	s.order.insert(v)
 	return v
@@ -318,9 +302,6 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	for _, l := range lits {
 		if int(l.Var()) >= len(s.assign) {
 			panic("sat: literal for unallocated variable")
-		}
-		if s.eliminated[l.Var()] {
-			panic("sat: clause on eliminated variable (Freeze it before Preprocess)")
 		}
 		switch s.litValue(l) {
 		case lTrue:
@@ -621,7 +602,7 @@ func (s *Solver) decide() Lit {
 		if !ok {
 			return -1
 		}
-		if s.assign[v] == lUndef && !s.eliminated[v] {
+		if s.assign[v] == lUndef {
 			s.Decisions++
 			return MkLit(v, s.polarity[v])
 		}
@@ -876,11 +857,6 @@ func (s *Solver) Stepper(assumptions []Lit) *Stepper {
 		st.done, st.res = true, Unsat
 		return st
 	}
-	for _, a := range assumptions {
-		if s.eliminated[a.Var()] {
-			panic("sat: assumption on eliminated variable (Freeze it before Preprocess)")
-		}
-	}
 	s.cancelUntil(0)
 	if s.propagate() != crefUndef {
 		s.ok = false
@@ -907,7 +883,6 @@ func (st *Stepper) Step() Result {
 	if res != Unknown {
 		if res == Sat {
 			s.model = append(s.model[:0], s.assign...)
-			s.extendModel()
 		}
 		s.cancelUntil(0)
 		st.done, st.res = true, res

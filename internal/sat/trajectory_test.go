@@ -152,34 +152,3 @@ func TestTrajectoryIncremental(t *testing.T) {
 	}
 	checkTrajectory(t, "incremental", s, trajectory{8731, 11085, 294297})
 }
-
-// TestTrajectoryPreprocessed pins a Preprocessed solver: the simplified
-// clause database is installed by Preprocess, so its order feeds the
-// search as directly as AddClause's does.
-func TestTrajectoryPreprocessed(t *testing.T) {
-	s := sat.New()
-	addRandom3SAT(s, 31, 120, 500)
-	frozen := []int{0, 1, 2, 3}
-	for _, v := range frozen {
-		s.Freeze(v)
-	}
-	if !s.Preprocess() {
-		t.Fatal("Preprocess proved unsat")
-	}
-	var log []string
-	for m := 0; m < 1<<len(frozen); m++ {
-		assumps := make([]sat.Lit, len(frozen))
-		for i, v := range frozen {
-			assumps[i] = sat.MkLit(v, m>>i&1 == 1)
-		}
-		log = append(log, s.Solve(assumps...).String())
-	}
-	want := "unsat unsat unsat unsat sat sat sat unsat unsat unsat unsat unsat unsat unsat sat unsat"
-	if got := strings.Join(log, " "); got != want {
-		t.Errorf("verdicts %q, want %q", got, want)
-	}
-	if got, want := [3]int64{s.EliminatedVars, s.SubsumedClauses, s.StrengthenedClauses}, [3]int64{4, 1, 0}; got != want {
-		t.Errorf("preprocess census %v, want %v", got, want)
-	}
-	checkTrajectory(t, "preprocessed", s, trajectory{935, 1188, 23614})
-}

@@ -31,8 +31,6 @@ type Encoder struct {
 	Ctx *Context
 	// Mod resolves callee declarations for attribute lookup; may be nil.
 	Mod *ir.Module
-	// MaxPaths bounds path enumeration (0 means DefaultMaxPaths).
-	MaxPaths int
 }
 
 // state is one in-progress symbolic execution.
@@ -71,10 +69,6 @@ func (e *Encoder) Encode(f *ir.Function) (*Summary, error) {
 	if f.HasLoop() {
 		return nil, &UnsupportedError{f.Name, "function has loops"}
 	}
-	maxPaths := e.MaxPaths
-	if maxPaths == 0 {
-		maxPaths = DefaultMaxPaths
-	}
 	b := e.Ctx.B
 
 	sum := &Summary{Fn: f.Name}
@@ -112,8 +106,8 @@ func (e *Encoder) Encode(f *ir.Function) (*Summary, error) {
 	for len(stack) > 0 {
 		w := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if len(sum.Paths)+len(stack) >= maxPaths {
-			return nil, &UnsupportedError{f.Name, fmt.Sprintf("more than %d paths", maxPaths)}
+		if len(sum.Paths)+len(stack) >= DefaultMaxPaths {
+			return nil, &UnsupportedError{f.Name, fmt.Sprintf("more than %d paths", DefaultMaxPaths)}
 		}
 		st := w.st
 

@@ -43,25 +43,7 @@ func BenchmarkSessionFourQueries(bm *testing.B) {
 	vars, queries := benchQueries(b, r, 16)
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
-		se := NewSession(0, false)
-		se.BindVars(vars)
-		acts := make([]sat.Lit, len(queries))
-		for j, q := range queries {
-			acts[j] = se.Activation(q)
-		}
-		for _, a := range acts {
-			se.Solve(a)
-		}
-	}
-}
-
-func BenchmarkSessionFourQueriesPreprocessed(bm *testing.B) {
-	b := NewBuilder()
-	r := rng.New(5)
-	vars, queries := benchQueries(b, r, 16)
-	bm.ResetTimer()
-	for i := 0; i < bm.N; i++ {
-		se := NewSession(0, true)
+		se := NewSession(0)
 		se.BindVars(vars)
 		acts := make([]sat.Lit, len(queries))
 		for j, q := range queries {

@@ -15,25 +15,16 @@ import (
 //
 // Protocol:
 //
-//	se := NewSession(budget, preprocess)
-//	se.BindVars(inputVars)            // freeze model/query interface
+//	se := NewSession(budget)
+//	se.BindVars(inputVars)            // blast the model interface first
 //	se.Assert(axioms)                 // unconditional background
 //	a1 := se.Activation(query1)       // one literal per query
 //	a2 := se.Activation(query2)
-//	se.Solve(a1)                      // preprocesses lazily, then solves
+//	se.Solve(a1)
 //	se.Solve(a2)
-//
-// With preprocessing enabled, every Assert/Activation/BindVars call must
-// precede the first Solve: preprocessing may eliminate internal gate
-// variables, and the underlying solver panics if a later clause mentions
-// an eliminated variable. The activation literals and bound variable
-// bits are frozen and survive elimination.
 type Session struct {
 	S *sat.Solver
 	B *Blast
-
-	preprocess bool
-	prepDone   bool
 
 	// Queries counts Solve calls; Assumptions counts assumption literals
 	// passed across them (the sat.assumptions telemetry feed).
@@ -41,31 +32,19 @@ type Session struct {
 	Assumptions int64
 }
 
-// preprocessMinClauses gates CNF preprocessing by blasted problem size.
-// BVE's resolution scan has a fixed cost that swamps the solve time of
-// small queries; on the campaign's query mix clause counts are sharply
-// bimodal (median ~100, hard tail 36k+), so preprocessing below this
-// floor only adds overhead. Verdicts are unaffected either way —
-// preprocessing is equisatisfiable — this is purely a cost policy.
-const preprocessMinClauses = 10000
-
 // NewSession creates an incremental context. conflictBudget caps SAT
-// conflicts per Solve call (0 = unlimited); preprocess enables the
-// SatELite-lite CNF preprocessor before the first solve.
-func NewSession(conflictBudget int64, preprocess bool) *Session {
+// conflicts per Solve call (0 = unlimited).
+func NewSession(conflictBudget int64) *Session {
 	s := sat.New()
 	s.Budget = conflictBudget
-	return &Session{S: s, B: NewBlast(s), preprocess: preprocess}
+	return &Session{S: s, B: NewBlast(s)}
 }
 
-// BindVars blasts the given variable terms and freezes their bits, so
-// they remain directly readable from models and usable in assumptions
-// after preprocessing.
+// BindVars blasts the given variable terms before anything else, so
+// they take the session's lowest SAT variable numbers.
 func (se *Session) BindVars(vars []*Term) {
 	for _, v := range vars {
-		for _, l := range se.B.Bits(v) {
-			se.S.Freeze(l.Var())
-		}
+		se.B.Bits(v)
 	}
 }
 
@@ -74,7 +53,7 @@ func (se *Session) Assert(t *Term) {
 	se.B.AssertTrue(t)
 }
 
-// Activation blasts a bv1 term and returns a fresh frozen literal a with
+// Activation blasts a bv1 term and returns a fresh literal a with
 // the guard clause a → t. Solving under assumption a activates the
 // query; leaving it unassumed leaves t unconstrained (the guard clause
 // is vacuously satisfiable), so other queries are undisturbed.
@@ -83,21 +62,13 @@ func (se *Session) Activation(t *Term) sat.Lit {
 		panic("smt: Activation on non-bv1 term")
 	}
 	a := sat.MkLit(se.S.NewVar(), false)
-	se.S.Freeze(a.Var())
 	se.S.AddClause(a.Neg(), se.B.Bits(t)[0])
 	return a
 }
 
-// Solve decides satisfiability of the axioms plus every activated query,
-// running the CNF preprocessor first if the session was configured with
-// it (once, lazily, so it sees the complete clause set).
+// Solve decides satisfiability of the axioms plus every activated query
+// under the given assumptions.
 func (se *Session) Solve(assumptions ...sat.Lit) Result {
-	if se.preprocess && !se.prepDone {
-		se.prepDone = true
-		if se.S.NumClauses() >= preprocessMinClauses {
-			se.S.Preprocess()
-		}
-	}
 	se.Queries++
 	se.Assumptions += int64(len(assumptions))
 	switch se.S.SolveUnderAssumptions(assumptions) {
@@ -111,7 +82,7 @@ func (se *Session) Solve(assumptions ...sat.Lit) Result {
 }
 
 // ModelValue reads an already-blasted term's value from the most recent
-// Sat model (eliminated bits are reconstructed by the solver).
+// Sat model.
 func (se *Session) ModelValue(t *Term) uint64 {
 	return se.B.ModelValue(t)
 }

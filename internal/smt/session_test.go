@@ -10,48 +10,45 @@ import (
 
 // TestSessionMatchesChecker cross-checks the incremental Session against
 // the one-shot Checker on batches of related queries over a shared term
-// DAG, with and without CNF preprocessing: verdicts must agree, and Sat
-// models must satisfy the axioms plus the activated query.
+// DAG: verdicts must agree, and Sat models must satisfy the axioms plus
+// the activated query.
 func TestSessionMatchesChecker(t *testing.T) {
-	for _, preprocess := range []bool{false, true} {
-		r := rng.New(4321)
-		for trial := 0; trial < 60; trial++ {
-			b := NewBuilder()
-			w := 3 + r.Intn(8)
-			vars := []*Term{b.Var(w, "x"), b.Var(w, "y")}
-			axiom := b.Ne(vars[0], b.Const(w, 0)) // x != 0
-			queries := []*Term{
-				b.Eq(buildRandomTerm(b, r, vars, 3), buildRandomTerm(b, r, vars, 3)),
-				b.Ne(buildRandomTerm(b, r, vars, 3), vars[1]),
-				b.Ult(buildRandomTerm(b, r, vars, 2), buildRandomTerm(b, r, vars, 2)),
-			}
+	r := rng.New(4321)
+	for trial := 0; trial < 60; trial++ {
+		b := NewBuilder()
+		w := 3 + r.Intn(8)
+		vars := []*Term{b.Var(w, "x"), b.Var(w, "y")}
+		axiom := b.Ne(vars[0], b.Const(w, 0)) // x != 0
+		queries := []*Term{
+			b.Eq(buildRandomTerm(b, r, vars, 3), buildRandomTerm(b, r, vars, 3)),
+			b.Ne(buildRandomTerm(b, r, vars, 3), vars[1]),
+			b.Ult(buildRandomTerm(b, r, vars, 2), buildRandomTerm(b, r, vars, 2)),
+		}
 
-			se := NewSession(0, preprocess)
-			se.BindVars(vars)
-			se.Assert(axiom)
-			acts := make([]sat.Lit, len(queries))
-			for i, q := range queries {
-				acts[i] = se.Activation(q)
+		se := NewSession(0)
+		se.BindVars(vars)
+		se.Assert(axiom)
+		acts := make([]sat.Lit, len(queries))
+		for i, q := range queries {
+			acts[i] = se.Activation(q)
+		}
+		for qi, q := range queries {
+			var c Checker
+			want, _ := c.Check(b.And(axiom, q))
+			got := se.Solve(acts[qi])
+			if got != want {
+				t.Fatalf("trial=%d query=%d: session=%v checker=%v", trial, qi, got, want)
 			}
-			for qi, q := range queries {
-				var c Checker
-				want, _ := c.Check(b.And(axiom, q))
-				got := se.Solve(acts[qi])
-				if got != want {
-					t.Fatalf("preprocess=%v trial=%d query=%d: session=%v checker=%v",
-						preprocess, trial, qi, got, want)
+			if got == Sat {
+				m := se.Model(vars)
+				full := b.And(axiom, q)
+				if Eval(full, map[string]uint64(m)) != 1 {
+					t.Fatalf("trial=%d query=%d: session model %v does not satisfy %s",
+						trial, qi, m, full)
 				}
-				if got == Sat {
-					m := se.Model(vars)
-					full := b.And(axiom, q)
-					if Eval(full, map[string]uint64(m)) != 1 {
-						t.Fatalf("preprocess=%v trial=%d query=%d: session model %v does not satisfy %s",
-							preprocess, trial, qi, m, full)
-					}
-					for _, v := range vars {
-						if m[v.Name]&^apint.Mask(w) != 0 {
-							t.Fatalf("model value exceeds width: %v", m)
-						}
+				for _, v := range vars {
+					if m[v.Name]&^apint.Mask(w) != 0 {
+						t.Fatalf("model value exceeds width: %v", m)
 					}
 				}
 			}
@@ -65,7 +62,7 @@ func TestSessionMatchesChecker(t *testing.T) {
 func TestSessionActivationIsolation(t *testing.T) {
 	b := NewBuilder()
 	x := b.Var(8, "x")
-	se := NewSession(0, false)
+	se := NewSession(0)
 	se.BindVars([]*Term{x})
 	aSat := se.Activation(b.Eq(x, b.Const(8, 42)))
 	aUnsat := se.Activation(b.Ne(x, x))

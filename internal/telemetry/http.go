@@ -204,13 +204,6 @@ func Serve(addr string, opts ServeOptions) (*Server, error) {
 	return s, nil
 }
 
-// ServeMetrics starts a metrics-only endpoint (the pre-dashboard
-// surface). Kept as the one-argument entry point for callers that have
-// nothing but a collector.
-func ServeMetrics(addr string, c *Collector) (*Server, error) {
-	return Serve(addr, ServeOptions{Collector: c})
-}
-
 // Close stops the endpoint and terminates open SSE streams (nil-safe).
 func (s *Server) Close() error {
 	if s == nil {

@@ -20,7 +20,7 @@ func TestServeMetrics(t *testing.T) {
 	c.Add("mutants", 7)
 	c.ObserveStage("tv", 3*time.Millisecond)
 
-	srv, err := ServeMetrics("127.0.0.1:0", c)
+	srv, err := Serve("127.0.0.1:0", ServeOptions{Collector: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestServeFullSurface(t *testing.T) {
 // TestServeDisabledRoutes: without a publisher or event buffer the API
 // routes 404 with a hint instead of serving garbage.
 func TestServeDisabledRoutes(t *testing.T) {
-	srv, err := ServeMetrics("127.0.0.1:0", NewCollector())
+	srv, err := Serve("127.0.0.1:0", ServeOptions{Collector: NewCollector()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestServeHotspots(t *testing.T) {
 // TestServeMetricsBadAddr: a malformed address must fail up front, not at
 // first request.
 func TestServeMetricsBadAddr(t *testing.T) {
-	if _, err := ServeMetrics("no-port-here", NewCollector()); err == nil {
+	if _, err := Serve("no-port-here", ServeOptions{Collector: NewCollector()}); err == nil {
 		t.Error("expected error for address without port")
 	}
 }
@@ -292,7 +292,7 @@ func TestServeMetricsBadAddr(t *testing.T) {
 // TestServeMetricsEmptyHost defaults to localhost rather than all
 // interfaces (the endpoint exposes pprof, so this is a safety property).
 func TestServeMetricsEmptyHost(t *testing.T) {
-	srv, err := ServeMetrics(":0", NewCollector())
+	srv, err := Serve(":0", ServeOptions{Collector: NewCollector()})
 	if err != nil {
 		t.Fatal(err)
 	}

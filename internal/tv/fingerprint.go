@@ -30,7 +30,6 @@ func Fingerprint(mod *ir.Module, src, tgt *ir.Function, opts Options) Key {
 	// and Static are included defensively — they are verdict-preserving
 	// by design, but spans must never group formulas across modes.
 	w.u64(uint64(opts.ConflictBudget))
-	w.u64(uint64(opts.MaxPaths))
 	w.u64(uint64(opts.Portfolio))
 	w.bits(opts.DisableRewrites, opts.Incremental, opts.Static,
 		opts.Concrete, opts.SrcEnc != nil)
@@ -81,14 +80,13 @@ func (w *fpWriter) callees(mod *ir.Module, fns ...*ir.Function) {
 
 // SrcFingerprint hashes everything the shared src-encoding pool's entry
 // construction reads: the source function alpha-renamed, the Options
-// knobs that shape the src-side encoding (MaxPaths, DisableRewrites),
-// and the declarations of the source's callees. Mutants whose modules
-// agree on all of that encode the identical src term DAG, so they may
-// share one pool entry (srcenc.go).
+// knob that shapes the src-side encoding (DisableRewrites), and the
+// declarations of the source's callees. Mutants whose modules agree on
+// all of that encode the identical src term DAG, so they may share one
+// pool entry (srcenc.go).
 func SrcFingerprint(mod *ir.Module, src *ir.Function, opts Options) Key {
 	w := &fpWriter{}
 	w.str("alive-mutate-srcfp/1")
-	w.u64(uint64(opts.MaxPaths))
 	w.bits(opts.DisableRewrites)
 	w.fn(src)
 	w.callees(mod, src)

@@ -220,7 +220,6 @@ func TestFingerprintOptionsSensitivity(t *testing.T) {
 	base := Fingerprint(mod, f, f, Options{})
 	for name, o := range map[string]Options{
 		"ConflictBudget":  {ConflictBudget: 1000},
-		"MaxPaths":        {MaxPaths: 3},
 		"DisableRewrites": {DisableRewrites: true},
 		"Incremental":     {Incremental: true},
 	} {

@@ -171,8 +171,8 @@ func (s *SrcEncodings) shard(key Key, opts Options) (sh *srcShard, hit bool) {
 	sh = &srcShard{
 		b:       b,
 		ctx:     ctx,
-		enc:     &semantics.Encoder{Ctx: ctx, MaxPaths: opts.MaxPaths},
-		se:      smt.NewSession(0, false),
+		enc:     &semantics.Encoder{Ctx: ctx},
+		se:      smt.NewSession(0),
 		srcSums: make(map[Key]*semantics.Summary),
 	}
 	if len(s.order) >= srcEncMaxShards {

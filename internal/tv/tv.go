@@ -87,9 +87,9 @@ type Result struct {
 	// CacheHit marks a solve-stage result replayed from the verdict
 	// cache: Verdict and Reason are the stored ones, and the solve
 	// stage's statistics (Conflicts and Propagations beyond the srcenc
-	// probe's, SATVars, AssumptionQueries, PreprocessEliminated,
-	// PortfolioRaced) are zero. The static, concrete and srcenc fields
-	// are this query's own, because those rungs ran.
+	// probe's, SATVars, AssumptionQueries, PortfolioRaced) are zero. The
+	// static, concrete and srcenc fields are this query's own, because
+	// those rungs ran.
 	CacheHit bool
 	// FP is the hex form of the pair's structural fingerprint (see
 	// Fingerprint), populated when NeedFingerprint is set. Cost-attribution
@@ -99,8 +99,6 @@ type Result struct {
 	// AssumptionQueries counts the incremental per-class queries issued
 	// on the shared solver session (0 on the monolithic path).
 	AssumptionQueries int64
-	// PreprocessEliminated counts CNF variables removed by preprocessing.
-	PreprocessEliminated int64
 
 	// StaticOutcome records what the static refinement pre-verifier did
 	// with this query: StaticProved, StaticRefuted, StaticBailout, or ""
@@ -144,8 +142,6 @@ type Result struct {
 type Options struct {
 	// ConflictBudget caps SAT conflicts (0 = unlimited).
 	ConflictBudget int64
-	// MaxPaths bounds per-function path enumeration (0 = default).
-	MaxPaths int
 	// DisableRewrites turns off the SMT builder's algebraic rewriting
 	// (ablation knob).
 	DisableRewrites bool
@@ -408,7 +404,7 @@ func encode(mod *ir.Module, src, tgt *ir.Function, opts Options) (*encoding, str
 	b := smt.NewBuilder()
 	b.Rewrite = !opts.DisableRewrites
 	ctx := semantics.NewContext(b)
-	enc := &semantics.Encoder{Ctx: ctx, Mod: mod, MaxPaths: opts.MaxPaths}
+	enc := &semantics.Encoder{Ctx: ctx, Mod: mod}
 
 	srcSum, err := enc.Encode(src)
 	if err != nil {
@@ -529,12 +525,7 @@ func (vc violationClasses) live() []*smt.Term {
 // statistics.
 func solveAccelerated(ctx *semantics.Context, vc violationClasses, query *smt.Term, opts Options) (Result, bool) {
 	live := vc.live()
-	// Preprocessing is always on for the session: it is size-gated inside
-	// smt (small CNFs skip it entirely), and on the hard tail — the only
-	// queries whose sessions blast past the gate — BVE both shrinks the
-	// per-class proofs and is verdict-preserving, so there is no
-	// configuration in which it hurts.
-	se := smt.NewSession(opts.ConflictBudget, true)
+	se := smt.NewSession(opts.ConflictBudget)
 	se.BindVars(smt.Vars(query))
 	se.Assert(ctx.Axioms())
 	acts := make([]sat.Lit, 0, len(live))
@@ -560,12 +551,11 @@ func solveAccelerated(ctx *semantics.Context, vc violationClasses, query *smt.Te
 		}
 	}
 	return Result{
-		Verdict:              Valid,
-		Conflicts:            se.S.Conflicts,
-		Propagations:         se.S.Propagations,
-		SATVars:              se.S.NumVars(),
-		AssumptionQueries:    se.Assumptions,
-		PreprocessEliminated: se.S.EliminatedVars,
+		Verdict:           Valid,
+		Conflicts:         se.S.Conflicts,
+		Propagations:      se.S.Propagations,
+		SATVars:           se.S.NumVars(),
+		AssumptionQueries: se.Assumptions,
 	}, true
 }
 

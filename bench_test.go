@@ -14,8 +14,7 @@
 //     BenchmarkMutationStructureBlind (plus the validity rates measured in
 //     internal/mutate's tests).
 //   - Ablations — BenchmarkMutationColdAnalyses (two-level overlay cache
-//     off: re-preprocess per mutant) and BenchmarkTVNoRewrite (SMT
-//     rewriter off).
+//     off: re-preprocess per mutant).
 package repro
 
 import (
@@ -265,16 +264,7 @@ func BenchmarkMutationColdAnalyses(b *testing.B) {
 // BenchmarkTVQuery: one refinement check of an instcombine-transformed
 // function (the verifier's common case).
 func BenchmarkTVQuery(b *testing.B) {
-	benchTV(b, tv.Options{ConflictBudget: 500000})
-}
-
-// BenchmarkTVNoRewrite: the same query with the SMT builder's algebraic
-// rewriter disabled — measuring how much solver work the rewriter saves.
-func BenchmarkTVNoRewrite(b *testing.B) {
-	benchTV(b, tv.Options{ConflictBudget: 500000, DisableRewrites: true})
-}
-
-func benchTV(b *testing.B, opts tv.Options) {
+	opts := tv.Options{ConflictBudget: 500000}
 	src := parser.MustParse(benchInput)
 	tgt := src.Clone()
 	passes, _ := opt.ByName("instcombine,dce")

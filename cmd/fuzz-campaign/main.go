@@ -23,8 +23,8 @@
 //	    [-spans-out spans.jsonl] [-spans-deterministic]
 //	    [-triage-dir triage/] [-checkpoint-dir ckpt/]
 //	    [-checkpoint-interval 10s] [-resume]
-//	    [-no-analysis] [-no-static-tv] [-no-concrete-tv] [-no-shared-src]
-//	    [-no-tv-cache] [-no-incremental] [-no-portfolio]
+//	    [-no-analysis] [-no-static-tv] [-no-concrete-tv] [-no-tv-cache]
+//	    [-no-incremental] [-no-portfolio]
 //
 // A/B comparisons (docs/PERFORMANCE.md): -no-analysis turns off the
 // optimizer's dataflow-analysis-backed folds; each of the other -no-*

@@ -74,11 +74,11 @@ func TestCheckCampaignShapeCascade(t *testing.T) {
 	if err := checkCampaignShape(snap(nil)); err != nil {
 		t.Errorf("no layers_off label: %v", err)
 	}
-	err := checkCampaignShape(snap(map[string]string{telemetry.LayersOffLabel: "concrete,shared-src"}))
+	err := checkCampaignShape(snap(map[string]string{telemetry.LayersOffLabel: "concrete"}))
 	if err == nil || !strings.Contains(err.Error(), "cache hit+miss") {
 		t.Errorf("cache on, one miss short: error %v, want the cache identity", err)
 	}
-	if err := checkCampaignShape(snap(map[string]string{telemetry.LayersOffLabel: "concrete,shared-src,cache"})); err != nil {
+	if err := checkCampaignShape(snap(map[string]string{telemetry.LayersOffLabel: "concrete,cache"})); err != nil {
 		t.Errorf("cache off: %v", err)
 	}
 }

@@ -107,8 +107,7 @@ type BugConfig struct {
 	// the per-class refinement queries (A/B comparisons; on by default).
 	NoIncremental bool
 	// NoStaticTV disables the static refinement pre-verifier (on by
-	// default), sending every encoded query on to the srcenc probe and
-	// the solve stage.
+	// default), sending every encoded query on to the solve stage.
 	// The rung only short-circuits provable Valids, so tables, witness
 	// logs, and triage trees are byte-identical either way; like the
 	// other acceleration modes it is excluded from the checkpoint
@@ -120,12 +119,6 @@ type BugConfig struct {
 	// rung is advisory — it never decides a verdict — so tables are
 	// byte-identical either way.
 	NoConcreteTV bool
-	// NoSharedSrcEnc disables the campaign-level shared src encodings
-	// (on by default): mutants of the same seed function share one
-	// src-side term DAG + CNF blast per unit. The shared path may only
-	// short-circuit Valid verdicts; everything else re-solves on the
-	// canonical fresh path.
-	NoSharedSrcEnc bool
 	// Portfolio is the number of solver configurations the deterministic
 	// portfolio races on budget-bound monolithic queries (see
 	// smt.PortfolioConfigs); 0 or 1 disables racing. The campaign
@@ -138,9 +131,9 @@ type BugConfig struct {
 const DefaultPortfolio = 3
 
 // tvOptions resolves one unit execution's TV configuration. It is called
-// from each unit's Run closure, so the verdict cache and the src-encoding
-// pool are per unit: shard-local state keeps hit counts a pure function
-// of the seed's mutant sequence at any -workers.
+// from each unit's Run closure, so the verdict cache is per unit:
+// shard-local state keeps hit counts a pure function of the seed's
+// mutant sequence at any -workers.
 func (cfg BugConfig) tvOptions() tv.Options {
 	o := tv.Options{
 		ConflictBudget: cfg.TVBudget,
@@ -148,9 +141,6 @@ func (cfg BugConfig) tvOptions() tv.Options {
 		Static:         !cfg.NoStaticTV,
 		Concrete:       !cfg.NoConcreteTV,
 		Portfolio:      cfg.Portfolio,
-	}
-	if !cfg.NoSharedSrcEnc {
-		o.SrcEnc = tv.NewSrcEncodings()
 	}
 	if !cfg.NoTVCache {
 		o.Cache = tv.NewCache()

@@ -32,12 +32,6 @@ var Layers = []Layer{
 		Counters: "tv.concrete.",
 	},
 	{
-		Name: "shared-src", Flag: "no-shared-src",
-		Usage:    "disable campaign-level shared src encodings (A/B comparison runs)",
-		Off:      func(c *BugConfig) { c.NoSharedSrcEnc = true },
-		Counters: "tv.srcenc.",
-	},
-	{
 		Name: "cache", Flag: "no-tv-cache",
 		Usage:    "disable the per-unit verdict cache, which replays a repeated encoded query's solve-stage result (A/B comparison runs)",
 		Off:      func(c *BugConfig) { c.NoTVCache = true },

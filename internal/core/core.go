@@ -153,8 +153,8 @@ type Options struct {
 	// and every iteration's stats, findings, log lines and journal events
 	// are committed to the Report in iteration order, so the report is
 	// the same for every worker count. New rejects Workers > 1 together
-	// with StopAtFirstFinding, a spans recorder, or a TV Cache or SrcEnc:
-	// each of them depends on iterations running one at a time.
+	// with StopAtFirstFinding, a spans recorder, or a TV Cache: each of
+	// them depends on iterations running one at a time.
 	Workers int
 }
 
@@ -237,8 +237,6 @@ func checkWorkers(opts Options) error {
 		what = "a spans recorder"
 	case opts.TV.Cache != nil:
 		what = "a TV verdict cache"
-	case opts.TV.SrcEnc != nil:
-		what = "shared TV src encodings"
 	default:
 		return nil
 	}
@@ -331,16 +329,8 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 		tv.ConcreteDiverged: tel.Counter("tv.concrete.diverged"),
 		tv.ConcreteBailout:  tel.Counter("tv.concrete.bailout"),
 	}
-	// Shared-src-encoding accounting: hit/miss partition the queries
-	// that reached the shared pool; proved counts the subset the probe
-	// discharged outright (the dashboard's cascade discharge-rate tile).
-	srcEncCtrs := map[string]*telemetry.Counter{
-		tv.SrcEncHit:  tel.Counter("tv.srcenc.hit"),
-		tv.SrcEncMiss: tel.Counter("tv.srcenc.miss"),
-	}
-	ctrSrcEncProved := tel.Counter("tv.srcenc.proved")
 	// Incremental-session accounting: queries the per-class session
-	// proved Valid (the srcenc probe's own assumption query excluded).
+	// proved Valid.
 	ctrSessionProved := tel.Counter("tv.session.proved")
 	// Portfolio accounting: races counts queries whose alternates
 	// engaged; the winner counters partition the races by which
@@ -371,14 +361,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 				c.Add(1)
 			}
 		}
-		if r.SrcEncOutcome != "" {
-			if c, ok := srcEncCtrs[r.SrcEncOutcome]; ok {
-				c.Add(1)
-			}
-			if r.SrcEncProved {
-				ctrSrcEncProved.Add(1)
-			}
-		}
 		if r.PortfolioRaced {
 			ctrPortfolioRaces.Add(1)
 			portfolioWinnerCtrs.get(portfolioWinnerLabel(r.PortfolioWinner)).Add(1)
@@ -399,7 +381,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 				Propagations: r.Propagations,
 				Static:       r.StaticOutcome,
 				Concrete:     r.ConcreteOutcome,
-				SrcEnc:       r.SrcEncOutcome,
 			}
 			if r.PortfolioRaced {
 				q.Portfolio = portfolioWinnerLabel(r.PortfolioWinner)
@@ -415,9 +396,7 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 		}
 		if r.AssumptionQueries > 0 {
 			ctrAssumptions.Add(r.AssumptionQueries)
-			if !r.SrcEncProved {
-				ctrSessionProved.Add(1)
-			}
+			ctrSessionProved.Add(1)
 		}
 		if prevTV != nil {
 			prevTV(r, d)

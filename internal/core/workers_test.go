@@ -283,8 +283,7 @@ func TestWorkersGuard(t *testing.T) {
 		"spans": func(o *Options) {
 			o.Telemetry = &telemetry.Sink{Spans: spans.NewStore(true).NewRecorder("g", "u", 0, 1)}
 		},
-		"cache":  func(o *Options) { o.TV.Cache = tv.NewCache() },
-		"srcenc": func(o *Options) { o.TV.SrcEnc = tv.NewSrcEncodings() },
+		"cache": func(o *Options) { o.TV.Cache = tv.NewCache() },
 	}
 	mod := parser.MustParse(`define i32 @f(i32 %x) {
   %a = add i32 %x, 1

@@ -9,9 +9,9 @@ import (
 
 // FuzzIncrementalAgainstBruteForce drives one solver through a sequence
 // of calls decoded from the input — clause additions, assumption solves
-// under tight conflict and propagation budgets, forced learnt-clause
-// deletion with arena compaction — over at most 12 variables, and checks
-// every answer against exhaustive enumeration: a decided verdict must be
+// under tight conflict budgets, forced learnt-clause deletion with arena
+// compaction — over at most 12 variables, and checks every answer
+// against exhaustive enumeration: a decided verdict must be
 // right, a Sat model must satisfy every clause and assumption, and an
 // Unsat final conflict must consist of assumptions and be unsatisfiable
 // with the clauses on its own.
@@ -66,11 +66,9 @@ func FuzzIncrementalAgainstBruteForce(f *testing.F) {
 				s.garbageCollect()
 				continue
 			case 2, 3:
-				s.Budget, s.PropBudget = int64(op/8%4), 0
-			case 4:
-				s.Budget, s.PropBudget = 0, int64(1+op/8%16)
+				s.Budget = int64(op / 8 % 4)
 			default:
-				s.Budget, s.PropBudget = 0, 0
+				s.Budget = 0
 			}
 			assumps := make([]Lit, next()%5)
 			for i := range assumps {
@@ -84,7 +82,7 @@ func FuzzIncrementalAgainstBruteForce(f *testing.F) {
 			sat := bruteForce(nVars, withAssumps)
 			switch res {
 			case Unknown:
-				if s.Budget == 0 && s.PropBudget == 0 {
+				if s.Budget == 0 {
 					t.Fatalf("call %d: Unknown without a budget", call)
 				}
 			case Sat:

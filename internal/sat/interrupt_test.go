@@ -84,3 +84,20 @@ func checkSame(t *testing.T, name string, nilStop, unsetStop trajectory) {
 		t.Errorf("%s: trajectory %v with an unset Stop, %v with none", name, unsetStop, nilStop)
 	}
 }
+
+// TestStepperPropagations: a Stepper reports the propagations of its own
+// search, not the solver's lifetime total.
+func TestStepperPropagations(t *testing.T) {
+	s := sat.New()
+	addPHP(s, 5)
+	if got := s.Solve(); got != sat.Unsat {
+		t.Fatalf("PHP = %v, want unsat", got)
+	}
+	if s.Propagations == 0 {
+		t.Fatal("solve recorded no propagations")
+	}
+	st := s.Stepper(nil)
+	if got := st.Propagations(); got != 0 {
+		t.Fatalf("fresh stepper reports %d propagations, want 0 (delta semantics)", got)
+	}
+}

@@ -166,14 +166,6 @@ type Solver struct {
 
 	// Budget caps the number of conflicts per Solve call; 0 means no cap.
 	Budget int64
-	// PropBudget caps the number of unit propagations per Solve call;
-	// 0 means no cap. Like Budget it is checked at restart-round
-	// boundaries, and propagation counts are deterministic, so an abort
-	// is a pure function of the clause set and the assumption list. It
-	// exists for probes on long-lived incremental sessions, where the
-	// cost of a conflict grows with the accumulated clause database and
-	// a conflict cap alone no longer bounds wall time.
-	PropBudget int64
 	// Stop, when non-nil, interrupts the search: it is polled once per
 	// conflict, and once it reads true the current restart round ends
 	// with Unknown and the Stepper reports Interrupted. An interrupted
@@ -808,10 +800,6 @@ func (s *Solver) SolveUnderAssumptions(assumptions []Lit) Result {
 			return res
 		}
 		if s.Budget > 0 && st.Conflicts() > s.Budget {
-			st.Abandon()
-			return Unknown
-		}
-		if s.PropBudget > 0 && st.Propagations() > s.PropBudget {
 			st.Abandon()
 			return Unknown
 		}

@@ -28,11 +28,9 @@ func ParseLayersOff(label string) map[string]bool {
 // The encoded queries are the verdicts other than Unsupported, which
 // only encoding returns. Each rung sees what the rungs before it left:
 //
-//	static:     proved + refuted-to-sat + bailout = encoded
-//	concrete:   agreed + diverged + bailout = screened = encoded - static proved
-//	shared-src: probes (hit + miss) = screened - diverged, with concrete on;
-//	            proved <= probes
-//	cache:      hit + miss = encoded - static proved - srcenc proved
+//	static:   proved + refuted-to-sat + bailout = encoded
+//	concrete: agreed + diverged + bailout = screened = encoded - static proved
+//	cache:    hit + miss = encoded - static proved (with concrete on: screened)
 //
 // It returns every identity that fails, joined; nil when all hold.
 func CheckCascade(c map[string]int64, off map[string]bool) error {
@@ -46,7 +44,6 @@ func CheckCascade(c map[string]int64, off map[string]bool) error {
 	encoded := c["verdict.valid"] + c["verdict.invalid"] + c["verdict.unknown"]
 	staticProved := c["tv.static.proved"]
 	screened := c["tv.concrete.screened"]
-	probes := c["tv.srcenc.hit"] + c["tv.srcenc.miss"]
 
 	if on("static") {
 		check("static outcomes vs encoded queries",
@@ -57,16 +54,9 @@ func CheckCascade(c map[string]int64, off map[string]bool) error {
 			c["tv.concrete.agreed"]+c["tv.concrete.diverged"]+c["tv.concrete.bailout"], screened)
 		check("screened queries vs encoded queries the static rung left", screened, encoded-staticProved)
 	}
-	if on("concrete") && on("shared-src") {
-		// Diverged queries route straight to the monolithic solve.
-		check("srcenc probes vs non-diverged screened queries", probes, screened-c["tv.concrete.diverged"])
-	}
-	if c["tv.srcenc.proved"] > probes {
-		errs = append(errs, fmt.Errorf("srcenc proved %d exceeds probes %d", c["tv.srcenc.proved"], probes))
-	}
 	if on("cache") {
 		check("cache hit+miss vs solve-stage queries",
-			c["tv.cache.hit"]+c["tv.cache.miss"], encoded-staticProved-c["tv.srcenc.proved"])
+			c["tv.cache.hit"]+c["tv.cache.miss"], encoded-staticProved)
 	}
 	return errors.Join(errs...)
 }

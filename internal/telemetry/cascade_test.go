@@ -8,15 +8,13 @@ import (
 
 // cascadeCounters is a consistent default-campaign count: 20 encoded
 // queries (and 3 Unsupported); static proves 8 and leaves 12 to the
-// concrete rung, which sees 1 diverge; srcenc probes the other 11 and
-// proves 4; the cache serves 2 of the remaining 8.
+// concrete rung, which sees 1 diverge; the cache serves 2 of those 12.
 func cascadeCounters() map[string]int64 {
 	return map[string]int64{
 		"verdict.valid": 17, "verdict.invalid": 1, "verdict.unknown": 2, "verdict.unsupported": 3,
 		"tv.static.proved": 8, "tv.static.refuted-to-sat": 2, "tv.static.bailout": 10,
 		"tv.concrete.screened": 12, "tv.concrete.agreed": 9, "tv.concrete.diverged": 1, "tv.concrete.bailout": 2,
-		"tv.srcenc.hit": 10, "tv.srcenc.miss": 1, "tv.srcenc.proved": 4,
-		"tv.cache.hit": 2, "tv.cache.miss": 6,
+		"tv.cache.hit": 2, "tv.cache.miss": 10,
 	}
 }
 
@@ -32,7 +30,6 @@ func TestCheckCascade(t *testing.T) {
 	}{
 		{"tv.static.bailout", "static", "static outcomes"},
 		{"tv.concrete.agreed", "concrete", "concrete outcomes"},
-		{"tv.srcenc.miss", "shared-src", "srcenc probes"},
 		{"tv.cache.miss", "cache", "cache hit+miss"},
 	} {
 		counters := cascadeCounters()
@@ -51,8 +48,7 @@ func TestCheckCascade(t *testing.T) {
 	off := cascadeCounters()
 	maps.DeleteFunc(off, func(k string, _ int64) bool { return strings.HasPrefix(k, "tv.static.") })
 	off["tv.concrete.screened"], off["tv.concrete.agreed"] = 20, 17
-	off["tv.srcenc.hit"] = 18
-	off["tv.cache.miss"] = 14
+	off["tv.cache.miss"] = 18
 	if err := CheckCascade(off, ParseLayersOff("static")); err != nil {
 		t.Errorf("static off: %v", err)
 	}

@@ -147,7 +147,6 @@ func Serve(addr string, opts ServeOptions) (*Server, error) {
 			s.TVCacheMisses = c.Counter("tv.cache.miss").Value()
 			s.SATConflicts = c.Counter("sat.conflicts").Value()
 			s.TVStaticProved = c.Counter("tv.static.proved").Value()
-			s.TVSrcEncProved = c.Counter("tv.srcenc.proved").Value()
 			writeJSON(w, s)
 		}
 	})

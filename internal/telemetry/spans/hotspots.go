@@ -52,8 +52,6 @@ type Hotspots struct {
 	StaticProved         int64 `json:"static_proved,omitempty"`
 	ConcreteScreened     int64 `json:"concrete_screened,omitempty"`
 	ConcreteDiverged     int64 `json:"concrete_diverged,omitempty"`
-	SrcEncHits           int64 `json:"srcenc_hits,omitempty"`
-	SrcEncMisses         int64 `json:"srcenc_misses,omitempty"`
 	BudgetExhaustedUnits int   `json:"budget_exhausted_units"`
 
 	// PortfolioWinners is the per-winner-label breakdown ("canonical",
@@ -127,12 +125,6 @@ func Compute(units []*UnitSpans, deterministic bool, topN int) *Hotspots {
 				if s.Concrete == ConcreteDiverged {
 					h.ConcreteDiverged++
 				}
-			}
-			switch s.SrcEnc {
-			case SrcEncHit:
-				h.SrcEncHits++
-			case SrcEncMiss:
-				h.SrcEncMisses++
 			}
 			raced := int64(0)
 			if s.Portfolio != "" {
@@ -213,8 +205,8 @@ func (h *Hotspots) Table() string {
 		h.Units, h.Queries, fmtNS(h.TVWallNS))
 	fmt.Fprintf(&b, ", %d conflicts, cache %d hit / %d miss, %d unknown, %d statically discharged, %d budget-exhausted units\n",
 		h.Conflicts, h.CacheHits, h.CacheMisses, h.Unknowns, h.StaticProved, h.BudgetExhaustedUnits)
-	fmt.Fprintf(&b, "cascade: %d concretely screened (%d diverged), srcenc %d hit / %d miss",
-		h.ConcreteScreened, h.ConcreteDiverged, h.SrcEncHits, h.SrcEncMisses)
+	fmt.Fprintf(&b, "cascade: %d concretely screened (%d diverged)",
+		h.ConcreteScreened, h.ConcreteDiverged)
 	if len(h.PortfolioWinners) > 0 {
 		labels := make([]string, 0, len(h.PortfolioWinners))
 		for l := range h.PortfolioWinners {
@@ -282,8 +274,7 @@ func ValidateHotspots(data []byte) (*Hotspots, error) {
 	if h.Units < 0 || h.Queries < 0 || h.TVWallNS < 0 || h.Conflicts < 0 ||
 		h.Propagations < 0 || h.CacheHits < 0 || h.CacheMisses < 0 ||
 		h.Unknowns < 0 || h.StaticProved < 0 || h.BudgetExhaustedUnits < 0 ||
-		h.ConcreteScreened < 0 || h.ConcreteDiverged < 0 ||
-		h.SrcEncHits < 0 || h.SrcEncMisses < 0 {
+		h.ConcreteScreened < 0 || h.ConcreteDiverged < 0 {
 		return nil, fmt.Errorf("hotspots: negative totals")
 	}
 	if h.CacheHits+h.CacheMisses > h.Queries {
@@ -301,10 +292,6 @@ func ValidateHotspots(data []byte) (*Hotspots, error) {
 	if h.ConcreteDiverged > h.ConcreteScreened {
 		return nil, fmt.Errorf("hotspots: concrete divergences (%d) exceed screened (%d)",
 			h.ConcreteDiverged, h.ConcreteScreened)
-	}
-	if h.SrcEncHits+h.SrcEncMisses > h.Queries {
-		return nil, fmt.Errorf("hotspots: srcenc hits+misses (%d) exceed queries (%d)",
-			h.SrcEncHits+h.SrcEncMisses, h.Queries)
 	}
 	var races int64
 	for label, n := range h.PortfolioWinners {

@@ -37,7 +37,7 @@ const (
 // Cache attribute values on query spans. The verdict cache's lookup is
 // the first step of the solve stage, so empty means the cache was
 // disabled for the run or the query never got that far (Unsupported, or
-// proved by the static rung or the srcenc probe).
+// proved by the static rung).
 const (
 	CacheHit  = "hit"
 	CacheMiss = "miss"
@@ -48,15 +48,10 @@ const (
 // spans cannot import tv).
 const StaticProved = "proved"
 
-// Concrete-execution and shared-src-encoding attribute values the
-// hotspot report keys on (mirroring tv.ConcreteDiverged, tv.SrcEncHit,
-// tv.SrcEncMiss). Any non-empty Span.Concrete means the rung screened
-// the query.
-const (
-	ConcreteDiverged = "diverged"
-	SrcEncHit        = "hit"
-	SrcEncMiss       = "miss"
-)
+// ConcreteDiverged is the concrete-execution attribute value the hotspot
+// report keys on (mirrors tv.ConcreteDiverged). Any non-empty
+// Span.Concrete means the rung screened the query.
+const ConcreteDiverged = "diverged"
 
 // Span is one node of a unit's span tree. IDs are dense and local to the
 // unit (the root is always ID 0 with Parent -1); offsets are nanoseconds
@@ -76,17 +71,15 @@ type Span struct {
 	// Solver-query attributes (Name == NameQuery). Static is the static
 	// pre-verifier outcome ("proved", "refuted-to-sat", "bailout");
 	// Concrete the concrete-execution rung's ("agreed", "diverged",
-	// "bailout"); SrcEnc the shared-src-encoding layer's ("hit", "miss");
-	// Portfolio the racing winner ("canonical", "cfg1", ..., "none").
-	// Each is empty when its layer was off or never reached (e.g. a
-	// query the static rung proved has no Concrete).
+	// "bailout"); Portfolio the racing winner ("canonical", "cfg1", ...,
+	// "none"). Each is empty when its layer was off or never reached
+	// (e.g. a query the static rung proved has no Concrete).
 	Func         string `json:"func,omitempty"`
 	FP           string `json:"fp,omitempty"`
 	Verdict      string `json:"verdict,omitempty"`
 	Cache        string `json:"cache,omitempty"`
 	Static       string `json:"static,omitempty"`
 	Concrete     string `json:"concrete,omitempty"`
-	SrcEnc       string `json:"srcenc,omitempty"`
 	Portfolio    string `json:"portfolio,omitempty"`
 	Conflicts    int64  `json:"conflicts,omitempty"`
 	Propagations int64  `json:"propagations,omitempty"`
@@ -199,7 +192,6 @@ type QueryInfo struct {
 	Cache        string
 	Static       string
 	Concrete     string
-	SrcEnc       string
 	Portfolio    string
 	Conflicts    int64
 	Propagations int64
@@ -221,7 +213,6 @@ func (r *Recorder) Query(q QueryInfo, dur time.Duration) {
 		Cache:        q.Cache,
 		Static:       q.Static,
 		Concrete:     q.Concrete,
-		SrcEnc:       q.SrcEnc,
 		Portfolio:    q.Portfolio,
 		Conflicts:    q.Conflicts,
 		Propagations: q.Propagations,

@@ -125,19 +125,17 @@ type StatusSnapshot struct {
 	// the Collector at read time, like Stages, so the dashboard tiles and
 	// the -progress ticker read the same source. The cache's lookup is
 	// the first step of the solve stage, so hits and misses together
-	// count the queries the static rung and the srcenc probe left to it;
-	// a hit replays a stored Valid or budget Unknown without solving.
+	// count the queries the static rung left to it; a hit replays a
+	// stored Valid or budget Unknown without solving.
 	TVCacheHits   int64 `json:"tv_cache_hits,omitempty"`
 	TVCacheMisses int64 `json:"tv_cache_misses,omitempty"`
 	SATConflicts  int64 `json:"sat_conflicts,omitempty"`
 
-	// TVStaticProved and TVSrcEncProved feed the dashboard's cascade
-	// discharge-rate tile: the share of encoded queries (these two plus
-	// the cache's hits and misses) the cheap rungs (static fold,
-	// shared-src probe) proved Valid before the solve stage. Stamped at
+	// TVStaticProved feeds the dashboard's cascade discharge-rate tile:
+	// the share of encoded queries (it plus the cache's hits and misses)
+	// the static rung proved Valid before the solve stage. Stamped at
 	// read time like the counters above.
 	TVStaticProved int64 `json:"tv_static_proved,omitempty"`
-	TVSrcEncProved int64 `json:"tv_srcenc_proved,omitempty"`
 
 	Units  []UnitStatus  `json:"units"`
 	Groups []GroupStatus `json:"groups"`
@@ -349,10 +347,9 @@ func ValidateStatus(data []byte) (*StatusSnapshot, error) {
 	if s.MutantsRemaining > s.MutantsBudget {
 		return nil, fmt.Errorf("status: mutants_remaining %d > mutants_budget %d", s.MutantsRemaining, s.MutantsBudget)
 	}
-	if s.TVCacheHits < 0 || s.TVCacheMisses < 0 || s.SATConflicts < 0 ||
-		s.TVStaticProved < 0 || s.TVSrcEncProved < 0 {
-		return nil, fmt.Errorf("status: negative TV counters (hits=%d misses=%d conflicts=%d static=%d srcenc=%d)",
-			s.TVCacheHits, s.TVCacheMisses, s.SATConflicts, s.TVStaticProved, s.TVSrcEncProved)
+	if s.TVCacheHits < 0 || s.TVCacheMisses < 0 || s.SATConflicts < 0 || s.TVStaticProved < 0 {
+		return nil, fmt.Errorf("status: negative TV counters (hits=%d misses=%d conflicts=%d static=%d)",
+			s.TVCacheHits, s.TVCacheMisses, s.SATConflicts, s.TVStaticProved)
 	}
 	if s.RatePerSec < 0 {
 		return nil, fmt.Errorf("status: negative rate_per_sec %g", s.RatePerSec)

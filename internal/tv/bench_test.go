@@ -112,31 +112,6 @@ func BenchmarkConcreteScreen(b *testing.B) {
 	}
 }
 
-// BenchmarkSharedSrcEncoding measures steady-state verification with a
-// campaign-unit src-encoding pool: after the first pass every probe
-// lands on a warm shard, so the delta against BenchmarkVerifyExamples
-// is what shard reuse buys (or costs) per query on this corpus.
-func BenchmarkSharedSrcEncoding(b *testing.B) {
-	defs := exampleDefs(b)
-	opts := Options{SrcEnc: NewSrcEncodings()}
-	for _, d := range defs {
-		Verify(d.mod, d.fn, d.fn, opts) // warm the shards
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, d := range defs {
-			r := Verify(d.mod, d.fn, d.fn, opts)
-			if r.Verdict != Valid {
-				b.Fatalf("@%s: %v (%s)", d.fn.Name, r.Verdict, r.Reason)
-			}
-		}
-	}
-	b.StopTimer()
-	if opts.SrcEnc.Hits == 0 {
-		b.Fatal("no shard reuse; benchmark measured nothing")
-	}
-}
-
 // BenchmarkFingerprint isolates the cost of the pair fingerprint that
 // cost-attribution spans group queries by (NeedFingerprint).
 func BenchmarkFingerprint(b *testing.B) {

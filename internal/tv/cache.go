@@ -11,8 +11,8 @@ import (
 // campaign unit. Mutation-based fuzzing re-derives the same refinement
 // formula constantly: mutants that differ only in value names, and
 // mutants whose mutation folds away during encoding, reach the solver as
-// the same query. The cache sits after the static, concrete and srcenc
-// rungs, just before the incremental session and the monolithic solve,
+// the same query. The cache sits after the static and concrete rungs,
+// just before the incremental session and the monolithic solve,
 // and keys a digest of the encoded query (see solveKey).
 //
 // Everything that stage returns is a function of the key: every leg's
@@ -22,9 +22,9 @@ import (
 // return, budget Unknowns included. Only Invalid results are never
 // stored: their counterexample reads the names of the pair's parameters.
 //
-// A Cache is not safe for concurrent use. Like SrcEncodings, the campaign
-// creates one per unit execution, which keeps hit/miss counts — not just
-// verdicts — deterministic at any worker count.
+// A Cache is not safe for concurrent use. The campaign creates one per
+// unit execution, which keeps hit/miss counts — not just verdicts —
+// deterministic at any worker count.
 type Cache struct {
 	m map[Key]cachedResult
 

@@ -93,7 +93,7 @@ func TestCacheReplaysFoldedMutantExactly(t *testing.T) {
 // size or the session switch.
 func TestCacheKeySeparatesSolveModes(t *testing.T) {
 	m, s, tg := assocPair(t, "x", "y", "z", "")
-	e, reason := encode(m, s, tg, Options{})
+	e, reason := encode(m, s, tg)
 	if e == nil {
 		t.Fatalf("encode: %s", reason)
 	}
@@ -152,7 +152,7 @@ func TestCacheDifferentialOverMutants(t *testing.T) {
 	}
 	cascade := func() Options {
 		return Options{ConflictBudget: 500, Incremental: true, Static: true, Concrete: true,
-			Portfolio: 3, SrcEnc: NewSrcEncodings()}
+			Portfolio: 3}
 	}
 	for name, mk := range map[string]func() Options{
 		"plain":   func() Options { return Options{ConflictBudget: 500} },

@@ -10,10 +10,9 @@ import (
 // input vector through the interpreter as a differential pre-screen.
 // A mutant that visibly diverges on a concrete input is certainly not
 // refining — its violation query is satisfiable — so every Valid-only
-// accelerated attempt (the incremental per-class session, the shared
-// src-encoding probe, the portfolio's Unsat-hunting alternates) is
-// guaranteed wasted work, and the query is routed straight to the
-// canonical monolithic solve.
+// accelerated attempt (the incremental per-class session, the
+// portfolio's Unsat-hunting alternates) is guaranteed wasted work, and
+// the query is routed straight to the canonical monolithic solve.
 //
 // The rung is strictly advisory: it never decides a verdict and never
 // seeds the SAT search (phase seeding would perturb the canonical model

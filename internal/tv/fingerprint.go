@@ -31,8 +31,7 @@ func Fingerprint(mod *ir.Module, src, tgt *ir.Function, opts Options) Key {
 	// by design, but spans must never group formulas across modes.
 	w.u64(uint64(opts.ConflictBudget))
 	w.u64(uint64(opts.Portfolio))
-	w.bits(opts.DisableRewrites, opts.Incremental, opts.Static,
-		opts.Concrete, opts.SrcEnc != nil)
+	w.bits(opts.Incremental, opts.Static, opts.Concrete)
 
 	w.fn(src)
 	w.fn(tgt)
@@ -76,39 +75,6 @@ func (w *fpWriter) callees(mod *ir.Module, fns ...*ir.Function) {
 			w.paramAttrs(p.Attrs)
 		}
 	}
-}
-
-// SrcFingerprint hashes everything the shared src-encoding pool's entry
-// construction reads: the source function alpha-renamed, the Options
-// knob that shapes the src-side encoding (DisableRewrites), and the
-// declarations of the source's callees. Mutants whose modules agree on
-// all of that encode the identical src term DAG, so they may share one
-// pool entry (srcenc.go).
-func SrcFingerprint(mod *ir.Module, src *ir.Function, opts Options) Key {
-	w := &fpWriter{}
-	w.str("alive-mutate-srcfp/1")
-	w.bits(opts.DisableRewrites)
-	w.fn(src)
-	w.callees(mod, src)
-	return Key(sha256.Sum256(w.buf))
-}
-
-// sigFingerprint hashes exactly the signature facts the semantics
-// Context reads per parameter index — types and attributes, plus the
-// return type — so two functions with equal sigFingerprints can share
-// one Context without width clashes or attribute-axiom leakage
-// (srcenc.go's sharding invariant). Parameter names are deliberately
-// excluded: they only decorate variable names.
-func sigFingerprint(f *ir.Function) Key {
-	w := &fpWriter{}
-	w.str("alive-mutate-sigfp/1")
-	w.str(f.RetTy.String())
-	w.u64(uint64(len(f.Params)))
-	for _, p := range f.Params {
-		w.str(p.Ty.String())
-		w.paramAttrs(p.Attrs)
-	}
-	return Key(sha256.Sum256(w.buf))
 }
 
 // fpWriter serializes the canonical form. Every variable-length field is

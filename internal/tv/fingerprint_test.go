@@ -219,9 +219,8 @@ func TestFingerprintOptionsSensitivity(t *testing.T) {
 	f := mod.FuncByName("f")
 	base := Fingerprint(mod, f, f, Options{})
 	for name, o := range map[string]Options{
-		"ConflictBudget":  {ConflictBudget: 1000},
-		"DisableRewrites": {DisableRewrites: true},
-		"Incremental":     {Incremental: true},
+		"ConflictBudget": {ConflictBudget: 1000},
+		"Incremental":    {Incremental: true},
 	} {
 		if Fingerprint(mod, f, f, o) == base {
 			t.Errorf("Options.%s not reflected in fingerprint", name)

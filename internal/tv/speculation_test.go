@@ -12,17 +12,17 @@ import (
 // sequentialVerify is the schedule Verify's speculation is judged in:
 // the incremental session runs to its end, and only then does the
 // canonical monolithic solve start (with the portfolio's alternates
-// after it, inside solveMonolithic). Static, concrete and shared-src
-// rungs are off in the callers' options, so this is all of verifySolve.
+// after it, inside solveMonolithic). The static and concrete rungs are
+// off in the callers' options, so this is all of verifySolve.
 func sequentialVerify(t *testing.T, p tvPair, opts Options) Result {
 	t.Helper()
-	if opts.Static || opts.Concrete || opts.SrcEnc != nil || opts.Cache != nil {
+	if opts.Static || opts.Concrete || opts.Cache != nil {
 		t.Fatal("sequentialVerify models the solver rungs only")
 	}
 	if err := checkSignatures(p.src, p.tgt); err != nil {
 		return Result{Verdict: Unsupported, Reason: err.Error()}
 	}
-	e, reason := encode(p.mod, p.src, p.tgt, opts)
+	e, reason := encode(p.mod, p.src, p.tgt)
 	if e == nil {
 		return Result{Verdict: Unsupported, Reason: reason}
 	}
@@ -75,7 +75,7 @@ func TestSpeculationMatchesSequentialOracle(t *testing.T) {
 	for _, budget := range []int64{4000, 4} {
 		opts := Options{ConflictBudget: budget, Incremental: true, Portfolio: 3}
 		for _, p := range pairs {
-			if e, _ := encode(p.mod, p.src, p.tgt, opts); e == nil || !sessionEngages(e.vc, e.query, opts) {
+			if e, _ := encode(p.mod, p.src, p.tgt); e == nil || !sessionEngages(e.vc, e.query, opts) {
 				continue // Verify calls solveMonolithic alone, as the oracle does
 			}
 			want := sequentialVerify(t, p, opts)

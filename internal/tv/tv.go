@@ -86,10 +86,9 @@ type Result struct {
 
 	// CacheHit marks a solve-stage result replayed from the verdict
 	// cache: Verdict and Reason are the stored ones, and the solve
-	// stage's statistics (Conflicts and Propagations beyond the srcenc
-	// probe's, SATVars, AssumptionQueries, PortfolioRaced) are zero. The
-	// static, concrete and srcenc fields are this query's own, because
-	// those rungs ran.
+	// stage's statistics (Conflicts, Propagations, SATVars,
+	// AssumptionQueries, PortfolioRaced) are zero. The static and
+	// concrete fields are this query's own, because those rungs ran.
 	CacheHit bool
 	// FP is the hex form of the pair's structural fingerprint (see
 	// Fingerprint), populated when NeedFingerprint is set. Cost-attribution
@@ -119,14 +118,11 @@ type Result struct {
 	// ConcreteNS is the wall time the concrete rung spent, measured only
 	// when Observe is set (stage.ctv histogram); 0 otherwise.
 	ConcreteNS int64
-	// SrcEncOutcome records whether the campaign-level shared src
-	// encoding served this query: SrcEncHit, SrcEncMiss, or "" when the
-	// sharing layer was off or never reached. SrcEncProved marks the
-	// subset whose shared-session probe proved Valid outright (the
-	// cascade's discharge signal — a hit/miss outcome alone only says
-	// the probe ran).
-	SrcEncOutcome string
-	SrcEncProved  bool
+	// SrcEncProved is always false. The shared src encoding layer is
+	// gone; the name survives only because perfbench/trace reads it, and
+	// a later change to the benchmark deletes it. Nothing else may read
+	// it.
+	SrcEncProved bool
 
 	// PortfolioRaced marks a query on which the solver portfolio's
 	// alternate configurations counted (the canonical leg ran out of
@@ -142,9 +138,6 @@ type Result struct {
 type Options struct {
 	// ConflictBudget caps SAT conflicts (0 = unlimited).
 	ConflictBudget int64
-	// DisableRewrites turns off the SMT builder's algebraic rewriting
-	// (ablation knob).
-	DisableRewrites bool
 	// Observe, when non-nil, receives every query's Result and wall time,
 	// on the goroutine that called Verify. The fuzzing loop wires this to
 	// per-verdict latency histograms; it is nil — and costs nothing —
@@ -183,13 +176,9 @@ type Options struct {
 	// permitted divergence is one-directional: a query the budgeted
 	// solver would abandon as Unknown may be proven Valid statically.
 	Static bool
-	// SrcEnc, when non-nil, shares src-side encodings across the queries
-	// of one campaign unit (see srcenc.go): mutants of the same source
-	// probe one incremental session whose src term DAG and CNF were
-	// built once, and only a probe Unsat — sound by the axiom
-	// extension-safety argument — short-circuits (Valid). Everything
-	// else re-solves on the canonical fresh path. Not safe for
-	// concurrent use; the campaign creates one per unit.
+	// SrcEnc is ignored. The shared src encoding layer is gone; the
+	// field survives only because perfbench/trace sets it, and a later
+	// change to the benchmark deletes it. Nothing else may set it.
 	SrcEnc *SrcEncodings
 	// Concrete enables the concrete-execution rung: after the static
 	// rung bails or advisorily refutes, source and target run on a small
@@ -214,7 +203,7 @@ type Options struct {
 	Portfolio int
 	// Cache, when non-nil, memoizes the solve stage's results keyed by a
 	// digest of the encoded query (see cache.go): the lookup comes after
-	// the static, concrete and srcenc rungs, and a hit replays the stored
+	// the static and concrete rungs, and a hit replays the stored
 	// Valid or budget Unknown exactly. Invalid results are never cached,
 	// so counterexamples are always freshly solved. Not safe for
 	// concurrent use; the campaign creates one per unit.
@@ -223,6 +212,15 @@ type Options struct {
 	// excluded from the options digest and never changes solving.
 	NeedFingerprint bool
 }
+
+// SrcEncodings is empty. The shared src encoding layer is gone; the type
+// and NewSrcEncodings survive only because perfbench/trace names them,
+// and a later change to the benchmark deletes them. Nothing else may use
+// them.
+type SrcEncodings struct{}
+
+// NewSrcEncodings returns an empty SrcEncodings (see its comment).
+func NewSrcEncodings() *SrcEncodings { return &SrcEncodings{} }
 
 // Verify checks that tgt refines src. The module provides callee
 // declarations for attribute lookup; src and tgt must have identical
@@ -267,7 +265,7 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 		return Result{Verdict: Unsupported, Reason: err.Error()}
 	}
 
-	e, reason := encode(mod, src, tgt, opts)
+	e, reason := encode(mod, src, tgt)
 	if e == nil {
 		return Result{Verdict: Unsupported, Reason: reason}
 	}
@@ -276,15 +274,9 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 	var staticOutcome string
 	var staticNS int64
 	if opts.Static {
-		var t0 time.Time
-		timed := opts.Observe != nil
-		if timed {
-			t0 = time.Now() // vet:determinism — stage.stv latency, telemetry only
-		}
+		t0, timed := timeStart(opts)
 		rule, outcome := staticProve(mod, src, tgt, srcSum, tgtSum, query)
-		if timed {
-			staticNS = int64(time.Since(t0))
-		}
+		staticNS = timeSince(t0, timed)
 		if outcome == StaticProved {
 			return Result{Verdict: Valid, StaticOutcome: outcome, StaticRule: rule, StaticNS: staticNS}
 		}
@@ -293,54 +285,26 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 
 	// Concrete-execution rung: screen the pair on deterministic inputs.
 	// A visible divergence means the query is satisfiable, so every
-	// Valid-only attempt below (incremental session, src-encoding probe,
-	// portfolio alternates) is provably wasted and is skipped — routing
-	// only, never a verdict.
+	// Valid-only attempt below (incremental session, portfolio
+	// alternates) is provably wasted and is skipped — routing only,
+	// never a verdict.
 	var concreteOutcome string
 	var concreteNS int64
 	if opts.Concrete {
-		var t0 time.Time
-		timed := opts.Observe != nil
-		if timed {
-			t0 = time.Now() // vet:determinism — stage.ctv latency, telemetry only
-		}
+		t0, timed := timeStart(opts)
 		concreteOutcome = concreteScreen(mod, src, tgt)
-		if timed {
-			concreteNS = int64(time.Since(t0))
-		}
+		concreteNS = timeSince(t0, timed)
 	}
 	diverged := concreteOutcome == ConcreteDiverged
-
-	var srcEncOutcome string
-	var probeConflicts, probeProps int64
 
 	finish := func(r Result) Result {
 		r.StaticOutcome, r.StaticNS = staticOutcome, staticNS
 		r.ConcreteOutcome, r.ConcreteNS = concreteOutcome, concreteNS
-		if r.SrcEncOutcome == "" {
-			r.SrcEncOutcome = srcEncOutcome
-		}
-		r.Conflicts += probeConflicts
-		r.Propagations += probeProps
 		return r
 	}
 
-	// Shared-src-encoding probe: solver-bound queries of one campaign
-	// unit share a hash-consed encoding and an incremental session (see
-	// srcenc.go). Unsat there is a sound Valid; any other outcome falls
-	// through with its effort folded into the canonical result.
-	if opts.SrcEnc != nil && !diverged {
-		pr, done := opts.SrcEnc.probe(mod, src, tgt, opts)
-		if done {
-			return finish(pr)
-		}
-		srcEncOutcome = pr.SrcEncOutcome
-		probeConflicts, probeProps = pr.Conflicts, pr.Propagations
-	}
-
 	// Verdict cache: a query already solved in this unit replays its
-	// result (see cache.go), with this query's own rung outcomes and
-	// probe effort.
+	// result (see cache.go), with this query's own rung outcomes.
 	var key Key
 	if opts.Cache != nil {
 		key = solveKey(e, diverged, opts)
@@ -383,11 +347,11 @@ func solve(src *ir.Function, e *encoding, diverged bool, opts Options) Result {
 	return solveMonolithic(src, e.query, opts)
 }
 
-// ReachedSolveStage reports whether the query got past encoding, the
-// static rung and the srcenc probe to the solve stage, where the verdict
-// cache's lookup comes first. Only encoding returns Unsupported.
+// ReachedSolveStage reports whether the query got past encoding and the
+// static rung to the solve stage, where the verdict cache's lookup comes
+// first. Only encoding returns Unsupported.
 func (r Result) ReachedSolveStage() bool {
-	return r.Verdict != Unsupported && r.StaticOutcome != StaticProved && !r.SrcEncProved
+	return r.Verdict != Unsupported && r.StaticOutcome != StaticProved
 }
 
 // encoding is a pair's refinement query, built once per Verify.
@@ -400,9 +364,8 @@ type encoding struct {
 
 // encode builds the pair's violation query: satisfiable exactly when tgt
 // fails to refine src. A nil encoding comes with the Unsupported reason.
-func encode(mod *ir.Module, src, tgt *ir.Function, opts Options) (*encoding, string) {
+func encode(mod *ir.Module, src, tgt *ir.Function) (*encoding, string) {
 	b := smt.NewBuilder()
-	b.Rewrite = !opts.DisableRewrites
 	ctx := semantics.NewContext(b)
 	enc := &semantics.Encoder{Ctx: ctx, Mod: mod}
 

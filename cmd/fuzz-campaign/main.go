@@ -23,7 +23,7 @@
 //	    [-spans-out spans.jsonl] [-spans-deterministic]
 //	    [-triage-dir triage/] [-checkpoint-dir ckpt/]
 //	    [-checkpoint-interval 10s] [-resume]
-//	    [-no-analysis] [-no-static-tv] [-no-concrete-tv] [-no-tv-cache]
+//	    [-no-analysis] [-no-static-tv] [-no-tv-cache]
 //	    [-no-incremental] [-no-portfolio]
 //
 // A/B comparisons (docs/PERFORMANCE.md): -no-analysis turns off the

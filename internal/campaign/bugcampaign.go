@@ -113,12 +113,6 @@ type BugConfig struct {
 	// other acceleration modes it is excluded from the checkpoint
 	// fingerprint (docs/ANALYSIS.md).
 	NoStaticTV bool
-	// NoConcreteTV disables the concrete-execution rung (on by default):
-	// the differential interpreter pre-screen that routes concretely
-	// diverging mutants straight to the canonical monolithic solve. The
-	// rung is advisory — it never decides a verdict — so tables are
-	// byte-identical either way.
-	NoConcreteTV bool
 	// Portfolio is the number of solver configurations the deterministic
 	// portfolio races on budget-bound monolithic queries (see
 	// smt.PortfolioConfigs); 0 or 1 disables racing. The campaign
@@ -139,7 +133,6 @@ func (cfg BugConfig) tvOptions() tv.Options {
 		ConflictBudget: cfg.TVBudget,
 		Incremental:    !cfg.NoIncremental,
 		Static:         !cfg.NoStaticTV,
-		Concrete:       !cfg.NoConcreteTV,
 		Portfolio:      cfg.Portfolio,
 	}
 	if !cfg.NoTVCache {

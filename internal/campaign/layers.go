@@ -26,12 +26,6 @@ var Layers = []Layer{
 		Counters: "tv.static.",
 	},
 	{
-		Name: "concrete", Flag: "no-concrete-tv",
-		Usage:    "disable the concrete-execution differential pre-screen (A/B comparison runs)",
-		Off:      func(c *BugConfig) { c.NoConcreteTV = true },
-		Counters: "tv.concrete.",
-	},
-	{
 		Name: "cache", Flag: "no-tv-cache",
 		Usage:    "disable the per-unit verdict cache, which replays a repeated encoded query's solve-stage result (A/B comparison runs)",
 		Off:      func(c *BugConfig) { c.NoTVCache = true },

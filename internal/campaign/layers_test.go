@@ -48,9 +48,9 @@ func harnessConfig(workers int) BugConfig {
 }
 
 // repeatConfig is a small campaign on the budget-exhausting division bug
-// whose mutants repeat an encoded query after the static and concrete
-// rungs, so the verdict cache hits there whatever the harness's
-// seven-bug campaign happens to repeat.
+// whose mutants repeat an encoded query after the static rung, so the
+// verdict cache hits there whatever the harness's seven-bug campaign
+// happens to repeat.
 func repeatConfig(workers int) BugConfig {
 	cfg := harnessConfig(workers)
 	cfg.Budget = 12
@@ -335,14 +335,14 @@ func TestCampaignTVCacheHitsDeterministic(t *testing.T) {
 	}
 }
 
-// TestCampaignCascadeInvariance: the concrete rung and the solver
-// portfolio only skip work, so the table is unchanged with each off, and
-// with both off, at workers 1 and 8.
+// TestCampaignCascadeInvariance: the solver portfolio only skips work,
+// so the table is unchanged with it off, alone and with every layer, at
+// workers 1 and 8.
 func TestCampaignCascadeInvariance(t *testing.T) {
 	h := layerRuns(t)
-	runs := h.offRuns("concrete", "portfolio")
-	if len(runs) != 5 {
-		t.Fatalf("%d runs with a cascade layer off, want 5", len(runs))
+	runs := h.offRuns("portfolio")
+	if len(runs) != 3 {
+		t.Fatalf("%d runs with the portfolio off, want 3", len(runs))
 	}
 	checkTables(t, h.ref, runs)
 }
@@ -438,19 +438,12 @@ func checkTree(t *testing.T, r, def layerRun) {
 }
 
 // checkPartitions checks the cascade's accounting on every run: the
-// concrete rung takes work while on, and the partition identities of
-// telemetry.CheckCascade hold for the layers that are on — among them,
-// the cache's hits and misses count the solve-stage queries (with
-// concrete on: screened).
+// partition identities of telemetry.CheckCascade hold for the layers that
+// are on — among them, the cache's hits and misses count the solve-stage
+// queries.
 func checkPartitions(t *testing.T, r layerRun) {
 	t.Helper()
-	c := r.counters
-	// A rung that is on must take work, or one wired up but never
-	// taken would pass every identity.
-	if !r.off["concrete"] && c["tv.concrete.screened"] <= 0 {
-		t.Errorf("%s: layer concrete is on but tv.concrete.screened = %d", r.name, c["tv.concrete.screened"])
-	}
-	if err := telemetry.CheckCascade(c, r.off); err != nil {
+	if err := telemetry.CheckCascade(r.counters, r.off); err != nil {
 		t.Errorf("%s: %v", r.name, err)
 	}
 }

@@ -253,8 +253,8 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 	f.spans = f.opts.Telemetry.SpansRecorder()
 	f.timed = tel != nil || f.spans != nil
 	if f.spans != nil {
-		// Span attribution groups solver effort by formula; fingerprints
-		// are verdict-neutral (see tv.Options.NeedFingerprint).
+		// Span attribution groups solver effort by query; its key (FP)
+		// is verdict-neutral (see tv.Options.NeedFingerprint).
 		f.opts.TV.NeedFingerprint = true
 	}
 	if !f.timed {
@@ -319,16 +319,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 		tv.StaticBailout: tel.Counter("tv.static.bailout"),
 	}
 	staticRuleCtrs := lazy(tel.Counter, "tv.static.rule.")
-	// Concrete-execution rung accounting: screened counts every query
-	// the rung actually executed (outcomes partition it), stage.ctv is
-	// the rung's own latency.
-	histCTV := tel.Histogram("stage.ctv")
-	ctrConcreteScreened := tel.Counter("tv.concrete.screened")
-	concreteCtrs := map[string]*telemetry.Counter{
-		tv.ConcreteAgreed:   tel.Counter("tv.concrete.agreed"),
-		tv.ConcreteDiverged: tel.Counter("tv.concrete.diverged"),
-		tv.ConcreteBailout:  tel.Counter("tv.concrete.bailout"),
-	}
 	// Incremental-session accounting: queries the per-class session
 	// proved Valid.
 	ctrSessionProved := tel.Counter("tv.session.proved")
@@ -354,13 +344,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 				staticRuleCtrs.get(r.StaticRule).Add(1)
 			}
 		}
-		if r.ConcreteOutcome != "" {
-			histCTV.Observe(time.Duration(r.ConcreteNS))
-			ctrConcreteScreened.Add(1)
-			if c, ok := concreteCtrs[r.ConcreteOutcome]; ok {
-				c.Add(1)
-			}
-		}
 		if r.PortfolioRaced {
 			ctrPortfolioRaces.Add(1)
 			portfolioWinnerCtrs.get(portfolioWinnerLabel(r.PortfolioWinner)).Add(1)
@@ -380,7 +363,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 				Conflicts:    r.Conflicts,
 				Propagations: r.Propagations,
 				Static:       r.StaticOutcome,
-				Concrete:     r.ConcreteOutcome,
 			}
 			if r.PortfolioRaced {
 				q.Portfolio = portfolioWinnerLabel(r.PortfolioWinner)

@@ -9,10 +9,10 @@ import (
 
 // This file is the one differential-execution path shared by everything
 // that runs two functions on the same inputs and compares what they did:
-// the TV oracle's concrete rung (internal/tv), counterexample witness
-// re-execution (tv.Witness), and the optimizer/analysis differential
-// test harnesses. Keeping the runner, the refinement classifier, and the
-// observational-equality predicate here means they cannot drift apart.
+// counterexample witness re-execution (tv.Witness) and the
+// optimizer/analysis differential test harnesses. Keeping the runner, the
+// refinement classifier, and the observational-equality predicate here
+// means they cannot drift apart.
 
 // Divergence kinds a differential run can exhibit. These are the
 // normalized classes triage uses in bug signatures, so the strings must
@@ -85,8 +85,7 @@ func ObservablyEqual(a, b Result) bool {
 // signed extremes, cycled across parameters), the rest are
 // hash-distributed. Pointer arguments land 8-aligned inside the
 // interpreter's synthetic arena. The result is a pure function of
-// (signature, n, seed) — the concrete rung's screening verdicts must be
-// reproducible at any worker count.
+// (signature, n, seed), so a differential test replays exactly.
 func InputVectors(f *ir.Function, n int, seed uint64) [][]Value {
 	r := rng.New(seed)
 	vecs := make([][]Value, 0, n)

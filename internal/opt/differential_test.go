@@ -15,8 +15,8 @@ import (
 // is defined and non-poison, the target must produce the identical value.
 // Execution and the refinement judgment ride the interp package's shared
 // differential path (DiffRun/ClassifyRefinement) — the same code the TV
-// oracle's concrete rung and witness replay use — so this harness cannot
-// drift from the refinement order they enforce.
+// oracle's witness replay uses — so this harness cannot drift from the
+// refinement order it enforces.
 func TestO2ConcreteDifferential(t *testing.T) {
 	passes, err := ByName("O2")
 	if err != nil {

@@ -28,9 +28,8 @@ func ParseLayersOff(label string) map[string]bool {
 // The encoded queries are the verdicts other than Unsupported, which
 // only encoding returns. Each rung sees what the rungs before it left:
 //
-//	static:   proved + refuted-to-sat + bailout = encoded
-//	concrete: agreed + diverged + bailout = screened = encoded - static proved
-//	cache:    hit + miss = encoded - static proved (with concrete on: screened)
+//	static: proved + refuted-to-sat + bailout = encoded
+//	cache:  hit + miss = encoded - static proved
 //
 // It returns every identity that fails, joined; nil when all hold.
 func CheckCascade(c map[string]int64, off map[string]bool) error {
@@ -43,16 +42,10 @@ func CheckCascade(c map[string]int64, off map[string]bool) error {
 	}
 	encoded := c["verdict.valid"] + c["verdict.invalid"] + c["verdict.unknown"]
 	staticProved := c["tv.static.proved"]
-	screened := c["tv.concrete.screened"]
 
 	if on("static") {
 		check("static outcomes vs encoded queries",
 			staticProved+c["tv.static.refuted-to-sat"]+c["tv.static.bailout"], encoded)
-	}
-	if on("concrete") {
-		check("concrete outcomes vs screened queries",
-			c["tv.concrete.agreed"]+c["tv.concrete.diverged"]+c["tv.concrete.bailout"], screened)
-		check("screened queries vs encoded queries the static rung left", screened, encoded-staticProved)
 	}
 	if on("cache") {
 		check("cache hit+miss vs solve-stage queries",

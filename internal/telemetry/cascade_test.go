@@ -8,12 +8,11 @@ import (
 
 // cascadeCounters is a consistent default-campaign count: 20 encoded
 // queries (and 3 Unsupported); static proves 8 and leaves 12 to the
-// concrete rung, which sees 1 diverge; the cache serves 2 of those 12.
+// solve stage, where the cache serves 2 of them.
 func cascadeCounters() map[string]int64 {
 	return map[string]int64{
 		"verdict.valid": 17, "verdict.invalid": 1, "verdict.unknown": 2, "verdict.unsupported": 3,
 		"tv.static.proved": 8, "tv.static.refuted-to-sat": 2, "tv.static.bailout": 10,
-		"tv.concrete.screened": 12, "tv.concrete.agreed": 9, "tv.concrete.diverged": 1, "tv.concrete.bailout": 2,
 		"tv.cache.hit": 2, "tv.cache.miss": 10,
 	}
 }
@@ -29,7 +28,6 @@ func TestCheckCascade(t *testing.T) {
 		counter, layer, want string
 	}{
 		{"tv.static.bailout", "static", "static outcomes"},
-		{"tv.concrete.agreed", "concrete", "concrete outcomes"},
 		{"tv.cache.miss", "cache", "cache hit+miss"},
 	} {
 		counters := cascadeCounters()
@@ -43,11 +41,10 @@ func TestCheckCascade(t *testing.T) {
 		}
 	}
 
-	// With the static rung off, nothing is statically proved and the
-	// concrete rung screens every encoded query.
+	// With the static rung off, nothing is statically proved and every
+	// encoded query reaches the solve stage.
 	off := cascadeCounters()
 	maps.DeleteFunc(off, func(k string, _ int64) bool { return strings.HasPrefix(k, "tv.static.") })
-	off["tv.concrete.screened"], off["tv.concrete.agreed"] = 20, 17
 	off["tv.cache.miss"] = 18
 	if err := CheckCascade(off, ParseLayersOff("static")); err != nil {
 		t.Errorf("static off: %v", err)

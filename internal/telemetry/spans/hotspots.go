@@ -11,8 +11,8 @@ import (
 // HotspotsSchemaV1 identifies the machine-readable hotspot report.
 const HotspotsSchemaV1 = "alive-mutate-hotspots/v1"
 
-// Entry is one ranked hotspot: a seed function, a mutant, a formula
-// fingerprint, or a whole unit, with the TV cost attributed to it.
+// Entry is one ranked hotspot: a seed function, a mutant, a formula (the
+// solve stage's key), or a whole unit, with the TV cost attributed to it.
 // StaticProved counts the queries the static pre-verifier discharged
 // without a SAT solve.
 type Entry struct {
@@ -24,12 +24,9 @@ type Entry struct {
 	CacheMisses  int64  `json:"cache_misses"`
 	Unknowns     int64  `json:"unknowns"`
 	StaticProved int64  `json:"static_proved,omitempty"`
-	// ConcreteScreened counts the entry's queries the concrete-execution
-	// rung actually ran (any concrete outcome, including bailout);
-	// PortfolioRaces counts those whose solver-portfolio alternates
-	// engaged.
-	ConcreteScreened int64 `json:"concrete_screened,omitempty"`
-	PortfolioRaces   int64 `json:"portfolio_races,omitempty"`
+	// PortfolioRaces counts the entry's queries whose solver-portfolio
+	// alternates engaged.
+	PortfolioRaces int64 `json:"portfolio_races,omitempty"`
 }
 
 // Hotspots is the full report: campaign-wide totals plus the top-N
@@ -50,8 +47,6 @@ type Hotspots struct {
 	CacheMisses          int64 `json:"cache_misses"`
 	Unknowns             int64 `json:"unknowns"`
 	StaticProved         int64 `json:"static_proved,omitempty"`
-	ConcreteScreened     int64 `json:"concrete_screened,omitempty"`
-	ConcreteDiverged     int64 `json:"concrete_diverged,omitempty"`
 	BudgetExhaustedUnits int   `json:"budget_exhausted_units"`
 
 	// PortfolioWinners is the per-winner-label breakdown ("canonical",
@@ -118,14 +113,6 @@ func Compute(units []*UnitSpans, deterministic bool, topN int) *Hotspots {
 				h.StaticProved++
 				static = 1
 			}
-			screened := int64(0)
-			if s.Concrete != "" {
-				h.ConcreteScreened++
-				screened = 1
-				if s.Concrete == ConcreteDiverged {
-					h.ConcreteDiverged++
-				}
-			}
 			raced := int64(0)
 			if s.Portfolio != "" {
 				raced = 1
@@ -147,7 +134,6 @@ func Compute(units []*UnitSpans, deterministic bool, topN int) *Hotspots {
 				e.CacheMisses += miss
 				e.Unknowns += unknown
 				e.StaticProved += static
-				e.ConcreteScreened += screened
 				e.PortfolioRaces += raced
 			}
 			add(byUnit, unitKey)
@@ -205,27 +191,25 @@ func (h *Hotspots) Table() string {
 		h.Units, h.Queries, fmtNS(h.TVWallNS))
 	fmt.Fprintf(&b, ", %d conflicts, cache %d hit / %d miss, %d unknown, %d statically discharged, %d budget-exhausted units\n",
 		h.Conflicts, h.CacheHits, h.CacheMisses, h.Unknowns, h.StaticProved, h.BudgetExhaustedUnits)
-	fmt.Fprintf(&b, "cascade: %d concretely screened (%d diverged)",
-		h.ConcreteScreened, h.ConcreteDiverged)
 	if len(h.PortfolioWinners) > 0 {
 		labels := make([]string, 0, len(h.PortfolioWinners))
 		for l := range h.PortfolioWinners {
 			labels = append(labels, l)
 		}
 		sort.Strings(labels)
-		b.WriteString(", portfolio winners")
+		b.WriteString("cascade: portfolio winners")
 		for _, l := range labels {
 			fmt.Fprintf(&b, " %s:%d", l, h.PortfolioWinners[l])
 		}
+		b.WriteString("\n")
 	}
-	b.WriteString("\n")
 	section := func(title string, entries []Entry, abbrev bool) {
 		if len(entries) == 0 {
 			return
 		}
 		fmt.Fprintf(&b, "\n%s\n", title)
-		fmt.Fprintf(&b, "  %-44s %8s %10s %10s %7s %8s %7s %7s %7s\n",
-			"name", "queries", "wall", "conflicts", "miss", "unknown", "static", "conc", "raced")
+		fmt.Fprintf(&b, "  %-44s %8s %10s %10s %7s %8s %7s %7s\n",
+			"name", "queries", "wall", "conflicts", "miss", "unknown", "static", "raced")
 		for _, e := range entries {
 			name := e.Name
 			if abbrev && len(name) > 16 {
@@ -234,9 +218,9 @@ func (h *Hotspots) Table() string {
 			if len(name) > 44 {
 				name = name[:43] + "…"
 			}
-			fmt.Fprintf(&b, "  %-44s %8d %10s %10d %7d %8d %7d %7d %7d\n",
+			fmt.Fprintf(&b, "  %-44s %8d %10s %10d %7d %8d %7d %7d\n",
 				name, e.Queries, fmtNS(e.WallNS), e.Conflicts, e.CacheMisses, e.Unknowns,
-				e.StaticProved, e.ConcreteScreened, e.PortfolioRaces)
+				e.StaticProved, e.PortfolioRaces)
 		}
 	}
 	section("top units by TV cost", h.TopUnits, false)
@@ -273,8 +257,7 @@ func ValidateHotspots(data []byte) (*Hotspots, error) {
 	}
 	if h.Units < 0 || h.Queries < 0 || h.TVWallNS < 0 || h.Conflicts < 0 ||
 		h.Propagations < 0 || h.CacheHits < 0 || h.CacheMisses < 0 ||
-		h.Unknowns < 0 || h.StaticProved < 0 || h.BudgetExhaustedUnits < 0 ||
-		h.ConcreteScreened < 0 || h.ConcreteDiverged < 0 {
+		h.Unknowns < 0 || h.StaticProved < 0 || h.BudgetExhaustedUnits < 0 {
 		return nil, fmt.Errorf("hotspots: negative totals")
 	}
 	if h.CacheHits+h.CacheMisses > h.Queries {
@@ -284,14 +267,6 @@ func ValidateHotspots(data []byte) (*Hotspots, error) {
 	if h.StaticProved > h.Queries {
 		return nil, fmt.Errorf("hotspots: statically discharged (%d) exceed queries (%d)",
 			h.StaticProved, h.Queries)
-	}
-	if h.ConcreteScreened > h.Queries {
-		return nil, fmt.Errorf("hotspots: concretely screened (%d) exceed queries (%d)",
-			h.ConcreteScreened, h.Queries)
-	}
-	if h.ConcreteDiverged > h.ConcreteScreened {
-		return nil, fmt.Errorf("hotspots: concrete divergences (%d) exceed screened (%d)",
-			h.ConcreteDiverged, h.ConcreteScreened)
 	}
 	var races int64
 	for label, n := range h.PortfolioWinners {
@@ -311,10 +286,12 @@ func ValidateHotspots(data []byte) (*Hotspots, error) {
 			if e.Name == "" {
 				return nil, fmt.Errorf("hotspots: unnamed entry at rank %d", i)
 			}
-			if e.Queries < 0 || e.WallNS < 0 || e.Conflicts < 0 || e.CacheMisses < 0 ||
-				e.Unknowns < 0 || e.StaticProved < 0 ||
-				e.ConcreteScreened < 0 || e.PortfolioRaces < 0 {
+			if e.Queries < 0 || e.WallNS < 0 || e.Conflicts < 0 || e.Propagations < 0 ||
+				e.CacheMisses < 0 || e.Unknowns < 0 || e.StaticProved < 0 || e.PortfolioRaces < 0 {
 				return nil, fmt.Errorf("hotspots: negative counters on %q", e.Name)
+			}
+			if max(e.CacheMisses, e.Unknowns, e.StaticProved, e.PortfolioRaces) > e.Queries {
+				return nil, fmt.Errorf("hotspots: per-query counters on %q exceed its %d queries", e.Name, e.Queries)
 			}
 			if i > 0 && entryLess(e, section[i-1]) {
 				return nil, fmt.Errorf("hotspots: ranking out of order at %q", e.Name)

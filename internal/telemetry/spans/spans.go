@@ -48,11 +48,6 @@ const (
 // spans cannot import tv).
 const StaticProved = "proved"
 
-// ConcreteDiverged is the concrete-execution attribute value the hotspot
-// report keys on (mirrors tv.ConcreteDiverged). Any non-empty
-// Span.Concrete means the rung screened the query.
-const ConcreteDiverged = "diverged"
-
 // Span is one node of a unit's span tree. IDs are dense and local to the
 // unit (the root is always ID 0 with Parent -1); offsets are nanoseconds
 // relative to the unit's start so the tree is position-independent —
@@ -68,18 +63,17 @@ type Span struct {
 	Iter int    `json:"iter,omitempty"`
 	Seed uint64 `json:"seed,omitempty"`
 
-	// Solver-query attributes (Name == NameQuery). Static is the static
-	// pre-verifier outcome ("proved", "refuted-to-sat", "bailout");
-	// Concrete the concrete-execution rung's ("agreed", "diverged",
+	// Solver-query attributes (Name == NameQuery). FP names the query by
+	// the solve stage's key (empty for Unsupported queries). Static is
+	// the static pre-verifier outcome ("proved", "refuted-to-sat",
 	// "bailout"); Portfolio the racing winner ("canonical", "cfg1", ...,
 	// "none"). Each is empty when its layer was off or never reached
-	// (e.g. a query the static rung proved has no Concrete).
+	// (e.g. a query the static rung proved has no Portfolio).
 	Func         string `json:"func,omitempty"`
 	FP           string `json:"fp,omitempty"`
 	Verdict      string `json:"verdict,omitempty"`
 	Cache        string `json:"cache,omitempty"`
 	Static       string `json:"static,omitempty"`
-	Concrete     string `json:"concrete,omitempty"`
 	Portfolio    string `json:"portfolio,omitempty"`
 	Conflicts    int64  `json:"conflicts,omitempty"`
 	Propagations int64  `json:"propagations,omitempty"`
@@ -191,7 +185,6 @@ type QueryInfo struct {
 	FP           string
 	Cache        string
 	Static       string
-	Concrete     string
 	Portfolio    string
 	Conflicts    int64
 	Propagations int64
@@ -212,7 +205,6 @@ func (r *Recorder) Query(q QueryInfo, dur time.Duration) {
 		Verdict:      q.Verdict,
 		Cache:        q.Cache,
 		Static:       q.Static,
-		Concrete:     q.Concrete,
 		Portfolio:    q.Portfolio,
 		Conflicts:    q.Conflicts,
 		Propagations: q.Propagations,

@@ -345,7 +345,9 @@ func TestValidateHotspotsRejects(t *testing.T) {
 			h.TopFunctions[0], h.TopFunctions[1] = h.TopFunctions[1], h.TopFunctions[0]
 			return h
 		}()),
-		"unknown field": []byte(`{"schema":"` + HotspotsSchemaV1 + `","surprise":1}`),
+		"unknown field":               []byte(`{"schema":"` + HotspotsSchemaV1 + `","surprise":1}`),
+		"entry negative propagations": oneEntry(`{"name":"g/u0","queries":1,"wall_ns":0,"conflicts":0,"propagations":-5,"cache_misses":0,"unknowns":0}`),
+		"entry misses > queries":      oneEntry(`{"name":"g/u0","queries":1,"wall_ns":0,"conflicts":0,"cache_misses":7,"unknowns":0}`),
 	}
 	for name, data := range cases {
 		if _, err := ValidateHotspots(data); err == nil {
@@ -355,4 +357,15 @@ func TestValidateHotspotsRejects(t *testing.T) {
 	if _, err := ValidateHotspots(marshal(base())); err != nil {
 		t.Errorf("control: valid report rejected: %v", err)
 	}
+	if _, err := ValidateHotspots(oneEntry(`{"name":"g/u0","queries":1,"wall_ns":0,"conflicts":0,"cache_misses":1,"unknowns":1}`)); err != nil {
+		t.Errorf("control: valid one-entry report rejected: %v", err)
+	}
+}
+
+// oneEntry is a hotspot report of one unit and one query whose only unit
+// ranking is the given entry.
+func oneEntry(entry string) []byte {
+	return []byte(`{"schema":"` + HotspotsSchemaV1 + `","units":1,"queries":1,"tv_wall_ns":0,"conflicts":0,` +
+		`"propagations":0,"cache_hits":0,"cache_misses":1,"unknowns":1,"budget_exhausted_units":0,` +
+		`"top_units":[` + entry + `],"top_functions":[],"top_mutants":[],"top_formulas":[]}`)
 }

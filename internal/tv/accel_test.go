@@ -316,3 +316,62 @@ func TestIncrementalStatsPopulated(t *testing.T) {
 		t.Fatal("incremental Valid verdict reports zero assumption queries")
 	}
 }
+
+// richFn builds one function text exercising flags, predicates, calls,
+// memory, and branching, with every name drawn from the given table.
+func richFn(names map[string]string) string {
+	t := `declare void @clobber(ptr %p)
+define i32 @f(i32 %A, i32 %B) {
+E:
+  %a = add nsw i32 %A, %B
+  %c = icmp slt i32 %a, 7
+  br i1 %c, label %L, label %R
+L:
+  %p = alloca i32, align 4
+  store i32 %a, ptr %p, align 4
+  call void @clobber(ptr %p)
+  %l = load i32, ptr %p, align 4
+  ret i32 %l
+R:
+  %s = shl nuw i32 %B, 2
+  ret i32 %s
+}`
+	for from, to := range names {
+		t = replaceToken(t, from, to)
+	}
+	return t
+}
+
+// replaceToken substitutes %from / label references for a renamed
+// variant. Names in the fixture are chosen so plain substring replacement
+// of the sigil-prefixed form is unambiguous.
+func replaceToken(text, from, to string) string {
+	out := ""
+	for i := 0; i < len(text); {
+		if i+1+len(from) <= len(text) && text[i] == '%' && text[i+1:i+1+len(from)] == from {
+			// Reject partial-token matches (e.g. %a inside %ab).
+			end := i + 1 + len(from)
+			if end == len(text) || !isNameByte(text[end]) {
+				out += "%" + to
+				i = end
+				continue
+			}
+		}
+		// Block labels appear both as "label %X" (handled above) and as
+		// leading "X:" definitions.
+		if (i == 0 || text[i-1] == '\n') && i+len(from) < len(text) &&
+			text[i:i+len(from)] == from && text[i+len(from)] == ':' {
+			out += to + ":"
+			i += len(from) + 1
+			continue
+		}
+		out += string(text[i])
+		i++
+	}
+	return out
+}
+
+func isNameByte(b byte) bool {
+	return b == '_' || b == '.' || (b >= '0' && b <= '9') ||
+		(b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
+}

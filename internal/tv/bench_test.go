@@ -95,31 +95,3 @@ func BenchmarkVerifyExamplesCached(b *testing.B) {
 		b.Fatal("no cache hits")
 	}
 }
-
-// BenchmarkConcreteScreen isolates the concrete-execution rung's cost —
-// the per-query tax every solver-bound query pays for the advisory
-// differential pre-screen (interpret both sides on the fixed input
-// vectors). This is the number the rung's routing win must amortize.
-func BenchmarkConcreteScreen(b *testing.B) {
-	defs := exampleDefs(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, d := range defs {
-			if out := concreteScreen(d.mod, d.fn, d.fn); out == ConcreteDiverged {
-				b.Fatalf("@%s: self-refinement diverged concretely", d.fn.Name)
-			}
-		}
-	}
-}
-
-// BenchmarkFingerprint isolates the cost of the pair fingerprint that
-// cost-attribution spans group queries by (NeedFingerprint).
-func BenchmarkFingerprint(b *testing.B) {
-	defs := exampleDefs(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, d := range defs {
-			Fingerprint(d.mod, d.fn, d.fn, Options{})
-		}
-	}
-}

@@ -3,6 +3,7 @@ package tv
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 
 	"repro/internal/smt"
 )
@@ -11,9 +12,9 @@ import (
 // campaign unit. Mutation-based fuzzing re-derives the same refinement
 // formula constantly: mutants that differ only in value names, and
 // mutants whose mutation folds away during encoding, reach the solver as
-// the same query. The cache sits after the static and concrete rungs,
-// just before the incremental session and the monolithic solve,
-// and keys a digest of the encoded query (see solveKey).
+// the same query. The cache sits after the static rung, just before the
+// incremental session and the monolithic solve, and keys a digest of the
+// encoded query (see solveKey).
 //
 // Everything that stage returns is a function of the key: every leg's
 // CNF, and the session's, is built by a walk over the key's DAGs that
@@ -31,9 +32,12 @@ type Cache struct {
 	hits, misses int64
 }
 
-// Key is a 32-byte structural digest: the verdict cache's key, or a
-// pair's Fingerprint.
+// Key is the solve stage's 32-byte digest of a query (see solveKey): the
+// verdict cache's key and, in hex, Result.FP.
 type Key [32]byte
+
+// String returns the key in hex.
+func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 type cachedResult struct {
 	verdict Verdict
@@ -56,21 +60,18 @@ func (c *Cache) Len() int {
 }
 
 // solveKey digests everything the solve stage reads: the query, the
-// axioms and the refinement classes the session solves, whether the
-// concrete rung saw a divergence (which drops the session and the
-// portfolio), and the options that shape the solve.
-func solveKey(e *encoding, diverged bool, opts Options) Key {
+// axioms and the refinement classes the session solves, and the options
+// that shape the solve.
+func solveKey(e *encoding, opts Options) Key {
 	vc := e.vc
 	d := smt.Digest(e.query, e.ctx.Axioms(), vc.monolithic, vc.calls, vc.ub, vc.ret, vc.mem)
 	buf := append([]byte("alive-mutate-tvsolve/1"), d[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.ConflictBudget))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.Portfolio))
-	for _, b := range []bool{diverged, opts.Incremental} {
-		v := byte(0)
-		if b {
-			v = 1
-		}
-		buf = append(buf, v)
+	if opts.Incremental {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
 	}
 	return Key(sha256.Sum256(buf))
 }

@@ -34,12 +34,15 @@ func assocPair(t *testing.T, x, y, z, extra string) (*ir.Module, *ir.Function, *
 // TestRenamedPairsSolveAlike is the premise of the cache's alpha-invariant
 // key: a pair and its renamed copy, verified with no cache, take the same
 // search — equal conflicts, propagations and verdict — whether the solve
-// decides or runs out of budget.
+// decides or runs out of budget. Spans name a query by the same key
+// (Result.FP): the renamed pair shares it, while the pair at another
+// budget, or a pair with another verdict, does not.
 func TestRenamedPairsSolveAlike(t *testing.T) {
+	fps := map[string]string{}
 	for _, budget := range []int64{300, 0} {
 		m1, s1, t1 := assocPair(t, "x", "y", "z", "")
 		m2, s2, t2 := assocPair(t, "n", "d", "k", "")
-		o := Options{ConflictBudget: budget}
+		o := Options{ConflictBudget: budget, NeedFingerprint: true}
 		r1, r2 := Verify(m1, s1, t1, o), Verify(m2, s2, t2, o)
 		if r1.Conflicts == 0 {
 			t.Fatalf("budget %d: the query took no conflicts; the premise is vacuous", budget)
@@ -48,6 +51,28 @@ func TestRenamedPairsSolveAlike(t *testing.T) {
 			t.Errorf("budget %d: renamed pair solved differently: %v/%d/%d vs %v/%d/%d", budget,
 				r1.Verdict, r1.Conflicts, r1.Propagations, r2.Verdict, r2.Conflicts, r2.Propagations)
 		}
+		if r1.FP == "" || r1.FP != r2.FP {
+			t.Errorf("budget %d: renamed pair has FPs %q and %q, want one non-empty FP", budget, r1.FP, r2.FP)
+		}
+		fps[fmt.Sprintf("budget %d (%v)", budget, r1.Verdict)] = r1.FP
+	}
+	m, s, _ := assocPair(t, "x", "y", "z", "")
+	wrong := parser.MustParse(`define i5 @f(i5 %x, i5 %y, i5 %z) {
+  %p = mul i5 %y, %z
+  %q = add i5 %x, %p
+  ret i5 %q
+}`).Defs()[0]
+	r := Verify(m, s, wrong, Options{NeedFingerprint: true})
+	if r.Verdict != Invalid {
+		t.Fatalf("mul→add pair: %v, want Invalid", r.Verdict)
+	}
+	fps["an Invalid pair at budget 0"] = r.FP
+	seen := map[string]string{}
+	for name, fp := range fps {
+		if other, dup := seen[fp]; dup {
+			t.Errorf("%s and %s share the FP %s", name, other, fp)
+		}
+		seen[fp] = name
 	}
 }
 
@@ -62,8 +87,8 @@ func TestCacheReplaysFoldedMutantExactly(t *testing.T) {
 	}{{300, Unknown}, {0, Valid}} {
 		mA, sA, tA := assocPair(t, "x", "y", "z", "")
 		mB, sB, tB := assocPair(t, "a", "b", "c", "  %dead = add i5 %a, 1\n")
-		if Fingerprint(mA, sA, tA, Options{}) == Fingerprint(mB, sB, tB, Options{}) {
-			t.Fatal("the pairs have the same IR fingerprint; the test needs IR-distinct pairs")
+		if sA.String()+tA.String() == sB.String()+tB.String() {
+			t.Fatal("the pairs print alike; the test needs IR-distinct pairs")
 		}
 		cache := NewCache()
 		o := Options{ConflictBudget: c.budget, Cache: cache}
@@ -87,10 +112,8 @@ func TestCacheReplaysFoldedMutantExactly(t *testing.T) {
 	}
 }
 
-// TestCacheKeySeparatesSolveModes: the concrete rung's divergence drops
-// the session and the portfolio, so a diverged query never shares an
-// entry with the same query undiverged; nor do the budget, the portfolio
-// size or the session switch.
+// TestCacheKeySeparatesSolveModes: a query never shares an entry with
+// the same query under another budget, portfolio size or session switch.
 func TestCacheKeySeparatesSolveModes(t *testing.T) {
 	m, s, tg := assocPair(t, "x", "y", "z", "")
 	e, reason := encode(m, s, tg)
@@ -98,19 +121,16 @@ func TestCacheKeySeparatesSolveModes(t *testing.T) {
 		t.Fatalf("encode: %s", reason)
 	}
 	base := Options{ConflictBudget: 4000, Portfolio: 3, Incremental: true}
-	k := solveKey(e, false, base)
-	if solveKey(e, false, base) != k {
+	k := solveKey(e, base)
+	if solveKey(e, base) != k {
 		t.Fatal("the key is not a function of its inputs")
-	}
-	if solveKey(e, true, base) == k {
-		t.Error("a diverged query shares the undiverged query's key")
 	}
 	for name, o := range map[string]Options{
 		"ConflictBudget": {ConflictBudget: 3000, Portfolio: 3, Incremental: true},
 		"Portfolio":      {ConflictBudget: 4000, Portfolio: 0, Incremental: true},
 		"Incremental":    {ConflictBudget: 4000, Portfolio: 3},
 	} {
-		if solveKey(e, false, o) == k {
+		if solveKey(e, o) == k {
 			t.Errorf("Options.%s not reflected in the key", name)
 		}
 	}
@@ -151,8 +171,7 @@ func TestCacheDifferentialOverMutants(t *testing.T) {
 		}
 	}
 	cascade := func() Options {
-		return Options{ConflictBudget: 500, Incremental: true, Static: true, Concrete: true,
-			Portfolio: 3}
+		return Options{ConflictBudget: 500, Incremental: true, Static: true, Portfolio: 3}
 	}
 	for name, mk := range map[string]func() Options{
 		"plain":   func() Options { return Options{ConflictBudget: 500} },

@@ -124,8 +124,8 @@ func TestExhaustiveEnumerationOracle(t *testing.T) {
 		{"plain", func() Options { return Options{ConflictBudget: 4000} }},
 		{"cascade", func() Options {
 			// campaign.BugConfig's defaults at fuzz-campaign's -tvbudget.
-			return Options{ConflictBudget: 4000, Incremental: true, Static: true, Concrete: true,
-				Portfolio: 3, Cache: NewCache()}
+			return Options{ConflictBudget: 4000, Incremental: true, Static: true, Portfolio: 3,
+				Cache: NewCache()}
 		}},
 	} {
 		opts := cfg.opts()

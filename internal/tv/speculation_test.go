@@ -12,11 +12,11 @@ import (
 // sequentialVerify is the schedule Verify's speculation is judged in:
 // the incremental session runs to its end, and only then does the
 // canonical monolithic solve start (with the portfolio's alternates
-// after it, inside solveMonolithic). The static and concrete rungs are
-// off in the callers' options, so this is all of verifySolve.
+// after it, inside solveMonolithic). The static rung is off in the
+// callers' options, so this is all of verifySolve.
 func sequentialVerify(t *testing.T, p tvPair, opts Options) Result {
 	t.Helper()
-	if opts.Static || opts.Concrete || opts.Cache != nil {
+	if opts.Static || opts.Cache != nil {
 		t.Fatal("sequentialVerify models the solver rungs only")
 	}
 	if err := checkSignatures(p.src, p.tgt); err != nil {

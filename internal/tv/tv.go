@@ -11,7 +11,6 @@
 package tv
 
 import (
-	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -87,13 +86,14 @@ type Result struct {
 	// CacheHit marks a solve-stage result replayed from the verdict
 	// cache: Verdict and Reason are the stored ones, and the solve
 	// stage's statistics (Conflicts, Propagations, SATVars,
-	// AssumptionQueries, PortfolioRaced) are zero. The static and
-	// concrete fields are this query's own, because those rungs ran.
+	// AssumptionQueries, PortfolioRaced) are zero. The static fields
+	// are this query's own, because that rung ran.
 	CacheHit bool
-	// FP is the hex form of the pair's structural fingerprint (see
-	// Fingerprint), populated when NeedFingerprint is set. Cost-attribution
-	// spans use it to group solver effort by formula; it never influences
-	// the verdict.
+	// FP is the hex form of the solve stage's key (see solveKey),
+	// populated when NeedFingerprint is set; empty for Unsupported
+	// queries, which have no encoding. Cost-attribution spans use it to
+	// group solver effort by formula, so they group exactly the queries
+	// the verdict cache treats as one; it never influences the verdict.
 	FP string
 	// AssumptionQueries counts the incremental per-class queries issued
 	// on the shared solver session (0 on the monolithic path).
@@ -110,14 +110,6 @@ type Result struct {
 	// when Observe is set (stage.stv histogram); 0 otherwise.
 	StaticNS int64
 
-	// ConcreteOutcome records what the concrete-execution rung did with
-	// this query: ConcreteAgreed, ConcreteDiverged, ConcreteBailout, or
-	// "" when the rung was off or never reached (Unsupported, statically
-	// proved).
-	ConcreteOutcome string
-	// ConcreteNS is the wall time the concrete rung spent, measured only
-	// when Observe is set (stage.ctv histogram); 0 otherwise.
-	ConcreteNS int64
 	// SrcEncProved is always false. The shared src encoding layer is
 	// gone; the name survives only because perfbench/trace reads it, and
 	// a later change to the benchmark deletes it. Nothing else may read
@@ -180,14 +172,9 @@ type Options struct {
 	// field survives only because perfbench/trace sets it, and a later
 	// change to the benchmark deletes it. Nothing else may set it.
 	SrcEnc *SrcEncodings
-	// Concrete enables the concrete-execution rung: after the static
-	// rung bails or advisorily refutes, source and target run on a small
-	// deterministic input vector through the interpreter as a
-	// differential pre-screen (see concrete.go). The rung is strictly
-	// advisory — a concretely diverging query skips the Valid-only
-	// accelerated attempts and goes straight to the canonical monolithic
-	// solve — so tables, witnesses, and triage trees are byte-identical
-	// with the rung off.
+	// Concrete is ignored. The concrete-execution rung is gone; the
+	// field survives only because perfbench/trace sets it, and a later
+	// change to the benchmark deletes it. Nothing else may set it.
 	Concrete bool
 	// Portfolio races k deterministic solver configurations on the
 	// canonical monolithic query (see smt.Portfolio): the canonical
@@ -203,13 +190,13 @@ type Options struct {
 	Portfolio int
 	// Cache, when non-nil, memoizes the solve stage's results keyed by a
 	// digest of the encoded query (see cache.go): the lookup comes after
-	// the static and concrete rungs, and a hit replays the stored
-	// Valid or budget Unknown exactly. Invalid results are never cached,
-	// so counterexamples are always freshly solved. Not safe for
-	// concurrent use; the campaign creates one per unit.
+	// the static rung, and a hit replays the stored Valid or budget
+	// Unknown exactly. Invalid results are never cached, so
+	// counterexamples are always freshly solved. Not safe for concurrent
+	// use; the campaign creates one per unit.
 	Cache *Cache
 	// NeedFingerprint populates Result.FP. Verdict-neutral: it is
-	// excluded from the options digest and never changes solving.
+	// excluded from the solve key and never changes solving.
 	NeedFingerprint bool
 }
 
@@ -227,37 +214,12 @@ func NewSrcEncodings() *SrcEncodings { return &SrcEncodings{} }
 // signatures.
 func Verify(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 	if opts.Observe == nil {
-		return verify(mod, src, tgt, opts)
+		return verifySolve(mod, src, tgt, opts)
 	}
 	start := time.Now() // vet:determinism — Observe latency hook, telemetry only
-	r := verify(mod, src, tgt, opts)
+	r := verifySolve(mod, src, tgt, opts)
 	opts.Observe(r, time.Since(start))
 	return r
-}
-
-func verify(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
-	r := verifySolve(mod, src, tgt, opts)
-	if opts.NeedFingerprint {
-		key := Fingerprint(mod, src, tgt, opts)
-		r.FP = hex.EncodeToString(key[:])
-	}
-	return r
-}
-
-// timeStart/timeSince gate a rung's wall-clock measurement on Observe,
-// like every other telemetry-only timer.
-func timeStart(opts Options) (time.Time, bool) {
-	if opts.Observe == nil {
-		return time.Time{}, false
-	}
-	return time.Now(), true // vet:determinism — rung latency, telemetry only
-}
-
-func timeSince(t0 time.Time, timed bool) int64 {
-	if !timed {
-		return 0
-	}
-	return int64(time.Since(t0)) // vet:determinism — rung latency, telemetry only
 }
 
 func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
@@ -274,55 +236,53 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 	var staticOutcome string
 	var staticNS int64
 	if opts.Static {
-		t0, timed := timeStart(opts)
+		// The rung's latency is measured only for Observe, like every
+		// other telemetry-only timer.
+		var t0 time.Time
+		if opts.Observe != nil {
+			t0 = time.Now() // vet:determinism — rung latency, telemetry only
+		}
 		rule, outcome := staticProve(mod, src, tgt, srcSum, tgtSum, query)
-		staticNS = timeSince(t0, timed)
+		if opts.Observe != nil {
+			staticNS = int64(time.Since(t0)) // vet:determinism — rung latency, telemetry only
+		}
 		if outcome == StaticProved {
-			return Result{Verdict: Valid, StaticOutcome: outcome, StaticRule: rule, StaticNS: staticNS}
+			r := Result{Verdict: Valid, StaticOutcome: outcome, StaticRule: rule, StaticNS: staticNS}
+			if opts.NeedFingerprint {
+				r.FP = solveKey(e, opts).String()
+			}
+			return r
 		}
 		staticOutcome = outcome
 	}
 
-	// Concrete-execution rung: screen the pair on deterministic inputs.
-	// A visible divergence means the query is satisfiable, so every
-	// Valid-only attempt below (incremental session, portfolio
-	// alternates) is provably wasted and is skipped — routing only,
-	// never a verdict.
-	var concreteOutcome string
-	var concreteNS int64
-	if opts.Concrete {
-		t0, timed := timeStart(opts)
-		concreteOutcome = concreteScreen(mod, src, tgt)
-		concreteNS = timeSince(t0, timed)
-	}
-	diverged := concreteOutcome == ConcreteDiverged
-
-	finish := func(r Result) Result {
-		r.StaticOutcome, r.StaticNS = staticOutcome, staticNS
-		r.ConcreteOutcome, r.ConcreteNS = concreteOutcome, concreteNS
-		return r
-	}
-
 	// Verdict cache: a query already solved in this unit replays its
-	// result (see cache.go), with this query's own rung outcomes.
+	// result (see cache.go). The key also names the query in spans.
 	var key Key
+	if opts.Cache != nil || opts.NeedFingerprint {
+		key = solveKey(e, opts)
+	}
+	r, hit := Result{}, false
 	if opts.Cache != nil {
-		key = solveKey(e, diverged, opts)
-		if r, ok := opts.Cache.lookup(key); ok {
-			return finish(r)
+		r, hit = opts.Cache.lookup(key)
+	}
+	if !hit {
+		r = solve(src, e, opts)
+		if opts.Cache != nil {
+			opts.Cache.store(key, r)
 		}
 	}
-	r := solve(src, e, diverged, opts)
-	if opts.Cache != nil {
-		opts.Cache.store(key, r)
+	r.StaticOutcome, r.StaticNS = staticOutcome, staticNS
+	if opts.NeedFingerprint {
+		r.FP = key.String()
 	}
-	return finish(r)
+	return r
 }
 
 // solve is the solve stage: the incremental session beside the canonical
 // monolithic solve, or the monolithic solve alone.
-func solve(src *ir.Function, e *encoding, diverged bool, opts Options) Result {
-	if opts.Incremental && !diverged && sessionEngages(e.vc, e.query, opts) {
+func solve(src *ir.Function, e *encoding, opts Options) Result {
+	if opts.Incremental && sessionEngages(e.vc, e.query, opts) {
 		// The canonical solve starts first, on its own goroutine, and the
 		// session runs beside it. Only a session Valid short-circuits: the
 		// canonical leg is interrupted and discarded. Anything else falls
@@ -337,12 +297,6 @@ func solve(src *ir.Function, e *encoding, diverged bool, opts Options) Result {
 			return r
 		}
 		return m.wait(src)
-	}
-	if diverged {
-		// The portfolio's alternates can only contribute Unsat proofs;
-		// on a satisfiable query they are dead weight, and dropping them
-		// leaves the canonical leg — and hence the model — untouched.
-		opts.Portfolio = 0
 	}
 	return solveMonolithic(src, e.query, opts)
 }

@@ -23,9 +23,10 @@ perfbench-test:
 # Short native-fuzzing runs: the decoders of on-disk bytes (the bench
 # validator, the campaign's snapshot, status, spans and hotspot
 # documents, the bitcode reader, the .ll parser and the checkpoint
-# loader; malformed input must return an error, never panic), and the
+# loader; malformed input must return an error, never panic), the
 # incremental SAT solver against brute-force enumeration on small random
-# CNFs.
+# CNFs, and the bit-blaster against the term evaluator on fuzz-decoded
+# terms at pinned inputs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzValidateBench$$' -fuzztime 10s ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz='^FuzzValidateSnapshot$$' -fuzztime 10s ./internal/telemetry
@@ -36,6 +37,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime 10s ./internal/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz='^FuzzIncrementalAgainstBruteForce$$' -fuzztime 10s ./internal/sat
+	$(GO) test -run='^$$' -fuzz='^FuzzBlastAgainstEval$$' -fuzztime 10s ./internal/smt
 
 # internal/campaign's end-to-end tests run many seeded campaigns; under
 # the race detector on a loaded runner they can exceed go test's default

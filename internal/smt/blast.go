@@ -9,31 +9,42 @@ import (
 // Blast lowers bitvector terms onto a SAT solver via Tseitin encoding.
 // Each term is memoized to a little-endian slice of literals (bits[0] is
 // the LSB), so the shared structure of the hash-consed DAG is preserved in
-// the CNF.
+// the CNF. Below the terms, gates are structurally hashed (Kuehlmann et
+// al., "Robust Boolean reasoning for equivalence checking and functional
+// property verification", IEEE TCAD 2002): an AND, XOR or MUX over inputs
+// already combined the same way reuses the existing output literal, so
+// duplicate circuitry — the two x⊕y of a full adder, a udiv and urem over
+// the same operands, the parts src and tgt share below differing terms —
+// is encoded once.
 type Blast struct {
 	S    *sat.Solver
 	bits map[*Term][]sat.Lit
-	// divCache shares quotient/remainder circuits between a udiv/urem (or
-	// sdiv/srem) pair over the same operands — they are one long-division
-	// circuit, not two.
-	divCache map[divKey]qrPair
+	// gates maps a normalized gate to its output literal. It is only
+	// looked up, never ranged over, so variable numbering stays
+	// deterministic. Every entry is a full unconditional Tseitin
+	// definition, so reuse is sound across a Session's queries too.
+	gates map[gateKey]sat.Lit
 	// tru is a literal constrained to be true; constants map to tru or
 	// its negation, which lets gate constructors shortcut aggressively.
 	tru sat.Lit
 }
 
-type divKey struct {
-	a, b   *Term
-	signed bool
+// gateKey names a gate by its kind and normalized inputs (see mkAnd,
+// mkXor and mkMux for the normal forms). AND and XOR leave c zero.
+type gateKey struct {
+	op      uint8
+	a, b, c sat.Lit
 }
 
-type qrPair struct {
-	q, r []sat.Lit
-}
+const (
+	gateAnd uint8 = iota
+	gateXor
+	gateMux
+)
 
 // NewBlast creates a blaster over a fresh context in the given solver.
 func NewBlast(s *sat.Solver) *Blast {
-	b := &Blast{S: s, bits: make(map[*Term][]sat.Lit), divCache: make(map[divKey]qrPair)}
+	b := &Blast{S: s, bits: make(map[*Term][]sat.Lit), gates: make(map[gateKey]sat.Lit)}
 	v := s.NewVar()
 	b.tru = sat.MkLit(v, false)
 	s.AddClause(b.tru)
@@ -47,7 +58,20 @@ func (b *Blast) isFalse(l sat.Lit) bool { return l == b.tru.Neg() }
 
 func (b *Blast) fresh() sat.Lit { return sat.MkLit(b.S.NewVar(), false) }
 
-// mkAnd returns a literal equivalent to x ∧ y.
+// hashed returns the output of gate k if it was already built, and
+// otherwise a fresh output literal recorded for k with ok=false; the
+// caller then adds the gate's defining clauses.
+func (b *Blast) hashed(k gateKey) (o sat.Lit, ok bool) {
+	if o, ok = b.gates[k]; ok {
+		return o, true
+	}
+	o = b.fresh()
+	b.gates[k] = o
+	return o, false
+}
+
+// mkAnd returns a literal equivalent to x ∧ y. Its normal form sorts the
+// two inputs.
 func (b *Blast) mkAnd(x, y sat.Lit) sat.Lit {
 	switch {
 	case b.isFalse(x) || b.isFalse(y):
@@ -61,7 +85,13 @@ func (b *Blast) mkAnd(x, y sat.Lit) sat.Lit {
 	case x == y.Neg():
 		return b.fls()
 	}
-	o := b.fresh()
+	if x > y {
+		x, y = y, x
+	}
+	o, ok := b.hashed(gateKey{op: gateAnd, a: x, b: y})
+	if ok {
+		return o
+	}
 	b.S.AddClause(o.Neg(), x)
 	b.S.AddClause(o.Neg(), y)
 	b.S.AddClause(o, x.Neg(), y.Neg())
@@ -73,7 +103,9 @@ func (b *Blast) mkOr(x, y sat.Lit) sat.Lit {
 	return b.mkAnd(x.Neg(), y.Neg()).Neg()
 }
 
-// mkXor returns x ⊕ y.
+// mkXor returns x ⊕ y. Its normal form takes both inputs positive and
+// sorted, and negates the output when exactly one input was negated
+// (¬x ⊕ y = ¬(x ⊕ y)).
 func (b *Blast) mkXor(x, y sat.Lit) sat.Lit {
 	switch {
 	case b.isFalse(x):
@@ -89,15 +121,26 @@ func (b *Blast) mkXor(x, y sat.Lit) sat.Lit {
 	case x == y.Neg():
 		return b.tru
 	}
-	o := b.fresh()
-	b.S.AddClause(o.Neg(), x, y)
-	b.S.AddClause(o.Neg(), x.Neg(), y.Neg())
-	b.S.AddClause(o, x, y.Neg())
-	b.S.AddClause(o, x.Neg(), y)
+	flip := x.Sign() != y.Sign()
+	x, y = sat.MkLit(x.Var(), false), sat.MkLit(y.Var(), false)
+	if x > y {
+		x, y = y, x
+	}
+	o, ok := b.hashed(gateKey{op: gateXor, a: x, b: y})
+	if !ok {
+		b.S.AddClause(o.Neg(), x, y)
+		b.S.AddClause(o.Neg(), x.Neg(), y.Neg())
+		b.S.AddClause(o, x, y.Neg())
+		b.S.AddClause(o, x.Neg(), y)
+	}
+	if flip {
+		return o.Neg()
+	}
 	return o
 }
 
-// mkMux returns c ? x : y.
+// mkMux returns c ? x : y. Its normal form has a positive select: a
+// negated one swaps the arms (¬c ? x : y = c ? y : x).
 func (b *Blast) mkMux(c, x, y sat.Lit) sat.Lit {
 	switch {
 	case b.isTrue(c):
@@ -107,7 +150,13 @@ func (b *Blast) mkMux(c, x, y sat.Lit) sat.Lit {
 	case x == y:
 		return x
 	}
-	o := b.fresh()
+	if c.Sign() {
+		c, x, y = c.Neg(), y, x
+	}
+	o, ok := b.hashed(gateKey{op: gateMux, a: c, b: x, c: y})
+	if ok {
+		return o
+	}
 	b.S.AddClause(o.Neg(), c.Neg(), x)
 	b.S.AddClause(o.Neg(), c, y)
 	b.S.AddClause(o, c.Neg(), x.Neg())
@@ -218,19 +267,13 @@ func (b *Blast) Bits(t *Term) []sat.Lit {
 		out = b.addBits(b.Bits(t.Args[0]), inv, b.tru)
 	case OpMul:
 		out = b.mulBits(b.Bits(t.Args[0]), b.Bits(t.Args[1]))
-	case OpUDiv, OpURem:
-		pair := b.divPair(divKey{t.Args[0], t.Args[1], false})
-		if t.Op == OpUDiv {
-			out = pair.q
+	case OpUDiv, OpURem, OpSDiv, OpSRem:
+		signed := t.Op == OpSDiv || t.Op == OpSRem
+		q, r := b.divRem(b.Bits(t.Args[0]), b.Bits(t.Args[1]), signed)
+		if t.Op == OpUDiv || t.Op == OpSDiv {
+			out = q
 		} else {
-			out = pair.r
-		}
-	case OpSDiv, OpSRem:
-		pair := b.divPair(divKey{t.Args[0], t.Args[1], true})
-		if t.Op == OpSDiv {
-			out = pair.q
-		} else {
-			out = pair.r
+			out = r
 		}
 	case OpShl, OpLShr, OpAShr:
 		out = b.shift(t.Op, b.Bits(t.Args[0]), b.Bits(t.Args[1]))
@@ -344,30 +387,23 @@ func (b *Blast) eqZero(x []sat.Lit) sat.Lit {
 	return acc
 }
 
-// divPair returns the memoized quotient/remainder circuit for a divisor
-// pair. Signed division lowers through unsigned division on magnitudes
-// with sign corrections; the SMT-LIB zero-divisor cases fall out of
+// divRem returns the quotient/remainder circuit of x by y. A udiv and a
+// urem (or sdiv and srem) over the same operands build one long-division
+// circuit, not two: the second call finds every gate in the gate table.
+// Signed division lowers through unsigned division on magnitudes with
+// sign corrections; the SMT-LIB zero-divisor cases fall out of
 // udivurem's conventions (see the derivation in the package tests).
-func (b *Blast) divPair(k divKey) qrPair {
-	if p, ok := b.divCache[k]; ok {
-		return p
+func (b *Blast) divRem(x, y []sat.Lit, signed bool) (q, r []sat.Lit) {
+	if !signed {
+		return b.udivurem(x, y)
 	}
-	x, y := b.Bits(k.a), b.Bits(k.b)
-	var p qrPair
-	if !k.signed {
-		p.q, p.r = b.udivurem(x, y)
-	} else {
-		w := len(x)
-		sx, sy := x[w-1], y[w-1]
-		ux := b.muxBits(sx, b.negBits(x), x)
-		uy := b.muxBits(sy, b.negBits(y), y)
-		q, r := b.udivurem(ux, uy)
-		qneg := b.mkXor(sx, sy)
-		p.q = b.muxBits(qneg, b.negBits(q), q)
-		p.r = b.muxBits(sx, b.negBits(r), r)
-	}
-	b.divCache[k] = p
-	return p
+	w := len(x)
+	sx, sy := x[w-1], y[w-1]
+	ux := b.muxBits(sx, b.negBits(x), x)
+	uy := b.muxBits(sy, b.negBits(y), y)
+	q, r = b.udivurem(ux, uy)
+	qneg := b.mkXor(sx, sy)
+	return b.muxBits(qneg, b.negBits(q), q), b.muxBits(sx, b.negBits(r), r)
 }
 
 func (b *Blast) muxBits(c sat.Lit, x, y []sat.Lit) []sat.Lit {

@@ -22,8 +22,9 @@ perfbench-test:
 
 # Short native-fuzzing runs: the decoders of on-disk bytes (the bench
 # validator, the campaign's snapshot, status, spans and hotspot
-# documents, the bitcode reader, the .ll parser and the checkpoint
-# loader; malformed input must return an error, never panic), the
+# documents, the bitcode reader, the .ll parser, the checkpoint loader
+# and a triage bundle's counterexample.json; malformed input must return
+# an error, never panic), the
 # incremental SAT solver against brute-force enumeration on small random
 # CNFs, and the bit-blaster against the term evaluator on fuzz-decoded
 # terms at pinned inputs.
@@ -36,6 +37,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime 10s ./internal/bitcode
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime 10s ./internal/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/campaign
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeWitness$$' -fuzztime 10s ./internal/triage
 	$(GO) test -run='^$$' -fuzz='^FuzzIncrementalAgainstBruteForce$$' -fuzztime 10s ./internal/sat
 	$(GO) test -run='^$$' -fuzz='^FuzzBlastAgainstEval$$' -fuzztime 10s ./internal/smt
 

@@ -1,9 +1,11 @@
 // triage-replay re-executes reproducer bundles written by a
 // `fuzz-campaign -triage-dir` run and asserts that each bug still fires:
 // the shrunk module and the original mutant must both reproduce the
-// bundle's signature through opt+TV, and the mutant must be regenerable
+// bundle's signature through opt+TV, the mutant must be regenerable
 // byte-for-byte from the seed test and the logged PRNG seed (the paper's
-// §III-E repeatability workflow, checked end to end).
+// §III-E repeatability workflow, checked end to end), and a
+// miscompilation's recorded counterexample must still show its recorded
+// divergence when re-executed.
 //
 // Usage:
 //
@@ -71,8 +73,8 @@ func run() int {
 			failed++
 		}
 		fmt.Printf("%-4s %s\n", status, res.Signature)
-		fmt.Printf("     shrunk fires=%v (%d instrs)  mutant fires=%v (%d instrs)  regenerated-from-seed=%v\n",
-			res.ShrunkFires, res.ShrunkInstrs, res.MutantFires, res.MutantInstrs, res.RegenMatches)
+		fmt.Printf("     shrunk fires=%v (%d instrs)  mutant fires=%v (%d instrs)  regenerated-from-seed=%v  witness holds=%v\n",
+			res.ShrunkFires, res.ShrunkInstrs, res.MutantFires, res.MutantInstrs, res.RegenMatches, res.WitnessHolds)
 		if !*noLint {
 			lintBundle(bdir)
 		}

@@ -113,16 +113,16 @@ type BugConfig struct {
 	// other acceleration modes it is excluded from the checkpoint
 	// fingerprint (docs/ANALYSIS.md).
 	NoStaticTV bool
-	// Portfolio is the number of solver configurations the deterministic
-	// portfolio races on budget-bound monolithic queries (see
-	// smt.PortfolioConfigs); 0 or 1 disables racing. The campaign
-	// commands default to DefaultPortfolio.
+	// Portfolio turns on the fallback leg that re-solves budget-bound
+	// monolithic queries (tv.Options.Portfolio): 2 or more means on,
+	// anything less off. It is an int only because perfbench/trace sets
+	// it to 3. The campaign commands default to DefaultPortfolio.
 	Portfolio int
 }
 
-// DefaultPortfolio is the portfolio size the campaign commands
-// (fuzz-campaign, campaign-profile) run with unless told otherwise.
-const DefaultPortfolio = 3
+// DefaultPortfolio turns the fallback leg on; the campaign commands
+// (fuzz-campaign, campaign-profile) run with it unless told otherwise.
+const DefaultPortfolio = 2
 
 // tvOptions resolves one unit execution's TV configuration. It is called
 // from each unit's Run closure, so the verdict cache is per unit:

@@ -39,7 +39,7 @@ var Layers = []Layer{
 	},
 	{
 		Name: "portfolio", Flag: "no-portfolio",
-		Usage:    "disable the deterministic solver portfolio on budget-bound queries (A/B comparison runs)",
+		Usage:    "disable the fallback solver leg on budget-bound queries (A/B comparison runs)",
 		Off:      func(c *BugConfig) { c.Portfolio = 0 },
 		Counters: "sat.portfolio.",
 	},

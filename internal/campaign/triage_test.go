@@ -85,8 +85,8 @@ func TestCampaignTriageBundlesReplay(t *testing.T) {
 			continue
 		}
 		if !res.OK() {
-			t.Errorf("%s: shrunk=%v mutant=%v regenerated=%v, want all true",
-				e.Signature, res.ShrunkFires, res.MutantFires, res.RegenMatches)
+			t.Errorf("%s: shrunk=%v mutant=%v regenerated=%v witness=%v, want all true",
+				e.Signature, res.ShrunkFires, res.MutantFires, res.RegenMatches, res.WitnessHolds)
 		}
 		if res.ShrunkInstrs > res.MutantInstrs {
 			t.Errorf("%s: shrunk (%d instrs) larger than mutant (%d instrs)",

@@ -322,9 +322,9 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 	// Incremental-session accounting: queries the per-class session
 	// proved Valid.
 	ctrSessionProved := tel.Counter("tv.session.proved")
-	// Portfolio accounting: races counts queries whose alternates
-	// engaged; the winner counters partition the races by which
-	// configuration's result became the verdict.
+	// Portfolio accounting: races counts queries on which the fallback
+	// leg counted; the winner counters partition the races by whether its
+	// proof became the verdict.
 	ctrPortfolioRaces := tel.Counter("sat.portfolio.races")
 	portfolioWinnerCtrs := lazy(tel.Counter, "sat.portfolio.winner.")
 	prevTV := f.opts.TV.Observe
@@ -423,19 +423,15 @@ func lazy[T any](resolve func(string) *T, prefix string) *lazyHandles[T] {
 	return &lazyHandles[T]{resolve: func(name string) *T { return resolve(prefix + name) }}
 }
 
-// portfolioWinnerLabel renders a portfolio winner index as the stable
-// label used by sat.portfolio.winner.* counters and span attributes:
-// "canonical" for the zero configuration, "cfgN" for the N-th alternate,
-// "none" when every leg exhausted its budget.
+// portfolioWinnerLabel renders a raced query's tv.Result.PortfolioWinner
+// as the label used by sat.portfolio.winner.* counters and span
+// attributes: "fallback" when the fallback leg's proof rescued the query,
+// "none" when both legs ran out of budget or the fallback found a model.
 func portfolioWinnerLabel(winner int) string {
-	switch {
-	case winner == 0:
-		return "canonical"
-	case winner > 0:
-		return fmt.Sprintf("cfg%d", winner)
-	default:
-		return "none"
+	if winner > 0 {
+		return "fallback"
 	}
+	return "none"
 }
 
 // recordRuleStats folds one mutant's optimizer rule-application counts

@@ -69,16 +69,10 @@ func checkArena(t *testing.T, s *Solver) {
 // arena after every round. reduceDB must have compacted it along the way:
 // only a compaction shrinks the arena.
 func TestArenaCompaction(t *testing.T) {
-	s := New()
-	for i := 0; i < 200; i++ {
-		s.NewVar()
-	}
-	for _, cl := range randomCNF(rng.New(2024), 200, 852) {
-		s.AddClause(cl...)
-	}
-	st := s.Stepper(nil)
+	s := newRandom3SAT()
+	st := s.newStepper(nil)
 	compactions, prevLen := 0, 0
-	for st.Step() == Unknown {
+	for st.step() == Unknown {
 		checkArena(t, s)
 		if len(s.ca) < prevLen {
 			compactions++

@@ -62,8 +62,8 @@ const (
 )
 
 // interrupted is search's report of a round ended by Stop. It never
-// leaves the package: the Stepper turns it into Unknown and marks the
-// search Interrupted.
+// leaves the package: the stepper turns it into Unknown and marks the
+// search interrupted.
 const interrupted Result = -1
 
 func (r Result) String() string {
@@ -97,38 +97,36 @@ type cref uint32
 const crefUndef cref = math.MaxUint32
 
 // Config parameterizes the solver's search heuristics. The zero value is
-// the canonical configuration — identical to the historically hardcoded
-// policy, so New() and NewWith(Config{}) produce bit-identical searches.
-// The deterministic solver portfolio (internal/smt.Portfolio) races
-// alternates that vary these knobs; because CDCL runtime is notoriously
-// sensitive to restart/activity/phase policy, a query one configuration
-// abandons at the conflict budget is often decided quickly by another.
+// the canonical configuration, so New() and NewWith(Config{}) produce
+// bit-identical searches. internal/tv's fallback leg solves a budget-bound
+// query a second time under a longer restart unit and a slower activity
+// decay, a regime that proves some queries the canonical schedule cannot
+// afford.
 type Config struct {
-	// RestartBase is the Luby restart unit in conflicts (0 = 100).
+	// RestartBase is the Luby restart unit in conflicts (0 =
+	// canonicalRestartBase).
 	RestartBase int
 	// VarDecay is the VSIDS activity decay divisor applied per conflict
-	// (0 = 0.95). Values closer to 1 decay slower (longer memory).
+	// (0 = canonicalVarDecay). Values closer to 1 decay slower (longer
+	// memory).
 	VarDecay float64
-	// ClauseDecay is the learnt-clause activity decay divisor (0 = 0.999).
-	ClauseDecay float64
-	// PhaseTrue makes fresh variables default to the positive phase; the
-	// canonical default is negative (MiniSat's polarity convention).
-	PhaseTrue bool
-	// NoPhaseSaving disables phase saving: decisions always use the
-	// default phase instead of the variable's last assigned value.
-	NoPhaseSaving bool
 }
+
+// The canonical search policy: a zero Config field takes these values,
+// and clauseDecay, the learnt-clause activity decay divisor, is fixed.
+const (
+	canonicalRestartBase = 100
+	canonicalVarDecay    = 0.95
+	clauseDecay          = 0.999
+)
 
 // withDefaults resolves zero fields to the canonical policy constants.
 func (c Config) withDefaults() Config {
 	if c.RestartBase == 0 {
-		c.RestartBase = 100
+		c.RestartBase = canonicalRestartBase
 	}
 	if c.VarDecay == 0 {
-		c.VarDecay = 0.95
-	}
-	if c.ClauseDecay == 0 {
-		c.ClauseDecay = 0.999
+		c.VarDecay = canonicalVarDecay
 	}
 	return c
 }
@@ -165,15 +163,18 @@ type Solver struct {
 	Propagations int64
 
 	// Budget caps the number of conflicts per Solve call; 0 means no cap.
+	// It is checked only at restart boundaries, so a call may overshoot
+	// it by up to one Luby round: the call returns Unknown after the
+	// first undecided round that takes its conflicts past Budget. A
+	// solver whose RestartBase is 4000 thus runs at least one
+	// 4000-conflict round under any positive Budget.
 	Budget int64
 	// Stop, when non-nil, interrupts the search: it is polled once per
 	// conflict, and once it reads true the current restart round ends
-	// with Unknown and the Stepper reports Interrupted. An interrupted
-	// round is not a round of the search's trajectory — it stopped at a
-	// wall-clock moment — so no caller may count its effort, and the
-	// solver is not reused afterwards. The deterministic portfolio
-	// (internal/smt.Portfolio) sets it on a leg whose result can no
-	// longer matter.
+	// and Solve returns Unknown. An interrupted solve stopped at a
+	// wall-clock moment, so no caller may count its effort, and the
+	// solver is not reused afterwards. internal/tv sets it on a solver
+	// whose result can no longer matter.
 	Stop *atomic.Bool
 
 	seen  []bool // scratch for analyze
@@ -219,7 +220,7 @@ func (s *Solver) NewVar() int {
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
-	s.polarity = append(s.polarity, !s.cfg.PhaseTrue) // canonical default phase: false (neg)
+	s.polarity = append(s.polarity, true) // default phase: false (neg)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
 	s.order.insert(v)
@@ -551,9 +552,7 @@ func (s *Solver) cancelUntil(lvl int) {
 	bound := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		v := s.trail[i].Var()
-		if !s.cfg.NoPhaseSaving {
-			s.polarity[v] = s.assign[v] == lFalse
-		}
+		s.polarity[v] = s.assign[v] == lFalse
 		s.assign[v] = lUndef
 		s.reason[v] = crefUndef
 		s.order.insert(v)
@@ -793,53 +792,39 @@ func (s *Solver) Solve(assumptions ...Lit) Result {
 // a fresh per-call conflict allowance, so a reused solver can never carry
 // a stale Unknown verdict.
 func (s *Solver) SolveUnderAssumptions(assumptions []Lit) Result {
-	st := s.Stepper(assumptions)
+	st := s.newStepper(assumptions)
 	for {
-		res := st.Step()
+		res := st.step()
 		if res != Unknown || st.interrupted {
 			return res
 		}
-		if s.Budget > 0 && st.Conflicts() > s.Budget {
-			st.Abandon()
+		// A round that ends undecided has restarted to level 0, so the
+		// solver is reusable as it stands.
+		if s.Budget > 0 && st.conflicts() > s.Budget {
 			return Unknown
 		}
 	}
 }
 
-// Stepper runs one SolveUnderAssumptions search incrementally: each Step
-// executes exactly one Luby restart round and reports whether the search
-// decided. The sequence of rounds is identical to an uninterrupted call
-// — pausing happens only at restart boundaries, where the trail is
-// already cancelled to level 0 — so a stepped solve that decides in
-// round r returns a bit-identical result (and model) to the plain call.
-// That property is what lets the deterministic solver portfolio
-// judge k configurations by restart round with no wall-clock in any
-// decision: the canonical configuration's stepped verdict is exactly
-// the verdict it would have produced running alone.
-//
-// The Stepper ignores the solver's Budget field; the scheduler applies
-// its own per-configuration budget via Conflicts. Only one Stepper may
-// be active on a solver at a time, and no other Solve/AddClause calls
-// may interleave with its Steps (call Abandon first to release the
-// solver).
-type Stepper struct {
+// stepper is one SolveUnderAssumptions search, run one Luby restart round
+// per step. Rounds end at restart boundaries, where the trail is back at
+// level 0, which is where the conflict budget is checked.
+type stepper struct {
 	s           *Solver
 	assumptions []Lit
 	maxLearnts  float64
 	curRestart  int
 	start       int64 // s.Conflicts at construction
-	startProps  int64 // s.Propagations at construction
 	done        bool
 	interrupted bool
 	res         Result
 }
 
-// Stepper begins an incremental solve under the given assumptions. The
-// construction performs the same level-0 propagation as
-// SolveUnderAssumptions; a formula already decided there is reported by
-// the first Step.
-func (s *Solver) Stepper(assumptions []Lit) *Stepper {
-	st := &Stepper{s: s, assumptions: assumptions, start: s.Conflicts, startProps: s.Propagations}
+// newStepper begins a search under the given assumptions with the
+// level-0 propagation every solve starts with; a formula already decided
+// there is reported by the first step.
+func (s *Solver) newStepper(assumptions []Lit) *stepper {
+	st := &stepper{s: s, assumptions: assumptions, start: s.Conflicts}
 	s.conflict = s.conflict[:0]
 	if !s.ok {
 		st.done, st.res = true, Unsat
@@ -855,9 +840,11 @@ func (s *Solver) Stepper(assumptions []Lit) *Stepper {
 	return st
 }
 
-// Step runs the next restart round. Unknown means the search has not
-// decided yet; any other result is final and repeated by further Steps.
-func (st *Stepper) Step() Result {
+// step runs the next restart round. Unknown means the search has not
+// decided yet, or that Stop interrupted the round (interrupted is then
+// set); any other result is final and repeated by further steps, as is
+// an interruption.
+func (st *stepper) step() Result {
 	if st.done {
 		return st.res
 	}
@@ -880,30 +867,8 @@ func (st *Stepper) Step() Result {
 	return Unknown
 }
 
-// Conflicts reports the conflicts this stepper's search has spent so far.
-func (st *Stepper) Conflicts() int64 { return st.s.Conflicts - st.start }
-
-// Propagations reports the unit propagations this stepper's search has
-// spent so far.
-func (st *Stepper) Propagations() int64 { return st.s.Propagations - st.startProps }
-
-// Done reports whether the search has reached a final result.
-func (st *Stepper) Done() bool { return st.done }
-
-// Interrupted reports whether the last Step was ended by the solver's
-// Stop flag rather than by a decision or the round's restart boundary.
-// An interrupted search is done and its last round must not be counted.
-func (st *Stepper) Interrupted() bool { return st.interrupted }
-
-// Abandon ends an undecided search, returning the solver to decision
-// level 0 so it is reusable. A decided stepper is already finished and
-// Abandon is a no-op.
-func (st *Stepper) Abandon() {
-	if !st.done {
-		st.s.cancelUntil(0)
-		st.done, st.res = true, Unknown
-	}
-}
+// conflicts reports the conflicts this search has spent so far.
+func (st *stepper) conflicts() int64 { return st.s.Conflicts - st.start }
 
 // Conflict returns the final conflict of the most recent Unsat result
 // from SolveUnderAssumptions: a subset of the assumption literals that is
@@ -941,7 +906,7 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 				s.enqueue(learnt[0], cr)
 			}
 			s.varInc /= s.cfg.VarDecay // VSIDS decay
-			s.claInc /= s.cfg.ClauseDecay
+			s.claInc /= clauseDecay
 			if s.Stop != nil && s.Stop.Load() {
 				s.cancelUntil(0)
 				return interrupted

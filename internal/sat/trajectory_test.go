@@ -85,28 +85,23 @@ func TestTrajectoryRandom3SAT(t *testing.T) {
 	checkTrajectory(t, "random3sat", s, trajectory{7004, 8409, 259253})
 }
 
-// TestTrajectoryPortfolioConfigs pins PHP(8,7) under every configuration
-// of the standard portfolio ladder.
+// TestTrajectoryPortfolioConfigs pins PHP(8,7) under the canonical
+// configuration and the fallback leg's.
 func TestTrajectoryPortfolioConfigs(t *testing.T) {
-	want := []trajectory{
-		{3717, 4519, 42796},
-		{2506, 3007, 30840},
-		{2868, 3419, 35407},
-		{2792, 3327, 34871},
-		{3237, 3792, 43460},
-		{2785, 3281, 33127},
-	}
-	cfgs := smt.PortfolioConfigs(6)
-	if len(cfgs) != len(want) {
-		t.Fatalf("%d portfolio configurations, want %d", len(cfgs), len(want))
-	}
-	for i, cfg := range cfgs {
-		s := sat.NewWith(cfg)
+	for _, c := range []struct {
+		name string
+		cfg  sat.Config
+		want trajectory
+	}{
+		{"canonical", sat.Config{}, trajectory{3717, 4519, 42796}},
+		{"fallback", smt.FallbackConfig, trajectory{2868, 3419, 35407}},
+	} {
+		s := sat.NewWith(c.cfg)
 		addPHP(s, 7)
 		if got := s.Solve(); got != sat.Unsat {
-			t.Fatalf("config %d: verdict %v, want unsat", i, got)
+			t.Fatalf("%s: verdict %v, want unsat", c.name, got)
 		}
-		checkTrajectory(t, fmt.Sprintf("config %d (%+v)", i, cfg), s, want[i])
+		checkTrajectory(t, fmt.Sprintf("%s (%+v)", c.name, c.cfg), s, c.want)
 	}
 }
 

@@ -71,28 +71,6 @@ func BenchmarkBlastSharedDAG(bm *testing.B) {
 	}
 }
 
-// BenchmarkPortfolioAdjudication measures the full rescue race: the
-// canonical leg exhausts its budget on a distributivity refutation, the
-// alternates run beside it on their own goroutines, one of them proves
-// Unsat, and the legs in rounds past it are interrupted.
-// This is the portfolio's worst-case per-query cost — it only ever runs
-// on canonical-Unknown queries, so the absolute number matters more than
-// a ratio to the canonical path.
-func BenchmarkPortfolioAdjudication(bm *testing.B) {
-	f := distributivityQuery(6)
-	bm.ResetTimer()
-	for i := 0; i < bm.N; i++ {
-		p := Portfolio{
-			Configs:         PortfolioConfigs(6),
-			ConflictBudget:  40,
-			AlternateBudget: 1 << 30,
-		}
-		if res, _ := p.Check(f); res != Unsat {
-			bm.Fatalf("verdict %v, want an Unsat rescue", res)
-		}
-	}
-}
-
 // BenchmarkDigest measures the verdict cache's key on a query shaped like
 // the budget-exhausting tail's: 32-bit udiv/urem pairs under
 // division-by-zero guards, joined over a few path pairs. The cache saves

@@ -41,7 +41,7 @@ func tinyCampaign(f *testing.F) campaignOutputs {
 			rec.Func("cse_flags")
 			q := spans.QueryInfo{Verdict: verdict, FP: "ad0a5cb6", Cache: spans.CacheMiss, Conflicts: int64(4000 * iter), Propagations: int64(90000 * iter)}
 			if verdict == "unknown" {
-				q.Portfolio = "canonical"
+				q.Portfolio = "none"
 			}
 			rec.Query(q, 177*time.Microsecond)
 			rec.EndMutant(verdict == "invalid")

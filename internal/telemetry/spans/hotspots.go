@@ -49,9 +49,9 @@ type Hotspots struct {
 	StaticProved         int64 `json:"static_proved,omitempty"`
 	BudgetExhaustedUnits int   `json:"budget_exhausted_units"`
 
-	// PortfolioWinners is the per-winner-label breakdown ("canonical",
-	// "cfg1", ..., "none") of the queries whose portfolio race engaged;
-	// absent when no query raced.
+	// PortfolioWinners is the per-winner-label breakdown ("fallback",
+	// "none") of the queries on which the fallback leg counted; absent
+	// when no query raced.
 	PortfolioWinners map[string]int64 `json:"portfolio_winners,omitempty"`
 
 	TopUnits     []Entry `json:"top_units"`

@@ -66,7 +66,7 @@ type Span struct {
 	// Solver-query attributes (Name == NameQuery). FP names the query by
 	// the solve stage's key (empty for Unsupported queries). Static is
 	// the static pre-verifier outcome ("proved", "refuted-to-sat",
-	// "bailout"); Portfolio the racing winner ("canonical", "cfg1", ...,
+	// "bailout"); Portfolio the winner of a raced query ("fallback" or
 	// "none"). Each is empty when its layer was off or never reached
 	// (e.g. a query the static rung proved has no Portfolio).
 	Func         string `json:"func,omitempty"`

@@ -31,29 +31,22 @@ func BugByIssue(issue int) (opt.BugID, bool) {
 	return 0, false
 }
 
-// Fires reports whether mod exhibits the check's bug with the expected
-// signature. sig is the signature actually observed ("" when nothing
-// fired at all). mod is not modified: optimization runs on a clone.
-func (c *Check) Fires(mod *ir.Module) (fired bool, sig string, err error) {
+// optimize runs the check's passes, with its seeded bug enabled, on a
+// clone of mod. panicMsg is the optimizer's panic, if it panicked.
+func (c *Check) optimize(mod *ir.Module) (optimized *ir.Module, panicMsg string, err error) {
 	passes, err := opt.ByName(c.Passes)
 	if err != nil {
-		return false, "", err
+		return nil, "", err
 	}
-	var bugs *opt.BugSet
+	optimized = mod.Clone()
+	ctx := opt.NewContext(optimized)
 	if c.Issue != 0 {
 		id, ok := BugByIssue(c.Issue)
 		if !ok {
-			return false, "", fmt.Errorf("triage: no seeded bug for issue %d", c.Issue)
+			return nil, "", fmt.Errorf("triage: no seeded bug for issue %d", c.Issue)
 		}
-		bugs = (&opt.BugSet{}).Enable(id)
+		ctx.Bugs = (&opt.BugSet{}).Enable(id)
 	}
-
-	optimized := mod.Clone()
-	ctx := opt.NewContext(optimized)
-	if bugs != nil {
-		ctx.Bugs = bugs
-	}
-	var panicMsg string
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -62,7 +55,17 @@ func (c *Check) Fires(mod *ir.Module) (fired bool, sig string, err error) {
 		}()
 		opt.RunPasses(ctx, passes)
 	}()
+	return optimized, panicMsg, nil
+}
 
+// Fires reports whether mod exhibits the check's bug with the expected
+// signature. sig is the signature actually observed ("" when nothing
+// fired at all). mod is not modified: optimization runs on a clone.
+func (c *Check) Fires(mod *ir.Module) (fired bool, sig string, err error) {
+	optimized, panicMsg, err := c.optimize(mod)
+	if err != nil {
+		return false, "", err
+	}
 	if panicMsg != "" {
 		sig = CrashSignature(c.Passes, panicMsg)
 		return c.Kind == KindCrash && sig == c.Signature, sig, nil

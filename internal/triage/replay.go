@@ -24,15 +24,20 @@ type ReplayResult struct {
 	// repeatability claim, checked end to end through parse → preprocess →
 	// mutate).
 	RegenMatches bool
+	// WitnessHolds: the recorded counterexample's inputs, re-executed on
+	// the mutant's function before and after the passes, show the
+	// recorded divergence class when the witness says it was confirmed.
+	// A crash bundle has no witness, and holds trivially.
+	WitnessHolds bool
 	// ShrunkInstrs/MutantInstrs re-measured at replay time.
 	ShrunkInstrs int
 	MutantInstrs int
 }
 
-// OK reports whether the bundle fully replays: both modules fire and the
-// mutant is regenerable from its seed.
+// OK reports whether the bundle fully replays: both modules fire, the
+// mutant is regenerable from its seed, and its witness holds.
 func (r *ReplayResult) OK() bool {
-	return r.ShrunkFires && r.MutantFires && r.RegenMatches
+	return r.ShrunkFires && r.MutantFires && r.RegenMatches && r.WitnessHolds
 }
 
 // Replay re-executes a reproducer bundle and checks that the bug still
@@ -82,7 +87,29 @@ func Replay(bundleDir string) (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	res.WitnessHolds, err = bundleWitnessHolds(bundleDir, check, mutant)
+	if err != nil {
+		return nil, err
+	}
 	return res, nil
+}
+
+// bundleWitnessHolds checks a miscompilation bundle's
+// counterexample.json against the mutant (Check.witnessHolds). A crash
+// bundle has none.
+func bundleWitnessHolds(bundleDir string, check *Check, mutant *ir.Module) (bool, error) {
+	if check.Kind == KindCrash {
+		return true, nil
+	}
+	buf, err := os.ReadFile(filepath.Join(bundleDir, CEXFile))
+	if err != nil {
+		return false, err
+	}
+	w, err := decodeWitness(buf)
+	if err != nil {
+		return false, err
+	}
+	return check.witnessHolds(mutant, w)
 }
 
 // regenerate re-derives the mutant from the seed test and the logged PRNG

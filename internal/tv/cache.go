@@ -18,8 +18,9 @@ import (
 //
 // Everything that stage returns is a function of the key: every leg's
 // CNF, and the session's, is built by a walk over the key's DAGs that
-// never reads a variable name, and the portfolio's race is judged in
-// virtual time. So a stored result is exactly what a re-solve would
+// never reads a variable name, and the fallback leg's result counts
+// only when the canonical leg's budget Unknown says it must, so the
+// race between them never shows. A stored result is exactly what a re-solve would
 // return, budget Unknowns included. Only Invalid results are never
 // stored: their counterexample reads the names of the pair's parameters.
 //
@@ -67,13 +68,15 @@ func solveKey(e *encoding, opts Options) Key {
 	d := smt.Digest(e.query, e.ctx.Axioms(), vc.monolithic, vc.calls, vc.ub, vc.ret, vc.mem)
 	buf := append([]byte("alive-mutate-tvsolve/1"), d[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.ConflictBudget))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.Portfolio))
-	if opts.Incremental {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf = append(buf, boolByte(opts.fallbackOn()), boolByte(opts.Incremental))
 	return Key(sha256.Sum256(buf))
+}
+
+func boolByte(on bool) byte {
+	if on {
+		return 1
+	}
+	return 0
 }
 
 // lookup replays the stored result for k, if any, as a cache hit: the

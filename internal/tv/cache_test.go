@@ -113,7 +113,8 @@ func TestCacheReplaysFoldedMutantExactly(t *testing.T) {
 }
 
 // TestCacheKeySeparatesSolveModes: a query never shares an entry with
-// the same query under another budget, portfolio size or session switch.
+// the same query under another budget, fallback or session switch, and
+// every Portfolio value that turns the fallback on gives one key.
 func TestCacheKeySeparatesSolveModes(t *testing.T) {
 	m, s, tg := assocPair(t, "x", "y", "z", "")
 	e, reason := encode(m, s, tg)
@@ -133,6 +134,9 @@ func TestCacheKeySeparatesSolveModes(t *testing.T) {
 		if solveKey(e, o) == k {
 			t.Errorf("Options.%s not reflected in the key", name)
 		}
+	}
+	if on := (Options{ConflictBudget: 4000, Portfolio: 2, Incremental: true}); solveKey(e, on) != k {
+		t.Error("Portfolio 2 and 3 give different keys; both mean the fallback leg is on")
 	}
 }
 

@@ -12,6 +12,7 @@ package tv
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ir"
@@ -116,19 +117,22 @@ type Result struct {
 	// it.
 	SrcEncProved bool
 
-	// PortfolioRaced marks a query on which the solver portfolio's
-	// alternate configurations counted (the canonical leg ran out of
-	// budget with racing on). PortfolioWinner is the configuration
-	// index whose result became the verdict (0 = canonical, i>0 = the
-	// i-th alternate, -1 = every leg exhausted its budget); it is
-	// meaningful only when PortfolioRaced is set.
+	// PortfolioRaced marks a query on which the fallback leg counted (the
+	// canonical leg ran out of budget with Options.Portfolio on).
+	// PortfolioWinner is then 1 when the fallback's Unsat proof became
+	// the verdict and -1 when it did not; it is 0 otherwise.
 	PortfolioRaced  bool
 	PortfolioWinner int
 }
 
 // Options configures verification.
 type Options struct {
-	// ConflictBudget caps SAT conflicts (0 = unlimited).
+	// ConflictBudget caps SAT conflicts (0 = unlimited). The solver checks
+	// it only at restart boundaries (sat.Solver.Budget), so a solve may
+	// overshoot it by up to one Luby round. Under the campaign's 4000 the
+	// fallback leg's first round ends at about 4000 conflicts; when it
+	// ends exactly on the budget the leg runs a second round, to about
+	// 8000, and that round is where its rescues come from.
 	ConflictBudget int64
 	// Observe, when non-nil, receives every query's Result and wall time,
 	// on the goroutine that called Verify. The fuzzing loop wires this to
@@ -176,17 +180,17 @@ type Options struct {
 	// field survives only because perfbench/trace sets it, and a later
 	// change to the benchmark deletes it. Nothing else may set it.
 	Concrete bool
-	// Portfolio races k deterministic solver configurations on the
-	// canonical monolithic query (see smt.Portfolio): the canonical
-	// configuration's trajectory — and hence every decided verdict, model,
-	// and witness — is preserved bit for bit, while alternate
-	// restart/activity/phase variants may rescue a budget-bound query by
-	// proving Unsat (Valid) where the canonical solver alone would return
-	// Unknown. The alternates start beside the canonical leg, or, with
-	// the incremental session engaged, as soon as the session fails; the
-	// race is judged as if they had started after the session and the
-	// canonical leg. 0 or 1 disables racing. Like Incremental, the only
-	// permitted divergence is one-directional Unknown→Valid.
+	// Portfolio turns on the fallback leg of the monolithic solve (see
+	// monolithic): any value of 2 or more means on, anything less off.
+	// When the canonical solve exhausts the conflict budget, the same
+	// query is solved again under smt.FallbackConfig, and a fallback
+	// Unsat proof rescues the verdict to Valid. The fallback starts
+	// beside the canonical solve, or, with the incremental session
+	// engaged, as soon as the session fails. Every decided verdict,
+	// model and witness is the canonical leg's, bit for bit; like
+	// Incremental, the only permitted divergence is one-directional
+	// Unknown→Valid. The field is an int only because perfbench/trace
+	// sets it to 3.
 	Portfolio int
 	// Cache, when non-nil, memoizes the solve stage's results keyed by a
 	// digest of the encoded query (see cache.go): the lookup comes after
@@ -291,9 +295,9 @@ func solve(src *ir.Function, e *encoding, opts Options) Result {
 		// and budget-boundary Unknowns are byte-identical with
 		// acceleration off and judged as if the canonical solve had
 		// started after the session.
-		m := startMonolithic(e.query, opts)
+		m := startMonolithic(e.query, opts, true)
 		if r, done := solveAccelerated(e.ctx, e.vc, e.query, opts); done {
-			m.race.Cancel()
+			m.cancel()
 			return r
 		}
 		return m.wait(src)
@@ -338,45 +342,123 @@ func encode(mod *ir.Module, src, tgt *ir.Function) (*encoding, string) {
 	return &encoding{ctx, srcSum, tgtSum, vc, b.And(ctx.Axioms(), vc.monolithic)}, ""
 }
 
-// monolithic is the canonical decision procedure in flight: one fresh
-// solver per portfolio leg, one CNF for the whole violation disjunction.
+// monolithic is the canonical decision procedure in flight: one CNF for
+// the whole violation disjunction, solved by the canonical leg and, with
+// racing on (Options.Portfolio), by the fallback leg, each on a fresh
+// solver of its own.
+//
+// The verdict is the one the sequential schedule reaches: the canonical
+// leg, then the fallback leg only if the canonical one ran out of
+// budget. Whenever the canonical leg decides, its result, Sat model
+// included, is the verdict, byte-identical to racing off. On a canonical
+// budget Unknown the fallback counts, all of its run, and may contribute
+// one thing: an Unsat proof, which is configuration-independent ground
+// truth, rescuing the query to Valid. A fallback Sat leaves the
+// canonical Unknown standing, since a non-canonical model cannot replace
+// the canonical one.
+//
+// A leg's trajectory depends on nothing but its configuration (Terms are
+// immutable), so the fallback may start early — beside the canonical
+// leg, or as soon as the incremental session fails — without changing a
+// number; it is interrupted when the canonical leg decides. The verdict
+// can therefore differ from racing off only by Unknown→Valid, the
+// one-directional budget rescue the session is allowed too
+// (Options.Incremental).
 type monolithic struct {
-	p    smt.Portfolio
-	race *smt.Race
+	query           *smt.Term
+	racing          bool
+	canon, fallback leg
 }
 
-// startMonolithic starts the canonical solve of query. With racing off
-// (Options.Portfolio below 2) the portfolio has the canonical leg alone.
-func startMonolithic(query *smt.Term, opts Options) *monolithic {
-	m := &monolithic{p: smt.Portfolio{
-		Configs:        smt.PortfolioConfigs(opts.Portfolio),
-		ConflictBudget: opts.ConflictBudget,
-		// Alternates get the full per-query budget: the rescues the
-		// ladder was tuned on need trajectories comparable in length to
-		// the canonical one, and the race only counts at all on the rare
-		// canonical-Unknown queries.
-		AlternateBudget: opts.ConflictBudget,
-	}}
-	m.race = m.p.Start(query)
+// leg is one solver configuration's solve of the query.
+type leg struct {
+	c     smt.Checker
+	stop  atomic.Bool
+	res   smt.Result
+	model smt.Model
+	// done is closed once res, model and c's statistics are written; it
+	// is nil until the leg starts.
+	done chan struct{}
+}
+
+// start runs the leg on its own goroutine when async is set, and to its
+// end before returning otherwise.
+func (l *leg) start(query *smt.Term, async bool) {
+	l.c.Stop = &l.stop
+	l.done = make(chan struct{})
+	run := func() {
+		defer close(l.done)
+		l.res, l.model = l.c.Check(query)
+	}
+	if async {
+		go run()
+	} else {
+		run()
+	}
+}
+
+// interrupt stops the leg, if it started, and waits for it to return.
+func (l *leg) interrupt() {
+	if l.done != nil {
+		l.stop.Store(true)
+		<-l.done
+	}
+}
+
+// startMonolithic starts the canonical leg of query's solve (see
+// leg.start for async).
+func startMonolithic(query *smt.Term, opts Options, async bool) *monolithic {
+	m := &monolithic{query: query, racing: opts.fallbackOn()}
+	m.canon.c = smt.Checker{ConflictBudget: opts.ConflictBudget}
+	m.fallback.c = smt.Checker{ConflictBudget: opts.ConflictBudget, Config: smt.FallbackConfig}
+	m.canon.start(query, async)
 	return m
 }
 
 // solveMonolithic is the baseline decision procedure, start to finish.
+// With racing off the canonical leg runs on the calling goroutine; with
+// it on, the fallback leg starts beside it.
 func solveMonolithic(src *ir.Function, query *smt.Term, opts Options) Result {
-	return startMonolithic(query, opts).wait(src)
+	return startMonolithic(query, opts, opts.fallbackOn()).wait(src)
 }
 
-// wait finishes the canonical solve and renders its verdict.
+// fallbackOn reports whether Options.Portfolio turns the fallback leg on.
+func (opts Options) fallbackOn() bool { return opts.Portfolio >= 2 }
+
+// cancel interrupts both legs and waits for them; the solve's result is
+// discarded.
+func (m *monolithic) cancel() {
+	m.canon.interrupt()
+	m.fallback.interrupt()
+}
+
+// wait starts the fallback leg, unless racing is off or the canonical
+// leg has already decided, then waits for the verdict and renders it.
 func (m *monolithic) wait(src *ir.Function) Result {
-	res, model := m.race.Wait()
-	p := &m.p
-	out := Result{
-		Conflicts:    p.LastConflicts,
-		Propagations: p.LastPropagations,
-		SATVars:      p.LastVars,
+	if m.racing {
+		select {
+		case <-m.canon.done:
+			if m.canon.res == smt.Unknown {
+				m.fallback.start(m.query, true)
+			}
+		default:
+			m.fallback.start(m.query, true)
+		}
 	}
-	if p.LastRaced {
-		out.PortfolioRaced, out.PortfolioWinner = true, p.LastWinner
+	<-m.canon.done
+	c := &m.canon.c
+	out := Result{Conflicts: c.LastConflicts, Propagations: c.LastPropagations, SATVars: c.LastVars}
+	res := m.canon.res
+	if res != smt.Unknown || !m.racing {
+		m.fallback.interrupt()
+	} else {
+		<-m.fallback.done
+		out.Conflicts += m.fallback.c.LastConflicts
+		out.Propagations += m.fallback.c.LastPropagations
+		out.PortfolioRaced, out.PortfolioWinner = true, -1
+		if m.fallback.res == smt.Unsat {
+			res, out.PortfolioWinner = smt.Unsat, 1
+		}
 	}
 	switch res {
 	case smt.Unsat:
@@ -384,7 +466,7 @@ func (m *monolithic) wait(src *ir.Function) Result {
 	case smt.Sat:
 		out.Verdict = Invalid
 		out.Reason = "target does not refine source"
-		out.CEX = extractCEX(src, model)
+		out.CEX = extractCEX(src, m.canon.model)
 	default:
 		out.Verdict = Unknown
 		out.Reason = "solver budget exhausted"

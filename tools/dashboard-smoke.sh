@@ -49,8 +49,13 @@ done
 [ -n "$base" ] || { echo "dashboard-smoke: no dashboard banner in stderr"; exit 1; }
 echo "dashboard-smoke: endpoint at http://$base/"
 
-curl -fsS "http://$base/healthz" | grep -qx ok
-curl -fsS "http://$base/" | grep -qi '<html' || {
+# Capture each body before grepping it: `curl | grep -q` under pipefail
+# fails when grep exits early and curl cannot finish writing the body.
+curl -fsS "http://$base/healthz"            >"$WORK/healthz.txt"
+grep -qx ok "$WORK/healthz.txt" || {
+    echo "dashboard-smoke: /healthz did not answer ok"; exit 1; }
+curl -fsS "http://$base/"                   >"$WORK/index.html"
+grep -qi '<html' "$WORK/index.html" || {
     echo "dashboard-smoke: / did not serve the dashboard HTML"; exit 1; }
 curl -fsS "http://$base/api/status"         >"$WORK/status.json"
 curl -fsS "http://$base/api/units"          >"$WORK/units.json"

@@ -99,10 +99,24 @@ func TestCampaignTelemetryInvariance(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				body, _ := io.ReadAll(resp.Body)
+				body, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
+				if err != nil {
+					select {
+					case <-stop:
+						// srv.Close cut the response off at the end of the
+						// run: a truncated body, not an invalid document.
+						return
+					default:
+					}
+					t.Errorf("workers=%d: mid-run /api/status read: %v", workers, err)
+					return
+				}
 				if _, err := telemetry.ValidateStatus(body); err != nil {
-					t.Errorf("workers=%d: mid-run /api/status invalid: %v\n%s", workers, err, body)
+					// The error on a line of its own, then the head of the
+					// body: a whole mid-run document can run to tens of KB.
+					t.Errorf("workers=%d: mid-run /api/status invalid:\n%v\n--- body (%d bytes, first 2000) ---\n%.2000s",
+						workers, err, len(body), body)
 					return
 				}
 				polls.Add(1)

@@ -12,8 +12,9 @@ import (
 // checkArena verifies the clause arena's bookkeeping: both lists strictly
 // in arena order with the right learnt bit, every arena word accounted
 // for as a live clause or waste, exactly two watchers per live clause on
-// the negations of its first two literals, and every reason a live clause
-// containing the literal it implies.
+// the negations of its first two literals, carrying binTag exactly when
+// the clause is binary (and then blocked by the clause's other literal),
+// and every reason a live clause containing the literal it implies.
 func checkArena(t *testing.T, s *Solver) {
 	t.Helper()
 	live := map[cref]bool{}
@@ -42,14 +43,21 @@ func checkArena(t *testing.T, s *Solver) {
 	watchers := map[cref]int{}
 	for l, ws := range s.watches {
 		for _, w := range ws {
-			if !live[w.cr] {
-				t.Fatalf("watcher on literal %d references dead clause %d", l, w.cr)
+			cr := w.cr &^ binTag
+			if !live[cr] {
+				t.Fatalf("watcher on literal %d references dead clause %d", l, cr)
 			}
-			lits := s.clauseLits(w.cr)
+			lits := s.clauseLits(cr)
 			if lits[0].Neg() != Lit(l) && lits[1].Neg() != Lit(l) {
-				t.Fatalf("clause %d %v watched on literal %d", w.cr, lits, l)
+				t.Fatalf("clause %d %v watched on literal %d", cr, lits, l)
 			}
-			watchers[w.cr]++
+			if tagged := w.cr&binTag != 0; tagged != (len(lits) == 2) {
+				t.Fatalf("watcher of %d-literal clause %d on literal %d: binary tag %v", len(lits), cr, l, tagged)
+			}
+			if other := lits[0] ^ lits[1] ^ Lit(l).Neg(); len(lits) == 2 && w.blocker != other {
+				t.Fatalf("binary clause %d %v watched on literal %d has blocker %d, want %d", cr, lits, l, w.blocker, other)
+			}
+			watchers[cr]++
 		}
 	}
 	for cr := range live {

@@ -3,7 +3,8 @@ package sat
 // Microbenchmarks for the solver hot path, independent of the end-to-end
 // campaign harness (run with `make microbench`). The canned instances
 // mirror the two shapes the TV pipeline produces: Tseitin-style CNF with
-// heavy definition redundancy, and near-phase-transition random 3-SAT.
+// heavy definition redundancy (BenchmarkSolveBlastedMiter, in
+// blast_bench_test.go), and near-phase-transition random 3-SAT.
 
 import (
 	"testing"

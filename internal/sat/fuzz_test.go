@@ -10,11 +10,12 @@ import (
 // FuzzIncrementalAgainstBruteForce drives one solver through a sequence
 // of calls decoded from the input — clause additions, assumption solves
 // under tight conflict budgets, forced learnt-clause deletion with arena
-// compaction — over at most 12 variables, and checks every answer
-// against exhaustive enumeration: a decided verdict must be
-// right, a Sat model must satisfy every clause and assumption, and an
-// Unsat final conflict must consist of assumptions and be unsatisfiable
-// with the clauses on its own.
+// compaction — over at most 12 variables. It checks the clause arena's
+// bookkeeping (checkArena) after every call, and every answer against
+// exhaustive enumeration: a decided verdict must be right, a Sat model
+// must satisfy every clause and assumption, and an Unsat final conflict
+// must consist of assumptions and be unsatisfiable with the clauses on
+// its own.
 func FuzzIncrementalAgainstBruteForce(f *testing.F) {
 	for seed := uint64(0); seed < 16; seed++ {
 		r := rng.New(seed)
@@ -50,6 +51,7 @@ func FuzzIncrementalAgainstBruteForce(f *testing.F) {
 			}
 			clauses = append(clauses, cl)
 			s.AddClause(cl...)
+			checkArena(t, s)
 		}
 		for n := next() % 40; n > 0; n-- {
 			addClause()
@@ -63,7 +65,9 @@ func FuzzIncrementalAgainstBruteForce(f *testing.F) {
 				// Deleting learnts and compacting at level 0 must not change
 				// any later answer's correctness.
 				s.reduceDB()
+				checkArena(t, s)
 				s.garbageCollect()
+				checkArena(t, s)
 				continue
 			case 2, 3:
 				s.Budget = int64(op / 8 % 4)
@@ -75,6 +79,7 @@ func FuzzIncrementalAgainstBruteForce(f *testing.F) {
 				assumps[i] = lit()
 			}
 			res := s.Solve(assumps...)
+			checkArena(t, s)
 			withAssumps := slices.Clone(clauses)
 			for _, a := range assumps {
 				withAssumps = append(withAssumps, []Lit{a})

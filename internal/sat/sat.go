@@ -4,6 +4,15 @@
 // binary heap, phase saving, Luby restarts, and activity-based learnt
 // clause deletion.
 //
+// The hot path follows MiniSat's kernel (Eén & Sörensson) in how little
+// memory it touches: clauses live in one flat arena (see cref); a binary
+// clause's watchers are tagged (binTag), so propagating one reads only
+// the watcher; watch lists are compacted in place as they are walked and
+// begin in a per-solver slab; and a VSIDS bump only percolates its
+// variable up the heap. None of this changes the search, which
+// trajectory_test.go pins exactly (docs/PERFORMANCE.md, "Solver
+// micro-optimizations").
+//
 // It is the decision engine underneath internal/smt's bit-blaster, playing
 // the role Z3 plays for Alive2 in the paper's system.
 package sat
@@ -96,6 +105,20 @@ type cref uint32
 // an unassigned variable, and propagate's "no conflict".
 const crefUndef cref = math.MaxUint32
 
+// binTag marks a watcher whose clause is binary (see watcher). Only
+// watchers carry it: reasons, conflicts and the clause lists hold plain
+// references, and alloc keeps every reference below it.
+const binTag cref = 1 << 31
+
+// Each literal's watch list starts in the solver's shared watcher slab
+// with room for slabWatchers watchers, and moves to an allocation of its
+// own only when it outgrows them (see NewVar). The slab is carved from
+// chunks of at most slabChunkVars variables' lists.
+const (
+	slabWatchers  = 4
+	slabChunkVars = 1024
+)
+
 // Config parameterizes the solver's search heuristics. The zero value is
 // the canonical configuration, so New() and NewWith(Config{}) produce
 // bit-identical searches. internal/tv's fallback leg solves a budget-bound
@@ -139,6 +162,7 @@ type Solver struct {
 	learnts []cref // learnt clauses, in arena order
 
 	watches [][]watcher // watches[lit] = clauses watching lit
+	slab    []watcher   // unclaimed room for new literals' watch lists
 
 	assign   []lbool // current assignment per var
 	level    []int32 // decision level per var
@@ -195,6 +219,11 @@ type Solver struct {
 	gcScratch      []liveClause
 }
 
+// watcher is one entry of a watch list: the watched clause and a
+// blocker, a literal of the clause whose truth satisfies it without a
+// look at the arena. A binary clause's watchers carry binTag in cr, and
+// their blocker is exactly the clause's other literal, so propagate
+// settles them from the watcher alone.
 type watcher struct {
 	cr      cref
 	blocker Lit
@@ -222,7 +251,16 @@ func (s *Solver) NewVar() int {
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, true) // default phase: false (neg)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	// Both literals' lists start in the shared slab, capped at
+	// slabWatchers so that an append past it moves the list to an
+	// allocation of its own instead of overrunning a neighbour. A new
+	// slab chunk covers as many variables as the solver already has, up
+	// to slabChunkVars, so a chunk's unclaimed tail stays small.
+	if len(s.slab) < 2*slabWatchers {
+		s.slab = make([]watcher, 2*slabWatchers*min(max(64, len(s.assign)), slabChunkVars))
+	}
+	s.watches = append(s.watches, s.slab[:0:slabWatchers], s.slab[slabWatchers:slabWatchers:2*slabWatchers])
+	s.slab = s.slab[2*slabWatchers:]
 	s.order.insert(v)
 	return v
 }
@@ -236,7 +274,11 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 // alloc appends a clause to the arena and returns its reference. A learnt
 // clause starts with activity 0.
 func (s *Solver) alloc(lits []Lit, learnt bool) cref {
-	if need := len(s.ca) + 3 + len(lits); need > cap(s.ca) {
+	need := len(s.ca) + 3 + len(lits)
+	if need > int(binTag) {
+		panic("sat: clause arena exceeds 2^31 words")
+	}
+	if need > cap(s.ca) {
 		// Double: append grows a large slice by only 1.25x, so an arena
 		// built clause by clause would be copied many times over.
 		grown := make([]Lit, len(s.ca), max(need, 2*cap(s.ca)))
@@ -341,8 +383,13 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 func (s *Solver) watchClause(cr cref) {
 	// Watch the negations: when lits[0] becomes false we visit the clause.
 	l0, l1 := s.ca[cr+1], s.ca[cr+2]
-	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{cr, l1})
-	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{cr, l0})
+	wcr := cr
+	if s.ca[cr]>>1 == 2 {
+		wcr |= binTag
+	}
+	w0, w1 := l0.Neg(), l1.Neg()
+	s.watches[w0] = append(s.watches[w0], watcher{wcr, l1})
+	s.watches[w1] = append(s.watches[w1], watcher{wcr, l0})
 }
 
 func (s *Solver) enqueue(l Lit, from cref) bool {
@@ -352,16 +399,23 @@ func (s *Solver) enqueue(l Lit, from cref) bool {
 	case lFalse:
 		return false
 	}
+	s.assignLit(l, from)
+	return true
+}
+
+// assignLit puts the unassigned literal l on the trail, implied by from.
+func (s *Solver) assignLit(l Lit, from cref) {
 	v := l.Var()
 	s.assign[v] = lbool(l & 1) // sign bit is the lbool encoding
 	s.level[v] = int32(len(s.trailLim))
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
-	return true
 }
 
 // propagate performs unit propagation; it returns a conflicting clause or
-// crefUndef.
+// crefUndef. Each watch list is compacted in place (MiniSat's i/j walk):
+// a kept watcher moves down to j, one that found a new literal to watch
+// is dropped, and only the shortened list is stored back.
 func (s *Solver) propagate() cref {
 	ca := s.ca // propagation never allocates clauses
 	for s.qhead < len(s.trail) {
@@ -371,45 +425,43 @@ func (s *Solver) propagate() cref {
 
 		np := p.Neg()
 		ws := s.watches[p]
-		kept := ws[:0]
+		i, j := 0, 0
 		confl := crefUndef
-		for wi := 0; wi < len(ws); wi++ {
-			w := ws[wi]
+		for i < len(ws) {
+			w := ws[i]
+			i++
 			bv := s.litValue(w.blocker)
 			if bv == lTrue {
-				kept = append(kept, w)
+				ws[j] = w
+				j++
+				continue
+			}
+			if w.cr&binTag != 0 {
+				// Binary clause: the blocker is the other literal and it is
+				// not true, so the clause is unit or conflicting, settled
+				// without touching the arena. Note the implied literal may
+				// sit at lits[1]; nothing position-sensitive sees binary
+				// reasons (reduceDB keeps all binary clauses before its
+				// locked check, and analyze/analyzeFinal match by value).
+				ws[j] = w
+				j++
+				if bv == lFalse {
+					confl = w.cr &^ binTag
+					break
+				}
+				s.assignLit(w.blocker, w.cr&^binTag)
 				continue
 			}
 			cr := w.cr
 			lits := ca[cr+1 : cr+1+cref(ca[cr])>>1]
-			if len(lits) == 2 {
-				// Binary clause: the blocker is exactly the other literal
-				// (watchClause invariant; the new-watch search below starts
-				// at index 2, so binary watchers are never reordered). With
-				// the blocker not true, the clause is unit or conflicting —
-				// no swap, no search. Note the implied literal may sit at
-				// lits[1]; nothing position-sensitive sees binary reasons
-				// (reduceDB keeps all binary clauses before its locked
-				// check, and analyze/analyzeFinal match by value).
-				kept = append(kept, w)
-				if bv == lFalse {
-					confl = cr
-					for wi++; wi < len(ws); wi++ {
-						kept = append(kept, ws[wi])
-					}
-					s.qhead = len(s.trail)
-					break
-				}
-				s.enqueue(w.blocker, cr)
-				continue
-			}
 			// Ensure the false literal is lits[1].
 			if lits[0] == np {
 				lits[0], lits[1] = lits[1], lits[0]
 			}
 			first := lits[0]
 			if first != w.blocker && s.litValue(first) == lTrue {
-				kept = append(kept, watcher{cr, first})
+				ws[j] = watcher{cr, first}
+				j++
 				continue
 			}
 			// Look for a new literal to watch.
@@ -417,7 +469,8 @@ func (s *Solver) propagate() cref {
 			for k := 2; k < len(lits); k++ {
 				if s.litValue(lits[k]) != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					s.watches[lits[1].Neg()] = append(s.watches[lits[1].Neg()], watcher{cr, first})
+					wl := lits[1].Neg()
+					s.watches[wl] = append(s.watches[wl], watcher{cr, first})
 					found = true
 					break
 				}
@@ -426,19 +479,20 @@ func (s *Solver) propagate() cref {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{cr, first})
+			ws[j] = watcher{cr, first}
+			j++
 			if s.litValue(first) == lFalse {
 				confl = cr
-				// Copy remaining watchers and bail.
-				for wi++; wi < len(ws); wi++ {
-					kept = append(kept, ws[wi])
-				}
-				s.qhead = len(s.trail)
 				break
 			}
-			s.enqueue(first, cr)
+			s.assignLit(first, cr)
 		}
-		s.watches[p] = kept
+		if confl != crefUndef {
+			// Keep the watchers the walk did not reach.
+			j += copy(ws[j:], ws[i:])
+			s.qhead = len(s.trail)
+		}
+		s.watches[p] = s.watches[p][:j] // stores only the length
 		if confl != crefUndef {
 			return confl
 		}
@@ -570,7 +624,7 @@ func (s *Solver) bumpVar(v int) {
 		}
 		s.varInc *= 1e-100
 	}
-	s.order.update(v)
+	s.order.increase(v)
 }
 
 func (s *Solver) bumpClause(cr cref) {
@@ -666,7 +720,7 @@ func (s *Solver) detachClause(cr cref) {
 func (s *Solver) removeWatch(wl Lit, cr cref) {
 	ws := s.watches[wl]
 	for i, w := range ws {
-		if w.cr == cr {
+		if w.cr&^binTag == cr {
 			ws[i] = ws[len(ws)-1]
 			s.watches[wl] = ws[:len(ws)-1]
 			return
@@ -718,8 +772,8 @@ func (s *Solver) garbageCollect() {
 		s.learnts[k] = fwd(cr)
 	}
 	for _, ws := range s.watches {
-		for k := range ws {
-			ws[k].cr = fwd(ws[k].cr)
+		for k, w := range ws {
+			ws[k].cr = fwd(w.cr&^binTag) | w.cr&binTag
 		}
 	}
 	for _, l := range s.trail {
@@ -959,6 +1013,9 @@ func (s *Solver) Value(v int) bool {
 }
 
 // varHeap is a max-heap over variable activity (MiniSat's order heap).
+// Activity only ever rises between rescalings, and a rescaling multiplies
+// every activity by the same factor, so a variable already in the heap
+// only ever moves towards the root (increase).
 type varHeap struct {
 	act     *[]float64
 	heap    []int
@@ -968,8 +1025,6 @@ type varHeap struct {
 func newVarHeap(act *[]float64) *varHeap {
 	return &varHeap{act: act}
 }
-
-func (h *varHeap) less(a, b int) bool { return (*h.act)[a] > (*h.act)[b] }
 
 func (h *varHeap) insert(v int) {
 	for len(h.indices) <= v {
@@ -983,10 +1038,11 @@ func (h *varHeap) insert(v int) {
 	h.up(h.indices[v])
 }
 
-func (h *varHeap) update(v int) {
+// increase restores the heap after v's activity rose (MiniSat's
+// decrease, whose heap orders the other way round).
+func (h *varHeap) increase(v int) {
 	if v < len(h.indices) && h.indices[v] >= 0 {
 		h.up(h.indices[v])
-		h.down(h.indices[v])
 	}
 }
 
@@ -1007,37 +1063,41 @@ func (h *varHeap) removeMax() (int, bool) {
 }
 
 func (h *varHeap) up(i int) {
-	v := h.heap[i]
+	act, heap := *h.act, h.heap
+	v := heap[i]
+	a := act[v]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.less(v, h.heap[p]) {
+		if !(a > act[heap[p]]) {
 			break
 		}
-		h.heap[i] = h.heap[p]
-		h.indices[h.heap[p]] = i
+		heap[i] = heap[p]
+		h.indices[heap[p]] = i
 		i = p
 	}
-	h.heap[i] = v
+	heap[i] = v
 	h.indices[v] = i
 }
 
 func (h *varHeap) down(i int) {
-	v := h.heap[i]
+	act, heap := *h.act, h.heap
+	v := heap[i]
+	a := act[v]
 	for {
 		c := 2*i + 1
-		if c >= len(h.heap) {
+		if c >= len(heap) {
 			break
 		}
-		if c+1 < len(h.heap) && h.less(h.heap[c+1], h.heap[c]) {
+		if c+1 < len(heap) && act[heap[c+1]] > act[heap[c]] {
 			c++
 		}
-		if !h.less(h.heap[c], v) {
+		if !(act[heap[c]] > a) {
 			break
 		}
-		h.heap[i] = h.heap[c]
-		h.indices[h.heap[c]] = i
+		heap[i] = heap[c]
+		h.indices[heap[c]] = i
 		i = c
 	}
-	h.heap[i] = v
+	heap[i] = v
 	h.indices[v] = i
 }

@@ -147,3 +147,41 @@ func TestTrajectoryIncremental(t *testing.T) {
 	}
 	checkTrajectory(t, "incremental", s, trajectory{8731, 11085, 294297})
 }
+
+// addBlastedMiter bit-blasts the w-bit miter (x+y)² ≠ x²+2xy+y² onto s
+// through smt.Blast: the Tseitin shape the TV pipeline hands the solver,
+// rich in binary clauses (624 of 1648 at 7 bits). It is unsatisfiable.
+func addBlastedMiter(s *sat.Solver, w int) {
+	b := smt.NewBuilder()
+	x, y := b.Var(w, "x"), b.Var(w, "y")
+	sum := b.Add(x, y)
+	lhs := b.Mul(sum, sum)
+	rhs := b.Add(b.Add(b.Mul(x, x), b.Mul(b.Const(w, 2), b.Mul(x, y))), b.Mul(y, y))
+	smt.NewBlast(s).AssertTrue(b.Ne(lhs, rhs))
+}
+
+// TestTrajectoryBlastedMiter pins a blasted arithmetic miter under the
+// canonical configuration and the fallback leg's, and one canonical run
+// that exhausts its conflict budget.
+func TestTrajectoryBlastedMiter(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		cfg    sat.Config
+		width  int
+		budget int64
+		res    sat.Result
+		want   trajectory
+	}{
+		{"canonical", sat.Config{}, 7, 0, sat.Unsat, trajectory{7702, 8917, 1181952}},
+		{"fallback", smt.FallbackConfig, 7, 0, sat.Unsat, trajectory{4811, 5274, 732214}},
+		{"budget", sat.Config{}, 8, 1000, sat.Unknown, trajectory{1203, 1747, 191844}},
+	} {
+		s := sat.NewWith(c.cfg)
+		s.Budget = c.budget
+		addBlastedMiter(s, c.width)
+		if got := s.Solve(); got != c.res {
+			t.Fatalf("%s: verdict %v, want %v", c.name, got, c.res)
+		}
+		checkTrajectory(t, c.name, s, c.want)
+	}
+}

@@ -42,9 +42,7 @@ type Facts struct {
 	hasDem    bool
 
 	// Poison-lattice memos (poison.go).
-	neverP     map[*ir.Instr]bool
 	alwaysP    map[*ir.Instr]bool
-	inflightNP map[*ir.Instr]bool
 	inflightAP map[*ir.Instr]bool
 }
 
@@ -66,9 +64,7 @@ func (fa *Facts) reset() {
 	fa.guards = make(map[*ir.Block][]guard)
 	fa.demanded = nil
 	fa.hasDem = false
-	fa.neverP = make(map[*ir.Instr]bool)
 	fa.alwaysP = make(map[*ir.Instr]bool)
-	fa.inflightNP = make(map[*ir.Instr]bool)
 	fa.inflightAP = make(map[*ir.Instr]bool)
 }
 

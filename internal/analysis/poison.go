@@ -7,18 +7,14 @@ import (
 	"repro/internal/ir"
 )
 
-// This file is the UB/poison propagation lattice: per-value poison
-// bounds (NeverPoison / AlwaysPoison) and per-flag firing proofs
-// (FlagNeverFires), all phrased against the semantics in
-// internal/semantics/exec.go — NOT against LLVM's documentation. The
-// static refinement prover (internal/analysis/refine) and the
-// guaranteed-ub / dead-flag lint rules are the consumers, and both only
-// ever act on a "proven" answer, so every rule below must be sound with
-// respect to the encoder:
+// This file is the UB/poison propagation lattice: a per-value poison
+// bound (AlwaysPoison) and per-flag firing proofs (FlagNeverFires), both
+// phrased against the semantics in internal/semantics/exec.go — NOT
+// against LLVM's documentation. The guaranteed-ub and dead-flag lint
+// rules are the consumers, and they only ever act on a "proven" answer,
+// so every rule below must be sound with respect to the encoder:
 //
 //   - constants, null, allocas and freeze results are never poison;
-//   - noundef parameters are never poison (the encoder pins their poison
-//     flag to false);
 //   - strict ops (binary arithmetic, icmp, casts, gep) propagate operand
 //     poison; div/rem propagate only the dividend's poison (a poison
 //     divisor is immediate UB instead);
@@ -27,91 +23,6 @@ import (
 //     needs a range/known-bits proof before it can be ruled out.
 //
 // "false" always means "could not prove", never "proven poisonous".
-
-// NeverPoison reports whether v is provably non-poison on every defined
-// execution that computes it.
-func (fa *Facts) NeverPoison(v ir.Value) bool { return fa.neverPoisonRec(v, 0) }
-
-func (fa *Facts) neverPoisonRec(v ir.Value, depth int) bool {
-	switch x := v.(type) {
-	case *ir.Const, *ir.NullPtr:
-		return true
-	case *ir.Param:
-		return x.Attrs.Noundef
-	case *ir.Instr:
-		if r, ok := fa.neverP[x]; ok {
-			return r
-		}
-		if depth > maxFactsDepth || fa.inflightNP[x] {
-			return false
-		}
-		fa.inflightNP[x] = true
-		r := fa.computeNeverPoison(x, depth)
-		delete(fa.inflightNP, x)
-		fa.neverP[x] = r
-		return r
-	default:
-		return false
-	}
-}
-
-func (fa *Facts) computeNeverPoison(in *ir.Instr, depth int) bool {
-	allOps := func() bool {
-		for _, a := range in.Args {
-			if !fa.neverPoisonRec(a, depth+1) {
-				return false
-			}
-		}
-		return true
-	}
-	switch {
-	case in.Op == ir.OpFreeze, in.Op == ir.OpAlloca:
-		// freeze always yields a defined value; an alloca's address is a
-		// concrete base within its provenance.
-		return true
-	case in.Op.IsBinary():
-		if !allOps() {
-			return false
-		}
-		nuw, nsw, exact := fa.FlagNeverFires(in)
-		if (in.Nuw && !nuw) || (in.Nsw && !nsw) || (in.Exact && !exact) {
-			return false
-		}
-		if in.Op.IsShift() {
-			// An oversized shift amount yields poison even without flags.
-			w, _ := ir.IsInt(in.Ty)
-			amt := fa.RangeOf(in.Args[1], in.Parent())
-			if amt.UHi >= uint64(w) {
-				return false
-			}
-		}
-		return true
-	case in.Op == ir.OpICmp, in.Op.IsCast(), in.Op == ir.OpSelect,
-		in.Op == ir.OpPhi, in.Op == ir.OpGEP:
-		// Pure propagators: no poison of their own.
-		return allOps()
-	case in.Op == ir.OpCall:
-		kind, ok := in.IsIntrinsicCall()
-		if !ok {
-			return false // arbitrary callee: may return poison
-		}
-		switch kind {
-		case ir.IntrinsicSMax, ir.IntrinsicSMin, ir.IntrinsicUMax, ir.IntrinsicUMin,
-			ir.IntrinsicBswap, ir.IntrinsicCtpop,
-			ir.IntrinsicUAddSat, ir.IntrinsicSAddSat, ir.IntrinsicUSubSat, ir.IntrinsicSSubSat:
-			return allOps()
-		case ir.IntrinsicAbs, ir.IntrinsicCtlz, ir.IntrinsicCttz:
-			// args[1] is the is-poison flag; a constant false flag turns
-			// these into pure propagators.
-			if c, isC := in.Args[1].(*ir.Const); isC && c.IsZero() {
-				return allOps()
-			}
-			return false
-		}
-		return false
-	}
-	return false
-}
 
 // AlwaysPoison reports whether v is provably poison on every execution
 // that reaches it (its block may still be unreachable; reachability is

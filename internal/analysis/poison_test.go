@@ -27,39 +27,6 @@ func factsFor(t *testing.T, text string) (*analysis.Facts, map[string]*ir.Instr)
 	return analysis.NewFacts(f), byName
 }
 
-func TestNeverPoisonLattice(t *testing.T) {
-	fa, ins := factsFor(t, `define i8 @f(i8 %x, i8 noundef %n) {
-  %plain = add i8 %x, 1
-  %clean = add i8 %n, 1
-  %flagged = add nsw i8 %n, 1
-  %masked = and i8 %n, 15
-  %deadflag = add nuw i8 %masked, 1
-  %fz = freeze i8 %plain
-  %cmp = icmp ult i8 %n, 7
-  %sel = select i1 %cmp, i8 %clean, i8 %masked
-}`)
-	want := map[string]bool{
-		// %x may be poison, so anything built on it (short of freeze) may be.
-		"plain": false,
-		// noundef parameter, flagless op: never poison.
-		"clean": true,
-		// nsw on an unconstrained operand: may fire.
-		"flagged": false,
-		"masked":  true,
-		// nuw on [0,15]+1 at width 8: range facts prove it dead.
-		"deadflag": true,
-		// freeze always yields a defined value.
-		"fz":  true,
-		"cmp": true,
-		"sel": true,
-	}
-	for name, exp := range want {
-		if got := fa.NeverPoison(ins[name]); got != exp {
-			t.Errorf("NeverPoison(%%%s) = %v, want %v", name, got, exp)
-		}
-	}
-}
-
 func TestAlwaysPoisonLattice(t *testing.T) {
 	fa, ins := factsFor(t, `define i8 @f(i8 %x) {
   %p = add i8 poison, 0

@@ -32,8 +32,9 @@ type claim struct {
 	demanded uint64
 }
 
-// soundnessModules is the number of random modules the full run checks
-// (the acceptance bar); -short keeps CI's race shard quick.
+// soundnessModules is the number of random modules every run checks
+// (the acceptance bar), `make race` included; only an explicit
+// `go test -short` checks 1000 instead.
 const soundnessModules = 10000
 
 func TestAnalysisSoundnessDifferential(t *testing.T) {

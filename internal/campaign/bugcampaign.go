@@ -111,7 +111,7 @@ type BugConfig struct {
 	// The rung only short-circuits provable Valids, so tables, witness
 	// logs, and triage trees are byte-identical either way; like the
 	// other acceleration modes it is excluded from the checkpoint
-	// fingerprint (docs/ANALYSIS.md).
+	// fingerprint (docs/PERFORMANCE.md, "Layer 0").
 	NoStaticTV bool
 	// Portfolio turns on the fallback leg that re-solves budget-bound
 	// monolithic queries (tv.Options.Portfolio): 2 or more means on,

@@ -9,7 +9,6 @@ import (
 	"maps"
 	"os"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -47,14 +46,21 @@ func harnessConfig(workers int) BugConfig {
 	}
 }
 
-// repeatConfig is a small campaign on the budget-exhausting division bug
-// whose mutants repeat an encoded query after the static rung, so the
-// verdict cache hits there whatever the harness's seven-bug campaign
-// happens to repeat.
+// repeatConfig is a small campaign that repeats a solve-stage query by
+// construction, so the verdict cache hits there whatever the harness's
+// seven-bug campaign happens to repeat. Bug 64661's tagged seed
+// const_fold_store is `store i8 (add i8 3, 4), ptr %p`: the optimizer
+// folds the stored constant, and with source and target storing the
+// same term the memory obligation folds away, whatever the constant.
+// What is left is the pointer-validity obligation `ub ∧ ¬ub`, which
+// neither static rung proves (fold needs the query to fold to false,
+// and term-equal skips functions that store). So a mutant that still
+// stores a constant asks the query the unit's preprocess gate already
+// solved into the cache: four of the unit's six mutants hit, two miss.
 func repeatConfig(workers int) BugConfig {
 	cfg := harnessConfig(workers)
 	cfg.Budget = 12
-	cfg.Only = []int{55490}
+	cfg.Only = []int{64661}
 	return cfg
 }
 
@@ -184,18 +190,6 @@ func (h *layerHarness) twins() [][2]layerRun {
 	return p
 }
 
-// offRuns lists the runs with any of the named layers off, all-off
-// included.
-func (h *layerHarness) offRuns(names ...string) []layerRun {
-	var rs []layerRun
-	for _, r := range h.runs {
-		if slices.ContainsFunc(names, func(n string) bool { return r.off[n] }) {
-			rs = append(rs, r)
-		}
-	}
-	return rs
-}
-
 // checkTables requires each run's result table to equal the reference's.
 func checkTables(t *testing.T, ref *BugReport, runs []layerRun) {
 	t.Helper()
@@ -223,8 +217,9 @@ func checkSilent(t *testing.T, r layerRun, prefix string) {
 // all together — at workers 1 and 8 the result table matches a run with
 // no sinks. For one configuration the spans file and every counter are
 // the same at workers 1 and 8. A layer's counters are silent while it is
-// off and fire in some run where it is on. The tests after this one check
-// the per-layer contracts on the same runs.
+// off and fire in some run where it is on; the static rung proves some
+// query in every run where it is on. The tests after this one check the
+// per-layer contracts on the same runs.
 func TestCampaignLayerInvariance(t *testing.T) {
 	h := layerRuns(t)
 	checkTables(t, h.ref, h.runs)
@@ -240,6 +235,9 @@ func TestCampaignLayerInvariance(t *testing.T) {
 	}
 	active := map[string]bool{}
 	for _, r := range h.runs {
+		if !r.off["static"] && r.counters["tv.static.proved"] <= 0 {
+			t.Errorf("%s: tv.static.proved = %d, want positive", r.name, r.counters["tv.static.proved"])
+		}
 		for _, l := range Layers {
 			if r.off[l.Name] {
 				checkSilent(t, r, l.Counters)
@@ -298,18 +296,6 @@ func TestBugCampaignRepeatable(t *testing.T) {
 	checkTables(t, h.ref, h.runs[:1])
 }
 
-// TestCampaignTVAccelInvariance: the verdict cache and incremental
-// solving only skip work, so the table is unchanged with either off, or
-// with both (in the all-off run), at workers 1 and 8.
-func TestCampaignTVAccelInvariance(t *testing.T) {
-	h := layerRuns(t)
-	runs := h.offRuns("cache", "incremental")
-	if len(runs) != 5 {
-		t.Fatalf("%d runs with the cache or incremental solving off, want 5", len(runs))
-	}
-	checkTables(t, h.ref, runs)
-}
-
 // TestCampaignTVCacheHitsDeterministic: on a campaign that repeats a
 // solve-stage query the cache both hits and misses, with the same counts
 // at workers 1 and 8; in the harness its counters are the same at
@@ -335,18 +321,6 @@ func TestCampaignTVCacheHitsDeterministic(t *testing.T) {
 	}
 }
 
-// TestCampaignCascadeInvariance: the solver portfolio only skips work,
-// so the table is unchanged with it off, alone and with every layer, at
-// workers 1 and 8.
-func TestCampaignCascadeInvariance(t *testing.T) {
-	h := layerRuns(t)
-	runs := h.offRuns("portfolio")
-	if len(runs) != 3 {
-		t.Fatalf("%d runs with the portfolio off, want 3", len(runs))
-	}
-	checkTables(t, h.ref, runs)
-}
-
 // TestCampaignCascadeCounters: in every run, each cascade rung that is on
 // takes work and its outcomes partition the queries it saw, the
 // partitions chain from rung to rung, and a run with one layer off leaves
@@ -359,47 +333,6 @@ func TestCampaignCascadeCounters(t *testing.T) {
 	}
 	for _, r := range h.repeat {
 		checkPartitions(t, r)
-	}
-}
-
-// TestCampaignStaticTVInvariance: the static pre-verifier only skips
-// work, so with it off the table and the triage tree are unchanged at
-// workers 1 and 8.
-func TestCampaignStaticTVInvariance(t *testing.T) {
-	h := layerRuns(t)
-	def := h.def()
-	if len(def.tree) == 0 {
-		t.Fatal("triage tree is empty; the tree identity would be vacuous")
-	}
-	runs := h.offRuns("static")
-	if len(runs) != 3 {
-		t.Fatalf("%d runs with static TV off, want 3", len(runs))
-	}
-	checkTables(t, h.ref, runs)
-	for _, r := range runs {
-		checkTree(t, r, def)
-	}
-}
-
-// TestCampaignStaticTVCounters: wherever static TV is on, the static
-// rung proves something and its outcomes partition the encoded queries
-// (every verdict but Unsupported, which only encoding returns); with it
-// off its counters are silent.
-func TestCampaignStaticTVCounters(t *testing.T) {
-	h := layerRuns(t)
-	for _, r := range h.runs {
-		c := r.counters
-		if r.off["static"] {
-			checkSilent(t, r, "tv.static.")
-			continue
-		}
-		if c["tv.static.proved"] <= 0 {
-			t.Errorf("%s: tv.static.proved = %d, want positive", r.name, c["tv.static.proved"])
-		}
-		encoded := c["verdict.valid"] + c["verdict.invalid"] + c["verdict.unknown"]
-		if got := c["tv.static.proved"] + c["tv.static.refuted-to-sat"] + c["tv.static.bailout"]; got != encoded {
-			t.Errorf("%s: static outcomes %d, want the %d encoded queries", r.name, got, encoded)
-		}
 	}
 }
 

@@ -315,7 +315,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 	histSTV := tel.Histogram("stage.stv")
 	staticCtrs := map[string]*telemetry.Counter{
 		tv.StaticProved:  tel.Counter("tv.static.proved"),
-		tv.StaticRefuted: tel.Counter("tv.static.refuted-to-sat"),
 		tv.StaticBailout: tel.Counter("tv.static.bailout"),
 	}
 	staticRuleCtrs := lazy(tel.Counter, "tv.static.rule.")

@@ -28,7 +28,7 @@ func ParseLayersOff(label string) map[string]bool {
 // The encoded queries are the verdicts other than Unsupported, which
 // only encoding returns. Each rung sees what the rungs before it left:
 //
-//	static: proved + refuted-to-sat + bailout = encoded
+//	static: proved + bailout = encoded
 //	cache:  hit + miss = encoded - static proved
 //
 // It returns every identity that fails, joined; nil when all hold.
@@ -45,7 +45,7 @@ func CheckCascade(c map[string]int64, off map[string]bool) error {
 
 	if on("static") {
 		check("static outcomes vs encoded queries",
-			staticProved+c["tv.static.refuted-to-sat"]+c["tv.static.bailout"], encoded)
+			staticProved+c["tv.static.bailout"], encoded)
 	}
 	if on("cache") {
 		check("cache hit+miss vs solve-stage queries",

@@ -12,7 +12,7 @@ import (
 func cascadeCounters() map[string]int64 {
 	return map[string]int64{
 		"verdict.valid": 17, "verdict.invalid": 1, "verdict.unknown": 2, "verdict.unsupported": 3,
-		"tv.static.proved": 8, "tv.static.refuted-to-sat": 2, "tv.static.bailout": 10,
+		"tv.static.proved": 8, "tv.static.bailout": 12,
 		"tv.cache.hit": 2, "tv.cache.miss": 10,
 	}
 }

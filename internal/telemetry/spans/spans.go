@@ -65,10 +65,10 @@ type Span struct {
 
 	// Solver-query attributes (Name == NameQuery). FP names the query by
 	// the solve stage's key (empty for Unsupported queries). Static is
-	// the static pre-verifier outcome ("proved", "refuted-to-sat",
-	// "bailout"); Portfolio the winner of a raced query ("fallback" or
-	// "none"). Each is empty when its layer was off or never reached
-	// (e.g. a query the static rung proved has no Portfolio).
+	// the static pre-verifier outcome ("proved" or "bailout");
+	// Portfolio the winner of a raced query ("fallback" or "none"). Each
+	// is empty when its layer was off or never reached (e.g. a query the
+	// static rung proved has no Portfolio).
 	Func         string `json:"func,omitempty"`
 	FP           string `json:"fp,omitempty"`
 	Verdict      string `json:"verdict,omitempty"`

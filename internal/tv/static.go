@@ -1,7 +1,6 @@
 package tv
 
 import (
-	"repro/internal/analysis/refine"
 	"repro/internal/ir"
 	"repro/internal/semantics"
 	"repro/internal/smt"
@@ -13,29 +12,23 @@ const (
 	// StaticProved: the static rung proved refinement and short-circuited
 	// the SAT solve. SAT would have returned Valid.
 	StaticProved = "proved"
-	// StaticRefuted: static evidence of non-refinement. Advisory — SAT
-	// still runs and produces the canonical verdict and counterexample.
-	StaticRefuted = "refuted-to-sat"
 	// StaticBailout: the static rung could not decide; SAT decides.
 	StaticBailout = "bailout"
 )
 
-// staticProve runs the static refinement rungs in cost order and
-// returns the deciding rule plus the outcome class. The rungs only ever
-// short-circuit Valid (see Options.Static), and they run after encoding
-// succeeded, so Unsupported classification is untouched by construction.
+// staticProve runs the two static refinement rungs in cost order and
+// returns the deciding rule plus the outcome class, StaticProved or
+// StaticBailout. The rungs only ever short-circuit Valid (see
+// Options.Static), and they run after encoding succeeded, so Unsupported
+// classification is untouched by construction.
 //
 // Rungs:
 //
 //	fold        the violation query folded to false structurally
 //	            (hash-consing + rewriting proved every obligation);
 //	term-equal  source and target encodings are path-for-path the same
-//	            symbolic values (smt.Equal across the summaries);
-//	alpha-equal / subsume
-//	            the IR-level prover (internal/analysis/refine) matched
-//	            target against source via alpha-renaming, deletions,
-//	            flag weakening, and fact-proven substitutions.
-func staticProve(mod *ir.Module, src, tgt *ir.Function,
+//	            symbolic values (smt.Equal across the summaries).
+func staticProve(src, tgt *ir.Function,
 	srcSum, tgtSum *semantics.Summary, query *smt.Term) (rule, outcome string) {
 	if query.IsFalse() {
 		return "fold", StaticProved
@@ -43,14 +36,7 @@ func staticProve(mod *ir.Module, src, tgt *ir.Function,
 	if summariesTermEqual(src, tgt, srcSum, tgtSum) {
 		return "term-equal", StaticProved
 	}
-	switch rep := refine.Check(mod, src, tgt); rep.Outcome {
-	case refine.Proved:
-		return rep.Rule, StaticProved
-	case refine.Refuted:
-		return rep.Rule, StaticRefuted
-	default:
-		return "", StaticBailout
-	}
+	return "", StaticBailout
 }
 
 // summariesTermEqual reports whether the two encodings denote the same

@@ -101,11 +101,11 @@ type Result struct {
 	AssumptionQueries int64
 
 	// StaticOutcome records what the static refinement pre-verifier did
-	// with this query: StaticProved, StaticRefuted, StaticBailout, or ""
-	// when the rung was off or never reached (Unsupported).
+	// with this query: StaticProved, StaticBailout, or "" when the rung
+	// was off or never reached (Unsupported).
 	StaticOutcome string
-	// StaticRule names the rung that proved refinement ("fold",
-	// "term-equal", "alpha-equal", "subsume"); empty unless proved.
+	// StaticRule names the rung that proved refinement ("fold" or
+	// "term-equal"); empty unless proved.
 	StaticRule string
 	// StaticNS is the wall time the static rung spent, measured only
 	// when Observe is set (stage.stv histogram); 0 otherwise.
@@ -163,14 +163,14 @@ type Options struct {
 	// canonical path runs alone (see sessionEngages).
 	Incremental bool
 	// Static enables the static refinement pre-verifier as the first
-	// rung after encoding: structural query folding, term-level summary
-	// equality, and the IR-level prover in internal/analysis/refine. The
-	// rung may only short-circuit Valid verdicts it can prove SAT would
-	// return — refuted or undecided queries fall through to the solver
-	// untouched — so result tables, witnesses, and triage trees are
-	// byte-identical with the rung off. Like Incremental, the one
-	// permitted divergence is one-directional: a query the budgeted
-	// solver would abandon as Unknown may be proven Valid statically.
+	// stage after encoding: structural query folding, then term-level
+	// summary equality (see staticProve). The rung may only short-circuit
+	// Valid verdicts it can prove SAT would return — undecided queries
+	// fall through to the solver untouched — so result tables,
+	// witnesses, and triage trees are byte-identical with the rung off.
+	// Like Incremental, the one permitted divergence is one-directional:
+	// a query the budgeted solver would abandon as Unknown may be proven
+	// Valid statically.
 	Static bool
 	// SrcEnc is ignored. The shared src encoding layer is gone; the
 	// field survives only because perfbench/trace sets it, and a later
@@ -246,7 +246,7 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 		if opts.Observe != nil {
 			t0 = time.Now() // vet:determinism — rung latency, telemetry only
 		}
-		rule, outcome := staticProve(mod, src, tgt, srcSum, tgtSum, query)
+		rule, outcome := staticProve(src, tgt, srcSum, tgtSum, query)
 		if opts.Observe != nil {
 			staticNS = int64(time.Since(t0)) // vet:determinism — rung latency, telemetry only
 		}
@@ -725,7 +725,7 @@ func buildPairComponents(ctx *semantics.Context, voidRet bool,
 		core = b.Or(core, retViol)
 	}
 
-	// Final caller-visible memory must refine.
+	// Final caller-visible memory must refine the source's.
 	probe := ctx.ProbeVar("final")
 	memOK := byteRefines(b,
 		sp.FinalMem.GetByte(semantics.ProvExternal, probe),

@@ -26,8 +26,9 @@ perfbench-test:
 # and a triage bundle's counterexample.json; malformed input must return
 # an error, never panic), the
 # incremental SAT solver against brute-force enumeration on small random
-# CNFs, and the bit-blaster against the term evaluator on fuzz-decoded
-# terms at pinned inputs.
+# CNFs, the bit-blaster against the term evaluator on fuzz-decoded
+# terms at pinned inputs, and the term rewriter against the unrewritten
+# term under the evaluator.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzValidateBench$$' -fuzztime 10s ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz='^FuzzValidateSnapshot$$' -fuzztime 10s ./internal/telemetry
@@ -40,6 +41,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeWitness$$' -fuzztime 10s ./internal/triage
 	$(GO) test -run='^$$' -fuzz='^FuzzIncrementalAgainstBruteForce$$' -fuzztime 10s ./internal/sat
 	$(GO) test -run='^$$' -fuzz='^FuzzBlastAgainstEval$$' -fuzztime 10s ./internal/smt
+	$(GO) test -run='^$$' -fuzz='^FuzzRewriteAgainstEval$$' -fuzztime 10s ./internal/smt
 
 # internal/campaign's end-to-end tests run many seeded campaigns; under
 # the race detector on a loaded runner they can exceed go test's default

@@ -321,6 +321,50 @@ func TestCampaignTVCacheHitsDeterministic(t *testing.T) {
 	}
 }
 
+// TestCampaignCacheHitsReplayRecordedSolves: in the repeatConfig
+// campaign every verdict-cache hit replays a solve some sink recorded.
+// Within each unit (the cache is per unit), a query span that hits must
+// come after a span that missed on the same query, the preprocess gate's
+// included, and the spans' hits and misses must add up to the
+// tv.cache.hit and tv.cache.miss counters. The const_fold_store unit's
+// hits are on the query its gate solved, so it must hit at least once.
+func TestCampaignCacheHitsReplayRecordedSolves(t *testing.T) {
+	h := layerRuns(t)
+	for _, r := range h.repeat {
+		f, err := spans.Read(strings.NewReader(r.spans))
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		var hits, misses, seedHits int64
+		for _, u := range f.Units {
+			solved := map[string]bool{}
+			for _, s := range u.Spans {
+				switch {
+				case s.Name != spans.NameQuery:
+				case s.Cache == spans.CacheMiss:
+					misses++
+					solved[s.FP] = true
+				case s.Cache == spans.CacheHit:
+					hits++
+					if u.Unit == "const_fold_store" {
+						seedHits++
+					}
+					if !solved[s.FP] {
+						t.Errorf("%s: unit %s: span %d hits query %s before any recorded miss on it", r.name, u.Unit, s.ID, s.FP)
+					}
+				}
+			}
+		}
+		if hits != r.counters["tv.cache.hit"] || misses != r.counters["tv.cache.miss"] {
+			t.Errorf("%s: spans record %d hits and %d misses, counters %d and %d",
+				r.name, hits, misses, r.counters["tv.cache.hit"], r.counters["tv.cache.miss"])
+		}
+		if seedHits == 0 {
+			t.Errorf("%s: no cache hit in the const_fold_store unit; the check is vacuous", r.name)
+		}
+	}
+}
+
 // TestCampaignCascadeCounters: in every run, each cascade rung that is on
 // takes work and its outcomes partition the queries it saw, the
 // partitions chain from rung to rung, and a run with one layer off leaves

@@ -209,11 +209,11 @@ func New(mod *ir.Module, opts Options) (*Fuzzer, error) {
 		return nil, err
 	}
 	f := &Fuzzer{opts: opts, passes: passes}
-	// Preprocessing runs with the caller's raw TV options: its queries are
-	// timed as their own stage below, not folded into the loop's stage.tv.
+	// The gate's queries are timed as their own stage below, not folded
+	// into the loop's stage.tv.
 	tel := opts.Telemetry.Collector()
 	preStop := tel.StartStage("preprocess")
-	f.orig = preprocess(mod, passes, opts, &f.dropped)
+	f.orig = preprocess(mod, passes, gateOptions(opts), &f.dropped)
 	preStop()
 	if len(f.orig.Defs()) == 0 {
 		return nil, fmt.Errorf("core: no verifiable functions left after preprocessing (dropped %d)", len(f.dropped))
@@ -221,6 +221,73 @@ func New(mod *ir.Module, opts Options) (*Fuzzer, error) {
 	f.initTelemetry(tel)
 	f.mutator = mutate.New(f.orig, f.opts.Mutations)
 	return f, nil
+}
+
+// gateOptions returns the options the preprocess gate validates with:
+// the caller's, with a TV.Observe that accounts for the gate's queries
+// as the loop's are accounted where they share a sink. Their solver
+// effort goes into sat.conflicts and sat.propagations; each query that
+// reaches the solve stage counts in tv.gate.solves and, with a cache,
+// as a tv.cache.hit or miss; and each query is a span at the unit's
+// root. So a mutant's cache hit on a query the gate solved replays a
+// solve the sinks recorded. The gate stays out of stage.tv and
+// verdict.*, which measure the loop (it has its own stage.preprocess).
+func gateOptions(opts Options) Options {
+	tel := opts.Telemetry.Collector()
+	rec := opts.Telemetry.SpansRecorder()
+	if tel == nil && rec == nil {
+		return opts
+	}
+	cacheOn := opts.TV.Cache != nil
+	ctrConflicts := tel.Counter("sat.conflicts")
+	ctrProps := tel.Counter("sat.propagations")
+	ctrSolves := tel.Counter("tv.gate.solves")
+	ctrCacheHit := tel.Counter("tv.cache.hit")
+	ctrCacheMiss := tel.Counter("tv.cache.miss")
+	prev := opts.TV.Observe
+	opts.TV.NeedFingerprint = opts.TV.NeedFingerprint || rec != nil
+	opts.TV.Observe = func(r tv.Result, d time.Duration) {
+		ctrConflicts.Add(r.Conflicts)
+		ctrProps.Add(r.Propagations)
+		if r.ReachedSolveStage() {
+			ctrSolves.Add(1)
+			if cacheOn {
+				if r.CacheHit {
+					ctrCacheHit.Add(1)
+				} else {
+					ctrCacheMiss.Add(1)
+				}
+			}
+		}
+		if rec != nil {
+			rec.Query(queryInfo(r, cacheOn), d)
+		}
+		if prev != nil {
+			prev(r, d)
+		}
+	}
+	return opts
+}
+
+// queryInfo renders one TV query's span attributes.
+func queryInfo(r tv.Result, cacheOn bool) spans.QueryInfo {
+	q := spans.QueryInfo{
+		Verdict:      r.Verdict.String(),
+		FP:           r.FP,
+		Conflicts:    r.Conflicts,
+		Propagations: r.Propagations,
+		Static:       r.StaticOutcome,
+	}
+	if cacheOn && r.ReachedSolveStage() {
+		q.Cache = spans.CacheMiss
+		if r.CacheHit {
+			q.Cache = spans.CacheHit
+		}
+	}
+	if r.PortfolioRaced {
+		q.Portfolio = portfolioWinnerLabel(r.PortfolioWinner)
+	}
+	return q
 }
 
 // checkWorkers rejects the options whose state depends on iterations
@@ -348,25 +415,7 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 			portfolioWinnerCtrs.get(portfolioWinnerLabel(r.PortfolioWinner)).Add(1)
 		}
 		if f.spans != nil {
-			cache := ""
-			if cacheOn && r.ReachedSolveStage() {
-				cache = spans.CacheMiss
-				if r.CacheHit {
-					cache = spans.CacheHit
-				}
-			}
-			q := spans.QueryInfo{
-				Verdict:      r.Verdict.String(),
-				FP:           r.FP,
-				Cache:        cache,
-				Conflicts:    r.Conflicts,
-				Propagations: r.Propagations,
-				Static:       r.StaticOutcome,
-			}
-			if r.PortfolioRaced {
-				q.Portfolio = portfolioWinnerLabel(r.PortfolioWinner)
-			}
-			f.spans.Query(q, d)
+			f.spans.Query(queryInfo(r, cacheOn), d)
 		}
 		if cacheOn && r.ReachedSolveStage() {
 			if r.CacheHit {
@@ -477,6 +526,7 @@ func preprocess(mod *ir.Module, passes []opt.Pass, opts Options, dropped *[]stri
 			*dropped = append(*dropped, fn.Name)
 			continue
 		}
+		opts.Telemetry.SpansRecorder().Func(fn.Name)
 		r := tv.Verify(mod, fn, trial.FuncByName(fn.Name), opts.TV)
 		if r.Verdict == tv.Unsupported || r.Verdict == tv.Invalid {
 			*dropped = append(*dropped, fn.Name)

@@ -19,6 +19,7 @@ package sat
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -263,6 +264,24 @@ func (s *Solver) NewVar() int {
 	s.slab = s.slab[2*slabWatchers:]
 	s.order.insert(v)
 	return v
+}
+
+// Reserve makes room for n more variables, so that the next n NewVar
+// calls grow none of the per-variable slices one append at a time. It
+// changes nothing the search reads.
+func (s *Solver) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	s.assign = slices.Grow(s.assign, n)
+	s.level = slices.Grow(s.level, n)
+	s.reason = slices.Grow(s.reason, n)
+	s.activity = slices.Grow(s.activity, n)
+	s.polarity = slices.Grow(s.polarity, n)
+	s.seen = slices.Grow(s.seen, n)
+	s.watches = slices.Grow(s.watches, 2*n)
+	s.order.heap = slices.Grow(s.order.heap, n)
+	s.order.indices = slices.Grow(s.order.indices, n)
 }
 
 // NumVars returns the number of allocated variables.

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sat"
 )
@@ -319,6 +320,71 @@ func (b *Blast) Bits(t *Term) []sat.Lit {
 	}
 	b.bits[t] = out
 	return out
+}
+
+// blastVars estimates the SAT variables Bits creates for t's own
+// circuit, one per gate of its lowering that no constant input removes:
+// a full adder is five gates (three beside a constant), a comparator
+// three per bit (one against a constant), a multiplier an adder per
+// multiplier bit, and long division a comparator, a subtractor and a mux
+// per bit per step, over a remainder register whose upper half is known
+// zero for the first half of the steps. Gate hashing removes more.
+func blastVars(t *Term) int {
+	if len(t.Args) == 0 {
+		if t.Op == OpVar {
+			return t.W
+		}
+		return 0
+	}
+	w := t.Args[len(t.Args)-1].W
+	konst := false
+	for _, a := range t.Args {
+		konst = konst || a.Op == OpConst
+	}
+	switch t.Op {
+	case OpAnd, OpOr, OpXor:
+		if konst {
+			return 0
+		}
+		return w
+	case OpIte:
+		return w
+	case OpNeg:
+		return 2 * w
+	case OpEq, OpUlt, OpSlt:
+		if konst {
+			return w
+		}
+		return 3 * w
+	case OpAdd, OpSub:
+		if konst {
+			return 3 * w
+		}
+		return 5 * w
+	case OpMul:
+		if c, ok := t.Args[1].IsConst(); ok {
+			return 3 * w * bits.OnesCount64(c)
+		}
+		if konst {
+			return 3 * w * w
+		}
+		return 5 * w * w
+	case OpUDiv, OpURem, OpSDiv, OpSRem:
+		n := 5 * w * w
+		if t.Args[1].Op == OpConst {
+			n = 3 * w * w
+		}
+		if t.Op == OpSDiv || t.Op == OpSRem {
+			n += 12 * w
+		}
+		return n
+	case OpShl, OpLShr, OpAShr:
+		if t.Args[1].Op == OpConst {
+			return 0
+		}
+		return bits.Len(uint(w))*w + 4*w
+	}
+	return 0
 }
 
 // mulBits implements shift-and-add multiplication.

@@ -169,9 +169,12 @@ func FuzzBlastAgainstEval(f *testing.F) {
 	})
 }
 
-// termFromBytes runs the stack machine FuzzBlastAgainstEval decodes
-// until a zero byte or the end of the input. An operator short of
-// operands takes x; the result is the top of the stack.
+// termFromBytes runs the stack machine FuzzBlastAgainstEval and
+// FuzzRewriteAgainstEval decode until a zero byte or the end of the
+// input. An operator short of operands takes x; the result is the top of
+// the stack. Besides the operators, it builds extensions from a
+// fuzz-chosen width, nested ones, and extracts of a double-width
+// extension at every offset, the shapes the narrowing rewrites match.
 func termFromBytes(b *Builder, vars []*Term, next func() uint64) *Term {
 	w := vars[0].W
 	var stack []*Term
@@ -187,9 +190,9 @@ func termFromBytes(b *Builder, vars []*Term, next func() uint64) *Term {
 		if len(stack) > 16 {
 			break
 		}
-		switch op % 24 {
+		switch op % 27 {
 		case 0, 1, 2:
-			stack = append(stack, vars[op%24])
+			stack = append(stack, vars[op%27])
 		case 3:
 			stack = append(stack, b.Const(w, next()*0x9e3779b97f4a7c15))
 		case 4:
@@ -235,6 +238,14 @@ func termFromBytes(b *Builder, vars []*Term, next func() uint64) *Term {
 			stack = append(stack, b.ZExt(b.Trunc(pop(), (w+1)/2), w))
 		case 23:
 			stack = append(stack, b.SExt(b.Trunc(pop(), (w+1)/2), w))
+		case 24, 25:
+			ext := b.extend(OpZExt+Op(op%27-24), b.Trunc(pop(), 1+int(next()%uint64(w))), 2*w)
+			lo := int(next() % uint64(w+1))
+			stack = append(stack, b.Extract(ext, lo+w-1, lo))
+		case 26:
+			k := 1 + int(next()%uint64(w))
+			m := k + int(next()%uint64(w-k+1))
+			stack = append(stack, b.SExt(b.ZExt(b.Trunc(pop(), k), m), w))
 		}
 	}
 	return pop()

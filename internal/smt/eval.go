@@ -56,7 +56,13 @@ func Eval(t *Term, env map[string]uint64) uint64 {
 // Vars returns the distinct variable terms reachable from t, in first-seen
 // order.
 func Vars(t *Term) []*Term {
-	var out []*Term
+	vars, _ := scan(t)
+	return vars
+}
+
+// scan returns Vars(t) and an estimate of the SAT variables blasting t
+// creates (blastVars summed over t's distinct nodes), in one walk.
+func scan(t *Term) (vars []*Term, estimate int) {
 	seen := make(map[*Term]bool)
 	var walk func(*Term)
 	walk = func(t *Term) {
@@ -64,8 +70,9 @@ func Vars(t *Term) []*Term {
 			return
 		}
 		seen[t] = true
+		estimate += blastVars(t)
 		if t.Op == OpVar {
-			out = append(out, t)
+			vars = append(vars, t)
 			return
 		}
 		for _, a := range t.Args {
@@ -73,7 +80,7 @@ func Vars(t *Term) []*Term {
 		}
 	}
 	walk(t)
-	return out
+	return vars, estimate
 }
 
 // Size returns the number of distinct nodes in the term DAG — used by the

@@ -78,7 +78,8 @@ func (c *Checker) Check(formula *Term) (Result, Model) {
 	s.Budget = c.ConflictBudget
 	s.Stop = c.Stop
 	bl := NewBlast(s)
-	vars := Vars(formula)
+	vars, estimate := scan(formula)
+	s.Reserve(estimate)
 	// Blast variables first so their literals exist for model extraction.
 	for _, v := range vars {
 		bl.Bits(v)

@@ -9,6 +9,7 @@ package smt
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/apint"
@@ -344,6 +345,9 @@ func (b *Builder) ZExt(x *Term, to int) *Term {
 	if v, ok := x.IsConst(); ok {
 		return b.Const(to, v)
 	}
+	if b.Rewrite && x.Op == OpZExt {
+		return b.ZExt(x.Args[0], to)
+	}
 	return b.intern(&Term{Op: OpZExt, W: to, Args: []*Term{x}, Aux: to})
 }
 
@@ -357,6 +361,15 @@ func (b *Builder) SExt(x *Term, to int) *Term {
 	}
 	if v, ok := x.IsConst(); ok {
 		return b.Const(to, apint.SExt(v, x.W, to))
+	}
+	if b.Rewrite {
+		switch x.Op {
+		case OpSExt:
+			return b.SExt(x.Args[0], to)
+		case OpZExt:
+			// A zext always widens, so its sign bit is 0.
+			return b.ZExt(x.Args[0], to)
+		}
 	}
 	return b.intern(&Term{Op: OpSExt, W: to, Args: []*Term{x}, Aux: to})
 }
@@ -374,10 +387,35 @@ func (b *Builder) Extract(x *Term, hi, lo int) *Term {
 	if v, ok := x.IsConst(); ok {
 		return b.Const(w, v>>uint(lo))
 	}
-	if b.Rewrite && x.Op == OpExtract {
-		return b.Extract(x.Args[0], x.Aux2+hi, x.Aux2+lo)
+	if b.Rewrite {
+		switch x.Op {
+		case OpExtract:
+			return b.Extract(x.Args[0], x.Aux2+hi, x.Aux2+lo)
+		case OpZExt, OpSExt:
+			// The bits of an extension are the operand's, then its fill.
+			a := x.Args[0]
+			n := a.W
+			switch {
+			case hi < n:
+				return b.Extract(a, hi, lo)
+			case lo < n:
+				return b.extend(x.Op, b.Extract(a, n-1, lo), w)
+			case x.Op == OpZExt:
+				return b.Const(w, 0)
+			default:
+				return b.SExt(b.Extract(a, n-1, n-1), w)
+			}
+		}
 	}
 	return b.intern(&Term{Op: OpExtract, W: w, Args: []*Term{x}, Aux: hi, Aux2: lo})
+}
+
+// extend widens x to width to with the extension op (OpZExt or OpSExt).
+func (b *Builder) extend(op Op, x *Term, to int) *Term {
+	if op == OpSExt {
+		return b.SExt(x, to)
+	}
+	return b.ZExt(x, to)
 }
 
 // Trunc truncates x to width to.
@@ -540,7 +578,95 @@ func (b *Builder) rewriteBinary(op Op, x, y *Term) *Term {
 			return b.Bool(false)
 		}
 	}
+	return b.narrow(op, x, y)
+}
+
+// narrow computes a division, remainder, comparison or equality whose
+// operands are both extended from fewer bits at the operands' own width,
+// the inverse of the IR promotion that widens `urem i8` to
+// `trunc(urem i32 (zext x), (zext y))`: the bit-blasted circuit is then
+// the narrow one, not a wide divider the SAT solver has to prove equal to
+// it (word-level rewriting ahead of bit-blasting, as in Brummayer & Biere,
+// "Boolector", TACAS 2009). An operand qualifies as a zext (for the
+// unsigned operators) or a sext (signed ones), or as a constant that
+// fits. It returns nil when no narrowing applies.
+//
+// Over n-bit zero-extended operands, urem, ult and eq are exact at n bits
+// (urem x 0 = x commutes with zext); udiv x 0 is all-ones at either
+// width, so a zero divisor is tested at n bits. Over sign-extended
+// operands srem, slt and eq are exact at n bits, and sdiv is exact at
+// n+1 bits, where INT_MIN_n / -1 fits and sdiv x 0 keeps its value.
+func (b *Builder) narrow(op Op, x, y *Term) *Term {
+	switch op {
+	case OpUDiv, OpURem, OpUlt:
+		return b.narrowAt(op, x, y, false)
+	case OpSDiv, OpSRem, OpSlt:
+		return b.narrowAt(op, x, y, true)
+	case OpEq:
+		if t := b.narrowAt(op, x, y, false); t != nil {
+			return t
+		}
+		return b.narrowAt(op, x, y, true)
+	}
 	return nil
+}
+
+func (b *Builder) narrowAt(op Op, x, y *Term, signed bool) *Term {
+	nx, ok := significantWidth(x, signed)
+	if !ok {
+		return nil
+	}
+	ny, ok := significantWidth(y, signed)
+	if !ok {
+		return nil
+	}
+	w, n := x.W, max(nx, ny)
+	if op == OpSDiv {
+		n++
+	}
+	if n >= w {
+		return nil
+	}
+	xn, yn := b.lower(x, n), b.lower(y, n)
+	r := b.binary(op, xn, yn)
+	switch op {
+	case OpEq, OpUlt, OpSlt:
+		return r
+	case OpUDiv:
+		return b.Ite(b.Eq(yn, b.Const(n, 0)), b.Const(w, apint.Mask(w)), b.ZExt(r, w))
+	case OpURem:
+		return b.ZExt(r, w)
+	default:
+		return b.SExt(r, w)
+	}
+}
+
+// significantWidth returns the width t is an extension from: the operand
+// width of a zext (unsigned) or sext (signed), or the fewest bits that
+// extend back to a constant's value. ok is false for any other term.
+func significantWidth(t *Term, signed bool) (int, bool) {
+	switch {
+	case t.Op == OpZExt && !signed, t.Op == OpSExt && signed:
+		return t.Args[0].W, true
+	case t.Op != OpConst:
+		return 0, false
+	case !signed:
+		return max(1, bits.Len64(t.Val)), true
+	case apint.SignBit(t.Val, t.W):
+		return bits.Len64(apint.Not(t.Val, t.W)) + 1, true
+	default:
+		return bits.Len64(t.Val) + 1, true
+	}
+}
+
+// lower rebuilds an operand significantWidth accepted at width n, which
+// is at least its significant width: a constant truncated to n bits, an
+// extension's operand extended to n bits.
+func (b *Builder) lower(t *Term, n int) *Term {
+	if t.Op == OpConst {
+		return b.Const(n, t.Val)
+	}
+	return b.extend(t.Op, t.Args[0], n)
 }
 
 // evalBinary evaluates a binary operator on canonical width-w values,

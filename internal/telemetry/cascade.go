@@ -26,10 +26,12 @@ func ParseLayersOff(label string) map[string]bool {
 // CheckCascade checks the TV cascade's partition identities on a
 // campaign's counters, for the layers not in off (docs/OBSERVABILITY.md).
 // The encoded queries are the verdicts other than Unsupported, which
-// only encoding returns. Each rung sees what the rungs before it left:
+// only encoding returns. Each rung sees what the rungs before it left,
+// and the cache also serves the preprocess gate's solve-stage queries
+// (tv.gate.solves), which the verdict census leaves out:
 //
 //	static: proved + bailout = encoded
-//	cache:  hit + miss = encoded - static proved
+//	cache:  hit + miss = encoded - static proved + gate solves
 //
 // It returns every identity that fails, joined; nil when all hold.
 func CheckCascade(c map[string]int64, off map[string]bool) error {
@@ -49,7 +51,7 @@ func CheckCascade(c map[string]int64, off map[string]bool) error {
 	}
 	if on("cache") {
 		check("cache hit+miss vs solve-stage queries",
-			c["tv.cache.hit"]+c["tv.cache.miss"], encoded-staticProved)
+			c["tv.cache.hit"]+c["tv.cache.miss"], encoded-staticProved+c["tv.gate.solves"])
 	}
 	return errors.Join(errs...)
 }

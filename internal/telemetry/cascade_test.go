@@ -49,6 +49,16 @@ func TestCheckCascade(t *testing.T) {
 	if err := CheckCascade(off, ParseLayersOff("static")); err != nil {
 		t.Errorf("static off: %v", err)
 	}
+
+	// The preprocess gate's solve-stage queries use the cache too but are
+	// not in the verdict census.
+	gate := cascadeCounters()
+	gate["tv.gate.solves"] = 3
+	gate["tv.cache.hit"]++
+	gate["tv.cache.miss"] += 2
+	if err := CheckCascade(gate, nil); err != nil {
+		t.Errorf("with gate solves: %v", err)
+	}
 }
 
 func TestParseLayersOff(t *testing.T) {

@@ -174,7 +174,6 @@ func runCampaign(pc profileConfig) (*spans.Store, int) {
 		Stderr:    os.Stderr,
 		Telemetry: sink,
 		Spans:     store,
-		Portfolio: campaign.DefaultPortfolio,
 	})
 	if rep == nil {
 		fmt.Fprintln(os.Stderr, "campaign-profile:", err)

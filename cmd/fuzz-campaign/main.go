@@ -24,7 +24,7 @@
 //	    [-triage-dir triage/] [-checkpoint-dir ckpt/]
 //	    [-checkpoint-interval 10s] [-resume]
 //	    [-no-analysis] [-no-static-tv] [-no-tv-cache]
-//	    [-no-incremental] [-no-portfolio]
+//	    [-no-incremental]
 //
 // A/B comparisons (docs/PERFORMANCE.md): -no-analysis turns off the
 // optimizer's dataflow-analysis-backed folds; each of the other -no-*
@@ -229,7 +229,6 @@ func run() int {
 		StallThreshold:     *stall,
 		Triage:             triageSink,
 		NoAnalysis:         *noAnalysis,
-		Portfolio:          campaign.DefaultPortfolio,
 		CheckpointDir:      *ckptDir,
 		CheckpointInterval: *ckptInterval,
 		Resume:             *resume,

@@ -38,12 +38,12 @@ func TestCompareTable(t *testing.T) {
 		t.Fatalf("identical counters:\n%s\nwant:\n%s", got, want)
 	}
 
-	moved := compareSnap(int64(time.Second), map[string]int64{"mutants": 995, "sat.conflicts": 60000, "tv.queries": 772, "tv.portfolio.rescued": 1})
+	moved := compareSnap(int64(time.Second), map[string]int64{"mutants": 995, "sat.conflicts": 60000, "tv.queries": 772, "tv.session.proved": 1})
 	got = compareTable([]string{"parent", "change"}, []*telemetry.Snapshot{same, moved})
 	for _, line := range []string{
-		"counter                      parent         change\n",
-		"sat.conflicts                 53037          60000\n",
-		"tv.portfolio.rescued              0              1\n",
+		"counter                   parent         change\n",
+		"sat.conflicts              53037          60000\n",
+		"tv.session.proved              0              1\n",
 		"2 counters identical\n",
 	} {
 		if !strings.Contains(got, line) {
@@ -74,11 +74,11 @@ func TestCheckCampaignShapeCascade(t *testing.T) {
 	if err := checkCampaignShape(snap(nil)); err != nil {
 		t.Errorf("no layers_off label: %v", err)
 	}
-	err := checkCampaignShape(snap(map[string]string{telemetry.LayersOffLabel: "portfolio"}))
+	err := checkCampaignShape(snap(map[string]string{telemetry.LayersOffLabel: "incremental"}))
 	if err == nil || !strings.Contains(err.Error(), "cache hit+miss") {
 		t.Errorf("cache on, one miss short: error %v, want the cache identity", err)
 	}
-	if err := checkCampaignShape(snap(map[string]string{telemetry.LayersOffLabel: "cache,portfolio"})); err != nil {
+	if err := checkCampaignShape(snap(map[string]string{telemetry.LayersOffLabel: "cache,incremental"})); err != nil {
 		t.Errorf("cache off: %v", err)
 	}
 }

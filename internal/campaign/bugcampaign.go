@@ -113,16 +113,11 @@ type BugConfig struct {
 	// other acceleration modes it is excluded from the checkpoint
 	// fingerprint (docs/PERFORMANCE.md, "Layer 0").
 	NoStaticTV bool
-	// Portfolio turns on the fallback leg that re-solves budget-bound
-	// monolithic queries (tv.Options.Portfolio): 2 or more means on,
-	// anything less off. It is an int only because perfbench/trace sets
-	// it to 3. The campaign commands default to DefaultPortfolio.
+	// Portfolio is ignored. The fallback solver leg is gone; the field
+	// survives only because perfbench/trace sets it, and a later change
+	// to the benchmark deletes it. Nothing else may set it.
 	Portfolio int
 }
-
-// DefaultPortfolio turns the fallback leg on; the campaign commands
-// (fuzz-campaign, campaign-profile) run with it unless told otherwise.
-const DefaultPortfolio = 2
 
 // tvOptions resolves one unit execution's TV configuration. It is called
 // from each unit's Run closure, so the verdict cache is per unit:
@@ -133,7 +128,6 @@ func (cfg BugConfig) tvOptions() tv.Options {
 		ConflictBudget: cfg.TVBudget,
 		Incremental:    !cfg.NoIncremental,
 		Static:         !cfg.NoStaticTV,
-		Portfolio:      cfg.Portfolio,
 	}
 	if !cfg.NoTVCache {
 		o.Cache = tv.NewCache()

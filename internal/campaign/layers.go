@@ -37,10 +37,4 @@ var Layers = []Layer{
 		Off:      func(c *BugConfig) { c.NoIncremental = true },
 		Counters: "tv.session.",
 	},
-	{
-		Name: "portfolio", Flag: "no-portfolio",
-		Usage:    "disable the fallback solver leg on budget-bound queries (A/B comparison runs)",
-		Off:      func(c *BugConfig) { c.Portfolio = 0 },
-		Counters: "sat.portfolio.",
-	},
 }

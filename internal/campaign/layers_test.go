@@ -32,17 +32,16 @@ type layerRun struct {
 }
 
 // harnessConfig is the testIssues campaign at the campaign commands'
-// defaults: every layer on, the portfolio included.
+// defaults: every layer on.
 func harnessConfig(workers int) BugConfig {
 	return BugConfig{
-		Budget:    120,
-		TVBudget:  4000,
-		Seed:      7,
-		Passes:    "O2",
-		Workers:   workers,
-		Only:      testIssues,
-		Stderr:    io.Discard,
-		Portfolio: DefaultPortfolio,
+		Budget:   120,
+		TVBudget: 4000,
+		Seed:     7,
+		Passes:   "O2",
+		Workers:  workers,
+		Only:     testIssues,
+		Stderr:   io.Discard,
 	}
 }
 

@@ -284,9 +284,6 @@ func queryInfo(r tv.Result, cacheOn bool) spans.QueryInfo {
 			q.Cache = spans.CacheHit
 		}
 	}
-	if r.PortfolioRaced {
-		q.Portfolio = portfolioWinnerLabel(r.PortfolioWinner)
-	}
 	return q
 }
 
@@ -388,11 +385,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 	// Incremental-session accounting: queries the per-class session
 	// proved Valid.
 	ctrSessionProved := tel.Counter("tv.session.proved")
-	// Portfolio accounting: races counts queries on which the fallback
-	// leg counted; the winner counters partition the races by whether its
-	// proof became the verdict.
-	ctrPortfolioRaces := tel.Counter("sat.portfolio.races")
-	portfolioWinnerCtrs := lazy(tel.Counter, "sat.portfolio.winner.")
 	prevTV := f.opts.TV.Observe
 	f.opts.TV.Observe = func(r tv.Result, d time.Duration) {
 		histTV.Observe(d)
@@ -409,10 +401,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 			if r.StaticRule != "" {
 				staticRuleCtrs.get(r.StaticRule).Add(1)
 			}
-		}
-		if r.PortfolioRaced {
-			ctrPortfolioRaces.Add(1)
-			portfolioWinnerCtrs.get(portfolioWinnerLabel(r.PortfolioWinner)).Add(1)
 		}
 		if f.spans != nil {
 			f.spans.Query(queryInfo(r, cacheOn), d)
@@ -469,17 +457,6 @@ func (l *lazyHandles[T]) get(name string) *T {
 // lazy returns the handles resolve gives for prefix+name.
 func lazy[T any](resolve func(string) *T, prefix string) *lazyHandles[T] {
 	return &lazyHandles[T]{resolve: func(name string) *T { return resolve(prefix + name) }}
-}
-
-// portfolioWinnerLabel renders a raced query's tv.Result.PortfolioWinner
-// as the label used by sat.portfolio.winner.* counters and span
-// attributes: "fallback" when the fallback leg's proof rescued the query,
-// "none" when both legs ran out of budget or the fallback found a model.
-func portfolioWinnerLabel(winner int) string {
-	if winner > 0 {
-		return "fallback"
-	}
-	return "none"
 }
 
 // recordRuleStats folds one mutant's optimizer rule-application counts

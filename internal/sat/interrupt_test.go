@@ -1,41 +1,31 @@
 package sat_test
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/sat"
-	"repro/internal/smt"
 )
 
 // TestUnsetStopKeepsTrajectory: a Stop flag that is never raised leaves
 // the search exactly as a nil one does (the nil case is what the
-// trajectory pins cover), under the canonical and the fallback
-// configuration.
+// trajectory pins cover).
 func TestUnsetStopKeepsTrajectory(t *testing.T) {
-	for i, cfg := range []sat.Config{{}, smt.FallbackConfig} {
+	for name, add := range map[string]func(s *sat.Solver){
+		"php":        func(s *sat.Solver) { addPHP(s, 7) },
+		"random3sat": func(s *sat.Solver) { addRandom3SAT(s, 2024, 200, 852) },
+	} {
 		run := func(stop *atomic.Bool) trajectory {
-			s := sat.NewWith(cfg)
+			s := sat.New()
 			s.Stop = stop
-			addPHP(s, 7)
+			add(s)
 			if got := s.Solve(); got != sat.Unsat {
-				t.Fatalf("config %d: verdict %v, want unsat", i, got)
+				t.Fatalf("%s: verdict %v, want unsat", name, got)
 			}
 			return countersOf(s)
 		}
-		checkSame(t, fmt.Sprintf("php config %d", i), run(nil), run(new(atomic.Bool)))
+		checkSame(t, name, run(nil), run(new(atomic.Bool)))
 	}
-	run := func(stop *atomic.Bool) trajectory {
-		s := sat.New()
-		s.Stop = stop
-		addRandom3SAT(s, 2024, 200, 852)
-		if got := s.Solve(); got != sat.Unsat {
-			t.Fatalf("verdict %v, want unsat", got)
-		}
-		return countersOf(s)
-	}
-	checkSame(t, "random3sat", run(nil), run(new(atomic.Bool)))
 }
 
 func checkSame(t *testing.T, name string, nilStop, unsetStop trajectory) {

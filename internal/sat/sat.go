@@ -120,40 +120,13 @@ const (
 	slabChunkVars = 1024
 )
 
-// Config parameterizes the solver's search heuristics. The zero value is
-// the canonical configuration, so New() and NewWith(Config{}) produce
-// bit-identical searches. internal/tv's fallback leg solves a budget-bound
-// query a second time under a longer restart unit and a slower activity
-// decay, a regime that proves some queries the canonical schedule cannot
-// afford.
-type Config struct {
-	// RestartBase is the Luby restart unit in conflicts (0 =
-	// canonicalRestartBase).
-	RestartBase int
-	// VarDecay is the VSIDS activity decay divisor applied per conflict
-	// (0 = canonicalVarDecay). Values closer to 1 decay slower (longer
-	// memory).
-	VarDecay float64
-}
-
-// The canonical search policy: a zero Config field takes these values,
-// and clauseDecay, the learnt-clause activity decay divisor, is fixed.
+// The search policy: the Luby restart unit in conflicts, and the VSIDS
+// and learnt-clause activity decay divisors applied per conflict.
 const (
-	canonicalRestartBase = 100
-	canonicalVarDecay    = 0.95
-	clauseDecay          = 0.999
+	restartBase = 100
+	varDecay    = 0.95
+	clauseDecay = 0.999
 )
-
-// withDefaults resolves zero fields to the canonical policy constants.
-func (c Config) withDefaults() Config {
-	if c.RestartBase == 0 {
-		c.RestartBase = canonicalRestartBase
-	}
-	if c.VarDecay == 0 {
-		c.VarDecay = canonicalVarDecay
-	}
-	return c
-}
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
@@ -178,7 +151,6 @@ type Solver struct {
 	polarity []bool // saved phases
 
 	claInc float64
-	cfg    Config // resolved heuristic configuration (see NewWith)
 
 	ok bool // false once the formula is trivially unsat
 
@@ -230,15 +202,9 @@ type watcher struct {
 	blocker Lit
 }
 
-// New returns an empty solver with the canonical configuration.
+// New returns an empty solver.
 func New() *Solver {
-	return NewWith(Config{})
-}
-
-// NewWith returns an empty solver using the given heuristic
-// configuration. NewWith(Config{}) is exactly New().
-func NewWith(cfg Config) *Solver {
-	s := &Solver{varInc: 1, claInc: 1, ok: true, cfg: cfg.withDefaults()}
+	s := &Solver{varInc: 1, claInc: 1, ok: true}
 	s.order = newVarHeap(&s.activity)
 	return s
 }
@@ -922,7 +888,7 @@ func (st *stepper) step() Result {
 		return st.res
 	}
 	s := st.s
-	budgetC := int64(s.cfg.RestartBase) * int64(luby(2, st.curRestart))
+	budgetC := int64(restartBase) * int64(luby(2, st.curRestart))
 	res := s.search(budgetC, st.assumptions, &st.maxLearnts)
 	if res == interrupted {
 		st.done, st.interrupted, st.res = true, true, Unknown
@@ -978,7 +944,7 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 				s.bumpClause(cr)
 				s.enqueue(learnt[0], cr)
 			}
-			s.varInc /= s.cfg.VarDecay // VSIDS decay
+			s.varInc /= varDecay // VSIDS decay
 			s.claInc /= clauseDecay
 			if s.Stop != nil && s.Stop.Load() {
 				s.cancelUntil(0)

@@ -85,24 +85,14 @@ func TestTrajectoryRandom3SAT(t *testing.T) {
 	checkTrajectory(t, "random3sat", s, trajectory{7004, 8409, 259253})
 }
 
-// TestTrajectoryPortfolioConfigs pins PHP(8,7) under the canonical
-// configuration and the fallback leg's.
+// TestTrajectoryPortfolioConfigs pins PHP(8,7).
 func TestTrajectoryPortfolioConfigs(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		cfg  sat.Config
-		want trajectory
-	}{
-		{"canonical", sat.Config{}, trajectory{3717, 4519, 42796}},
-		{"fallback", smt.FallbackConfig, trajectory{2868, 3419, 35407}},
-	} {
-		s := sat.NewWith(c.cfg)
-		addPHP(s, 7)
-		if got := s.Solve(); got != sat.Unsat {
-			t.Fatalf("%s: verdict %v, want unsat", c.name, got)
-		}
-		checkTrajectory(t, fmt.Sprintf("%s (%+v)", c.name, c.cfg), s, c.want)
+	s := sat.New()
+	addPHP(s, 7)
+	if got := s.Solve(); got != sat.Unsat {
+		t.Fatalf("verdict %v, want unsat", got)
 	}
+	checkTrajectory(t, "php", s, trajectory{3717, 4519, 42796})
 }
 
 // TestTrajectoryIncremental pins one solver through the incremental
@@ -160,23 +150,20 @@ func addBlastedMiter(s *sat.Solver, w int) {
 	smt.NewBlast(s).AssertTrue(b.Ne(lhs, rhs))
 }
 
-// TestTrajectoryBlastedMiter pins a blasted arithmetic miter under the
-// canonical configuration and the fallback leg's, and one canonical run
-// that exhausts its conflict budget.
+// TestTrajectoryBlastedMiter pins a blasted arithmetic miter, and one
+// run that exhausts its conflict budget.
 func TestTrajectoryBlastedMiter(t *testing.T) {
 	for _, c := range []struct {
 		name   string
-		cfg    sat.Config
 		width  int
 		budget int64
 		res    sat.Result
 		want   trajectory
 	}{
-		{"canonical", sat.Config{}, 7, 0, sat.Unsat, trajectory{7702, 8917, 1181952}},
-		{"fallback", smt.FallbackConfig, 7, 0, sat.Unsat, trajectory{4811, 5274, 732214}},
-		{"budget", sat.Config{}, 8, 1000, sat.Unknown, trajectory{1203, 1747, 191844}},
+		{"canonical", 7, 0, sat.Unsat, trajectory{7702, 8917, 1181952}},
+		{"budget", 8, 1000, sat.Unknown, trajectory{1203, 1747, 191844}},
 	} {
-		s := sat.NewWith(c.cfg)
+		s := sat.New()
 		s.Budget = c.budget
 		addBlastedMiter(s, c.width)
 		if got := s.Solve(); got != c.res {

@@ -173,8 +173,10 @@ func FuzzBlastAgainstEval(f *testing.F) {
 // FuzzRewriteAgainstEval decode until a zero byte or the end of the
 // input. An operator short of operands takes x; the result is the top of
 // the stack. Besides the operators, it builds extensions from a
-// fuzz-chosen width, nested ones, and extracts of a double-width
-// extension at every offset, the shapes the narrowing rewrites match.
+// fuzz-chosen width, nested ones, extracts of a double-width extension
+// at every offset, and a division or remainder promoted to double width
+// over extended operands and truncated back, the shapes the narrowing
+// rewrites match.
 func termFromBytes(b *Builder, vars []*Term, next func() uint64) *Term {
 	w := vars[0].W
 	var stack []*Term
@@ -190,9 +192,9 @@ func termFromBytes(b *Builder, vars []*Term, next func() uint64) *Term {
 		if len(stack) > 16 {
 			break
 		}
-		switch op % 27 {
+		switch op % 28 {
 		case 0, 1, 2:
-			stack = append(stack, vars[op%27])
+			stack = append(stack, vars[op%28])
 		case 3:
 			stack = append(stack, b.Const(w, next()*0x9e3779b97f4a7c15))
 		case 4:
@@ -239,13 +241,17 @@ func termFromBytes(b *Builder, vars []*Term, next func() uint64) *Term {
 		case 23:
 			stack = append(stack, b.SExt(b.Trunc(pop(), (w+1)/2), w))
 		case 24, 25:
-			ext := b.extend(OpZExt+Op(op%27-24), b.Trunc(pop(), 1+int(next()%uint64(w))), 2*w)
+			ext := b.extend(OpZExt+Op(op%28-24), b.Trunc(pop(), 1+int(next()%uint64(w))), 2*w)
 			lo := int(next() % uint64(w+1))
 			stack = append(stack, b.Extract(ext, lo+w-1, lo))
 		case 26:
 			k := 1 + int(next()%uint64(w))
 			m := k + int(next()%uint64(w-k+1))
 			stack = append(stack, b.SExt(b.ZExt(b.Trunc(pop(), k), m), w))
+		case 27:
+			x, y, v := pop(), pop(), next()
+			ext, op := OpZExt+Op(v/4%2), []Op{OpUDiv, OpURem, OpSDiv, OpSRem}[v%4]
+			stack = append(stack, b.Trunc(b.binary(op, b.extend(ext, x, 2*w), b.extend(ext, y, 2*w)), w))
 		}
 	}
 	return pop()

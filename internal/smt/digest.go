@@ -13,7 +13,7 @@ import (
 // Equal digests therefore mean equal DAGs up to a consistent renaming of
 // variables, with the same operand order and the same variable visit
 // order. Every walk that blasts a term to CNF (Vars, the bit-blaster,
-// the portfolio's legs, the incremental session) visits it in that order
+// the monolithic solve, the incremental session) visits it in that order
 // and never reads a name, so two such queries give the same CNF and the
 // same search. Only model extraction reads names.
 func Digest(roots ...*Term) [32]byte {

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"repro/internal/apint"
@@ -70,9 +71,10 @@ var narrowOps = map[string]func(b *Builder, x, y *Term) *Term{
 	"eq": (*Builder).Eq,
 }
 
-// widestDivOrCmp returns the widest operand of any division, remainder
-// or comparison in t, 0 when there is none.
-func widestDivOrCmp(t *Term) int {
+// widestDivOrCmp returns the widest operand of any division or
+// remainder in t, and of any comparison too when cmp is set; 0 when there
+// is none.
+func widestDivOrCmp(t *Term, cmp bool) int {
 	widest := 0
 	seen := map[*Term]bool{}
 	var walk func(*Term)
@@ -82,7 +84,12 @@ func widestDivOrCmp(t *Term) int {
 		}
 		seen[t] = true
 		switch t.Op {
-		case OpUDiv, OpURem, OpSDiv, OpSRem, OpUlt, OpSlt, OpEq:
+		case OpUlt, OpSlt, OpEq:
+			if !cmp {
+				break
+			}
+			fallthrough
+		case OpUDiv, OpURem, OpSDiv, OpSRem:
 			widest = max(widest, t.Args[0].W)
 		}
 		for _, a := range t.Args {
@@ -93,6 +100,21 @@ func widestDivOrCmp(t *Term) int {
 	return widest
 }
 
+// divOps are the narrowOps whose result has the operands' width.
+var divOps = []string{"udiv", "urem", "sdiv", "srem"}
+
+// sameExtractsUnderEval checks every [hi:lo] extract of s with
+// sameUnderEval.
+func sameExtractsUnderEval(t *testing.T, what string, s shape, w int, widths map[string]int) {
+	t.Helper()
+	for hi := 0; hi < w; hi++ {
+		for lo := 0; lo <= hi; lo++ {
+			ext := func(b *Builder) *Term { return b.Extract(s(b), hi, lo) }
+			sameUnderEval(t, fmt.Sprintf("[%d:%d] of %s", hi, lo, what), ext, widths)
+		}
+	}
+}
+
 // TestNarrowingExhaustive checks every narrowing rule of the Builder
 // against the unrewritten term under Eval, on every input: extensions of
 // extensions, every [hi:lo] extract of an extension, and udiv, urem,
@@ -100,19 +122,19 @@ func widestDivOrCmp(t *Term) int {
 // 1–4, result widths up to 7) and over one extended operand and every
 // constant of the result width, 0, INT_MIN and -1 among them. Each
 // same-kind pair of extended operands must also actually narrow: no
-// division or comparison is left at the result width.
+// division or comparison is left at the result width. The divisions and
+// remainders are also checked with a narrow dividend (extended or
+// constant) over a full-width variable divisor, where an unsigned one
+// must keep no divider wider than the dividend's significant width; and
+// every extract of a narrowed division or remainder, which reaches the
+// extract-through-ite and sdiv trunc-back rules.
 func TestNarrowingExhaustive(t *testing.T) {
 	for n := 1; n <= 4; n++ {
 		for w := n; w <= 7; w++ {
 			for name, ext := range extensions("x", n, w) {
 				vars := map[string]int{"x": n}
 				sameUnderEval(t, fmt.Sprintf("%s i%d to i%d", name, n, w), ext, vars)
-				for hi := 0; hi < w; hi++ {
-					for lo := 0; lo <= hi; lo++ {
-						what := fmt.Sprintf("[%d:%d] of %s i%d to i%d", hi, lo, name, n, w)
-						sameUnderEval(t, what, func(b *Builder) *Term { return b.Extract(ext(b), hi, lo) }, vars)
-					}
-				}
+				sameExtractsUnderEval(t, fmt.Sprintf("%s i%d to i%d", name, n, w), ext, w, vars)
 				for opName, op := range narrowOps {
 					for c := uint64(0); c <= apint.Mask(w); c++ {
 						what := fmt.Sprintf("%s(%s i%d to i%d, %d)", opName, name, n, w, c)
@@ -120,6 +142,54 @@ func TestNarrowingExhaustive(t *testing.T) {
 						what = fmt.Sprintf("%s(%d, %s i%d to i%d)", opName, c, name, n, w)
 						sameUnderEval(t, what, func(b *Builder) *Term { return op(b, b.Const(w, c), ext(b)) }, vars)
 					}
+				}
+				vars = map[string]int{"x": n, "y": w}
+				for _, opName := range divOps {
+					op := narrowOps[opName]
+					s := func(b *Builder) *Term { return op(b, ext(b), b.Var(w, "y")) }
+					what := fmt.Sprintf("%s(%s i%d to i%d, y)", opName, name, n, w)
+					got := sameUnderEval(t, what, s, vars)
+					if name == "zext" || name == "sext" {
+						sameExtractsUnderEval(t, what, s, w, vars)
+					}
+					if opName[0] == 'u' && name == "zext" && n < w {
+						if widest := widestDivOrCmp(got, false); widest > n {
+							t.Errorf("%s: rewritten %s keeps an i%d divider", what, got, widest)
+						}
+					}
+				}
+			}
+		}
+	}
+	for w := 1; w <= 7; w++ {
+		vars := map[string]int{"y": w}
+		for c := uint64(0); c <= apint.Mask(w); c++ {
+			for _, opName := range divOps {
+				op := narrowOps[opName]
+				s := func(b *Builder) *Term { return op(b, b.Const(w, c), b.Var(w, "y")) }
+				what := fmt.Sprintf("%s(%d, y) at i%d", opName, c, w)
+				got := sameUnderEval(t, what, s, vars)
+				sameExtractsUnderEval(t, what, s, w, vars)
+				if opName[0] == 'u' {
+					if widest := widestDivOrCmp(got, false); widest > max(1, bits.Len64(c)) {
+						t.Errorf("%s: rewritten %s keeps an i%d divider", what, got, widest)
+					}
+				}
+			}
+		}
+		vars = map[string]int{"x": w, "y": w}
+		for _, tested := range []string{"y", "x"} {
+			for _, zeroFirst := range []bool{false, true} {
+				what := fmt.Sprintf("ite(%s = 0, all-ones, udiv(x, y)) at i%d, zero interned first %v", tested, w, zeroFirst)
+				got := sameUnderEval(t, what, func(b *Builder) *Term {
+					if zeroFirst {
+						b.Const(w, 0) // Eq orders its operands by creation
+					}
+					x, y := b.Var(w, "x"), b.Var(w, "y")
+					return b.Ite(b.Eq(b.Var(w, tested), b.Const(w, 0)), b.Const(w, apint.Mask(w)), b.UDiv(x, y))
+				}, vars)
+				if tested == "y" && got.Op != OpUDiv {
+					t.Errorf("%s: rewritten to %s, not the udiv", what, got)
 				}
 			}
 		}
@@ -131,16 +201,21 @@ func TestNarrowingExhaustive(t *testing.T) {
 				for xName, xs := range extensions("x", nx, w) {
 					for yName, ys := range extensions("y", ny, w) {
 						for opName, op := range narrowOps {
+							s := func(b *Builder) *Term { return op(b, xs(b), ys(b)) }
 							what := fmt.Sprintf("%s(%s i%d, %s i%d) at i%d", opName, xName, nx, yName, ny, w)
-							got := sameUnderEval(t, what, func(b *Builder) *Term { return op(b, xs(b), ys(b)) }, vars)
+							got := sameUnderEval(t, what, s, vars)
 							n := max(nx, ny)
 							if opName == "sdiv" {
 								n++
 							}
-							if xName == yName && (xName == "zext" || xName == "sext") && n < w {
+							simple := (xName == "zext" || xName == "sext") && (yName == "zext" || yName == "sext")
+							if simple && got.W == w {
+								sameExtractsUnderEval(t, what, s, w, vars)
+							}
+							if xName == yName && simple && n < w {
 								signed := opName[0] == 's'
 								if opName == "eq" || signed == (xName == "sext") {
-									if widest := widestDivOrCmp(got); widest >= w {
+									if widest := widestDivOrCmp(got, true); widest >= w {
 										t.Errorf("%s: rewritten %s keeps an i%d operation", what, got, widest)
 									}
 								}
@@ -153,25 +228,24 @@ func TestNarrowingExhaustive(t *testing.T) {
 	}
 }
 
-// TestNarrowingPromotedDivision: the promote pass's widened `urem i8`
-// and `srem i8` fold back to the narrow term itself, so a query comparing
-// the two is decided without a solver; the widened `udiv i8` keeps an i8
-// zero-divisor test but no i32 divider.
+// TestNarrowingPromotedDivision: the promote pass's widened `udiv i8`,
+// `urem i8`, `sdiv i8` and `srem i8` fold back to the narrow term itself,
+// so a query comparing the two is decided without a solver. The same
+// holds for a division promoted to any wider width and truncated back.
 func TestNarrowingPromotedDivision(t *testing.T) {
 	b := NewBuilder()
 	x, y := b.Var(8, "x"), b.Var(8, "y")
 	for name, c := range map[string]struct{ narrow, wide *Term }{
+		"udiv":         {b.UDiv(x, y), b.Trunc(b.UDiv(b.ZExt(x, 32), b.ZExt(y, 32)), 8)},
 		"urem":         {b.URem(x, y), b.Trunc(b.URem(b.ZExt(x, 32), b.ZExt(y, 32)), 8)},
+		"sdiv":         {b.SDiv(x, y), b.Trunc(b.SDiv(b.SExt(x, 32), b.SExt(y, 32)), 8)},
+		"sdiv at i9":   {b.SDiv(x, y), b.Trunc(b.SDiv(b.SExt(x, 9), b.SExt(y, 9)), 8)},
 		"srem":         {b.SRem(x, y), b.Trunc(b.SRem(b.SExt(x, 32), b.SExt(y, 32)), 8)},
 		"srem via i16": {b.SRem(x, y), b.Trunc(b.SRem(b.SExt(b.SExt(x, 16), 32), b.SExt(y, 32)), 8)},
 	} {
 		if !b.Eq(c.narrow, c.wide).IsTrue() {
 			t.Errorf("%s: %s and %s did not fold equal", name, c.narrow, c.wide)
 		}
-	}
-	udiv := b.Trunc(b.UDiv(b.ZExt(x, 32), b.ZExt(y, 32)), 8)
-	if widest := widestDivOrCmp(udiv); widest != 8 {
-		t.Errorf("udiv: %s has an i%d operation, want i8 at most", udiv, widest)
 	}
 }
 

@@ -41,9 +41,6 @@ type Checker struct {
 	// sat.Solver.Budget it is checked at restart boundaries, so the solve
 	// may overshoot it by up to one restart round.
 	ConflictBudget int64
-	// Config selects the solver's search heuristics; the zero value is
-	// the canonical configuration.
-	Config sat.Config
 	// Stop, when non-nil, interrupts the solve (sat.Solver.Stop): Check
 	// then returns Unknown, and neither that result nor the statistics
 	// may be counted.
@@ -54,13 +51,6 @@ type Checker struct {
 	LastPropagations int64
 	LastVars         int
 }
-
-// FallbackConfig is the search configuration of internal/tv's fallback
-// leg, which re-solves a query the canonical configuration abandoned at
-// its conflict budget: a restart unit forty times the canonical one and a
-// slower activity decay. Its first restart round alone runs 4000
-// conflicts, past any smaller budget (docs/PERFORMANCE.md Layer 6).
-var FallbackConfig = sat.Config{RestartBase: 4000, VarDecay: 0.995}
 
 // Check decides satisfiability of the bv1 term formula. On Sat it returns
 // a model assigning every variable reachable from the formula.
@@ -74,7 +64,7 @@ func (c *Checker) Check(formula *Term) (Result, Model) {
 	if formula.IsFalse() {
 		return Unsat, nil
 	}
-	s := sat.NewWith(c.Config)
+	s := sat.New()
 	s.Budget = c.ConflictBudget
 	s.Stop = c.Stop
 	bl := NewBlast(s)

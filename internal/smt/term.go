@@ -321,6 +321,12 @@ func (b *Builder) Ite(c, x, y *Term) *Term {
 		if x == y {
 			return x
 		}
+		// ite(d = 0, all-ones, udiv(n, d)) = udiv(n, d): SMT-LIB's udiv
+		// already answers all-ones for a zero divisor. This is how the
+		// narrowed promoted udiv, truncated back, becomes the narrow udiv.
+		if v, ok := x.IsConst(); ok && v == apint.Mask(x.W) && y.Op == OpUDiv && zeroTested(c) == y.Args[1] {
+			return y
+		}
 		// ite(c, 1, 0) = c and ite(c, 0, 1) = ¬c for bv1.
 		if x.W == 1 {
 			if x.IsTrue() && y.IsFalse() {
@@ -332,6 +338,22 @@ func (b *Builder) Ite(c, x, y *Term) *Term {
 		}
 	}
 	return b.intern(&Term{Op: OpIte, W: x.W, Args: []*Term{c, x, y}})
+}
+
+// zeroTested returns d when c is the test d = 0 as the Builder builds it
+// (¬d for a bv1 d), nil otherwise.
+func zeroTested(c *Term) *Term {
+	switch {
+	case c.Op == OpNot && c.W == 1:
+		return c.Args[0]
+	case c.Op != OpEq:
+		return nil
+	case c.Args[0].Op == OpConst && c.Args[0].Val == 0:
+		return c.Args[1]
+	case c.Args[1].Op == OpConst && c.Args[1].Val == 0:
+		return c.Args[0]
+	}
+	return nil
 }
 
 // ZExt zero-extends to width to (identity when to == x.W).
@@ -405,9 +427,35 @@ func (b *Builder) Extract(x *Term, hi, lo int) *Term {
 			default:
 				return b.SExt(b.Extract(a, n-1, n-1), w)
 			}
+		case OpIte:
+			// Pushed into the arms only where one of them folds, so the
+			// extract shrinks a term instead of copying it.
+			c, t, e := x.Args[0], x.Args[1], x.Args[2]
+			if foldsUnderExtract(t) || foldsUnderExtract(e) {
+				return b.Ite(c, b.Extract(t, hi, lo), b.Extract(e, hi, lo))
+			}
+		case OpSDiv:
+			// Over operands that fit in n signed bits, sdiv at any wider
+			// width computes the exact quotient, which fits in n+1 bits,
+			// or for a zero divisor x<0 ? 1 : -1; sdiv_n gives the same
+			// low n bits, INT_MIN_n / -1 wrapping to INT_MIN_n included.
+			num, den := x.Args[0], x.Args[1]
+			if n, ok := narrowWidth(num, den, true); ok && n < x.W && hi < n {
+				return b.Extract(b.SDiv(b.lower(num, n), b.lower(den, n)), hi, lo)
+			}
 		}
 	}
 	return b.intern(&Term{Op: OpExtract, W: w, Args: []*Term{x}, Aux: hi, Aux2: lo})
+}
+
+// foldsUnderExtract reports whether Extract rewrites every extract of t
+// to a term that is not an extract of t.
+func foldsUnderExtract(t *Term) bool {
+	switch t.Op {
+	case OpConst, OpZExt, OpSExt, OpExtract:
+		return true
+	}
+	return false
 }
 
 // extend widens x to width to with the extension op (OpZExt or OpSExt).
@@ -595,7 +643,9 @@ func (b *Builder) rewriteBinary(op Op, x, y *Term) *Term {
 // (urem x 0 = x commutes with zext); udiv x 0 is all-ones at either
 // width, so a zero divisor is tested at n bits. Over sign-extended
 // operands srem, slt and eq are exact at n bits, and sdiv is exact at
-// n+1 bits, where INT_MIN_n / -1 fits and sdiv x 0 keeps its value.
+// n+1 bits, where INT_MIN_n / -1 fits and sdiv x 0 keeps its value. A
+// udiv or urem whose dividend alone qualifies narrows behind a test of
+// the divisor's high bits.
 func (b *Builder) narrow(op Op, x, y *Term) *Term {
 	switch op {
 	case OpUDiv, OpURem, OpUlt:
@@ -612,33 +662,53 @@ func (b *Builder) narrow(op Op, x, y *Term) *Term {
 }
 
 func (b *Builder) narrowAt(op Op, x, y *Term, signed bool) *Term {
-	nx, ok := significantWidth(x, signed)
-	if !ok {
-		return nil
-	}
-	ny, ok := significantWidth(y, signed)
-	if !ok {
-		return nil
-	}
-	w, n := x.W, max(nx, ny)
+	w := x.W
+	n, ok := narrowWidth(x, y, signed)
 	if op == OpSDiv {
 		n++
 	}
-	if n >= w {
+	if ok && n < w {
+		xn, yn := b.lower(x, n), b.lower(y, n)
+		r := b.binary(op, xn, yn)
+		switch op {
+		case OpEq, OpUlt, OpSlt:
+			return r
+		case OpUDiv:
+			return b.Ite(b.Eq(yn, b.Const(n, 0)), b.Const(w, apint.Mask(w)), b.ZExt(r, w))
+		case OpURem:
+			return b.ZExt(r, w)
+		default:
+			return b.SExt(r, w)
+		}
+	}
+	if op != OpUDiv && op != OpURem {
 		return nil
 	}
-	xn, yn := b.lower(x, n), b.lower(y, n)
-	r := b.binary(op, xn, yn)
-	switch op {
-	case OpEq, OpUlt, OpSlt:
-		return r
-	case OpUDiv:
-		return b.Ite(b.Eq(yn, b.Const(n, 0)), b.Const(w, apint.Mask(w)), b.ZExt(r, w))
-	case OpURem:
-		return b.ZExt(r, w)
-	default:
-		return b.SExt(r, w)
+	// Only the dividend is narrow. A divisor with a bit set at or above n
+	// exceeds it, so the quotient is 0 and the remainder the dividend;
+	// any other divisor is its low n bits zero-extended, and the division
+	// narrows as above.
+	n, ok = significantWidth(x, false)
+	if !ok || n >= w {
+		return nil
 	}
+	fits := b.Eq(b.Extract(y, w-1, n), b.Const(w-n, 0))
+	yn := b.ZExt(b.Extract(y, n-1, 0), w)
+	if op == OpUDiv {
+		return b.Ite(fits, b.UDiv(x, yn), b.Const(w, 0))
+	}
+	return b.Ite(fits, b.URem(x, yn), x)
+}
+
+// narrowWidth returns the wider of x's and y's significant widths; ok is
+// false unless both have one.
+func narrowWidth(x, y *Term, signed bool) (int, bool) {
+	nx, ok := significantWidth(x, signed)
+	if !ok {
+		return 0, false
+	}
+	ny, ok := significantWidth(y, signed)
+	return max(nx, ny), ok
 }
 
 // significantWidth returns the width t is an extension from: the operand

@@ -24,9 +24,6 @@ type Entry struct {
 	CacheMisses  int64  `json:"cache_misses"`
 	Unknowns     int64  `json:"unknowns"`
 	StaticProved int64  `json:"static_proved,omitempty"`
-	// PortfolioRaces counts the entry's queries whose solver-portfolio
-	// alternates engaged.
-	PortfolioRaces int64 `json:"portfolio_races,omitempty"`
 }
 
 // Hotspots is the full report: campaign-wide totals plus the top-N
@@ -48,11 +45,6 @@ type Hotspots struct {
 	Unknowns             int64 `json:"unknowns"`
 	StaticProved         int64 `json:"static_proved,omitempty"`
 	BudgetExhaustedUnits int   `json:"budget_exhausted_units"`
-
-	// PortfolioWinners is the per-winner-label breakdown ("fallback",
-	// "none") of the queries on which the fallback leg counted; absent
-	// when no query raced.
-	PortfolioWinners map[string]int64 `json:"portfolio_winners,omitempty"`
 
 	TopUnits     []Entry `json:"top_units"`
 	TopFunctions []Entry `json:"top_functions"`
@@ -113,14 +105,6 @@ func Compute(units []*UnitSpans, deterministic bool, topN int) *Hotspots {
 				h.StaticProved++
 				static = 1
 			}
-			raced := int64(0)
-			if s.Portfolio != "" {
-				raced = 1
-				if h.PortfolioWinners == nil {
-					h.PortfolioWinners = map[string]int64{}
-				}
-				h.PortfolioWinners[s.Portfolio]++
-			}
 			add := func(m map[string]*Entry, key string) {
 				e := m[key]
 				if e == nil {
@@ -134,7 +118,6 @@ func Compute(units []*UnitSpans, deterministic bool, topN int) *Hotspots {
 				e.CacheMisses += miss
 				e.Unknowns += unknown
 				e.StaticProved += static
-				e.PortfolioRaces += raced
 			}
 			add(byUnit, unitKey)
 			if s.Func != "" {
@@ -191,25 +174,13 @@ func (h *Hotspots) Table() string {
 		h.Units, h.Queries, fmtNS(h.TVWallNS))
 	fmt.Fprintf(&b, ", %d conflicts, cache %d hit / %d miss, %d unknown, %d statically discharged, %d budget-exhausted units\n",
 		h.Conflicts, h.CacheHits, h.CacheMisses, h.Unknowns, h.StaticProved, h.BudgetExhaustedUnits)
-	if len(h.PortfolioWinners) > 0 {
-		labels := make([]string, 0, len(h.PortfolioWinners))
-		for l := range h.PortfolioWinners {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		b.WriteString("cascade: portfolio winners")
-		for _, l := range labels {
-			fmt.Fprintf(&b, " %s:%d", l, h.PortfolioWinners[l])
-		}
-		b.WriteString("\n")
-	}
 	section := func(title string, entries []Entry, abbrev bool) {
 		if len(entries) == 0 {
 			return
 		}
 		fmt.Fprintf(&b, "\n%s\n", title)
-		fmt.Fprintf(&b, "  %-44s %8s %10s %10s %7s %8s %7s %7s\n",
-			"name", "queries", "wall", "conflicts", "miss", "unknown", "static", "raced")
+		fmt.Fprintf(&b, "  %-44s %8s %10s %10s %7s %8s %7s\n",
+			"name", "queries", "wall", "conflicts", "miss", "unknown", "static")
 		for _, e := range entries {
 			name := e.Name
 			if abbrev && len(name) > 16 {
@@ -218,9 +189,9 @@ func (h *Hotspots) Table() string {
 			if len(name) > 44 {
 				name = name[:43] + "…"
 			}
-			fmt.Fprintf(&b, "  %-44s %8d %10s %10d %7d %8d %7d %7d\n",
+			fmt.Fprintf(&b, "  %-44s %8d %10s %10d %7d %8d %7d\n",
 				name, e.Queries, fmtNS(e.WallNS), e.Conflicts, e.CacheMisses, e.Unknowns,
-				e.StaticProved, e.PortfolioRaces)
+				e.StaticProved)
 		}
 	}
 	section("top units by TV cost", h.TopUnits, false)
@@ -268,16 +239,6 @@ func ValidateHotspots(data []byte) (*Hotspots, error) {
 		return nil, fmt.Errorf("hotspots: statically discharged (%d) exceed queries (%d)",
 			h.StaticProved, h.Queries)
 	}
-	var races int64
-	for label, n := range h.PortfolioWinners {
-		if label == "" || n < 0 {
-			return nil, fmt.Errorf("hotspots: bad portfolio winner entry %q:%d", label, n)
-		}
-		races += n
-	}
-	if races > h.Queries {
-		return nil, fmt.Errorf("hotspots: portfolio races (%d) exceed queries (%d)", races, h.Queries)
-	}
 	if h.Deterministic && h.TVWallNS != 0 {
 		return nil, fmt.Errorf("hotspots: deterministic report carries wall-clock")
 	}
@@ -287,10 +248,10 @@ func ValidateHotspots(data []byte) (*Hotspots, error) {
 				return nil, fmt.Errorf("hotspots: unnamed entry at rank %d", i)
 			}
 			if e.Queries < 0 || e.WallNS < 0 || e.Conflicts < 0 || e.Propagations < 0 ||
-				e.CacheMisses < 0 || e.Unknowns < 0 || e.StaticProved < 0 || e.PortfolioRaces < 0 {
+				e.CacheMisses < 0 || e.Unknowns < 0 || e.StaticProved < 0 {
 				return nil, fmt.Errorf("hotspots: negative counters on %q", e.Name)
 			}
-			if max(e.CacheMisses, e.Unknowns, e.StaticProved, e.PortfolioRaces) > e.Queries {
+			if max(e.CacheMisses, e.Unknowns, e.StaticProved) > e.Queries {
 				return nil, fmt.Errorf("hotspots: per-query counters on %q exceed its %d queries", e.Name, e.Queries)
 			}
 			if i > 0 && entryLess(e, section[i-1]) {

@@ -65,16 +65,14 @@ type Span struct {
 
 	// Solver-query attributes (Name == NameQuery). FP names the query by
 	// the solve stage's key (empty for Unsupported queries). Static is
-	// the static pre-verifier outcome ("proved" or "bailout");
-	// Portfolio the winner of a raced query ("fallback" or "none"). Each
-	// is empty when its layer was off or never reached (e.g. a query the
-	// static rung proved has no Portfolio).
+	// the static pre-verifier outcome ("proved" or "bailout"), and Cache
+	// the verdict cache's ("hit" or "miss"). Each is empty when its layer
+	// was off or never reached.
 	Func         string `json:"func,omitempty"`
 	FP           string `json:"fp,omitempty"`
 	Verdict      string `json:"verdict,omitempty"`
 	Cache        string `json:"cache,omitempty"`
 	Static       string `json:"static,omitempty"`
-	Portfolio    string `json:"portfolio,omitempty"`
 	Conflicts    int64  `json:"conflicts,omitempty"`
 	Propagations int64  `json:"propagations,omitempty"`
 }
@@ -185,7 +183,6 @@ type QueryInfo struct {
 	FP           string
 	Cache        string
 	Static       string
-	Portfolio    string
 	Conflicts    int64
 	Propagations int64
 }
@@ -205,7 +202,6 @@ func (r *Recorder) Query(q QueryInfo, dur time.Duration) {
 		Verdict:      q.Verdict,
 		Cache:        q.Cache,
 		Static:       q.Static,
-		Portfolio:    q.Portfolio,
 		Conflicts:    q.Conflicts,
 		Propagations: q.Propagations,
 	}

@@ -16,12 +16,10 @@ import (
 // incremental session and the monolithic solve, and keys a digest of the
 // encoded query (see solveKey).
 //
-// Everything that stage returns is a function of the key: every leg's
-// CNF, and the session's, is built by a walk over the key's DAGs that
-// never reads a variable name, and the fallback leg's result counts
-// only when the canonical leg's budget Unknown says it must, so the
-// race between them never shows. A stored result is exactly what a re-solve would
-// return, budget Unknowns included. Only Invalid results are never
+// Everything that stage returns is a function of the key: the
+// monolithic CNF, and the session's, is built by a walk over the key's
+// DAGs that never reads a variable name. A stored result is exactly what
+// a re-solve would return, budget Unknowns included. Only Invalid results are never
 // stored: their counterexample reads the names of the pair's parameters.
 //
 // A Cache is not safe for concurrent use. The campaign creates one per
@@ -68,7 +66,7 @@ func solveKey(e *encoding, opts Options) Key {
 	d := smt.Digest(e.query, e.ctx.Axioms(), vc.monolithic, vc.calls, vc.ub, vc.ret, vc.mem)
 	buf := append([]byte("alive-mutate-tvsolve/1"), d[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.ConflictBudget))
-	buf = append(buf, boolByte(opts.fallbackOn()), boolByte(opts.Incremental))
+	buf = append(buf, boolByte(opts.Incremental))
 	return Key(sha256.Sum256(buf))
 }
 

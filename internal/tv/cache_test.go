@@ -113,30 +113,25 @@ func TestCacheReplaysFoldedMutantExactly(t *testing.T) {
 }
 
 // TestCacheKeySeparatesSolveModes: a query never shares an entry with
-// the same query under another budget, fallback or session switch, and
-// every Portfolio value that turns the fallback on gives one key.
+// the same query under another budget or session switch.
 func TestCacheKeySeparatesSolveModes(t *testing.T) {
 	m, s, tg := assocPair(t, "x", "y", "z", "")
 	e, reason := encode(m, s, tg)
 	if e == nil {
 		t.Fatalf("encode: %s", reason)
 	}
-	base := Options{ConflictBudget: 4000, Portfolio: 3, Incremental: true}
+	base := Options{ConflictBudget: 4000, Incremental: true}
 	k := solveKey(e, base)
 	if solveKey(e, base) != k {
 		t.Fatal("the key is not a function of its inputs")
 	}
 	for name, o := range map[string]Options{
-		"ConflictBudget": {ConflictBudget: 3000, Portfolio: 3, Incremental: true},
-		"Portfolio":      {ConflictBudget: 4000, Portfolio: 0, Incremental: true},
-		"Incremental":    {ConflictBudget: 4000, Portfolio: 3},
+		"ConflictBudget": {ConflictBudget: 3000, Incremental: true},
+		"Incremental":    {ConflictBudget: 4000},
 	} {
 		if solveKey(e, o) == k {
 			t.Errorf("Options.%s not reflected in the key", name)
 		}
-	}
-	if on := (Options{ConflictBudget: 4000, Portfolio: 2, Incremental: true}); solveKey(e, on) != k {
-		t.Error("Portfolio 2 and 3 give different keys; both mean the fallback leg is on")
 	}
 }
 
@@ -175,7 +170,7 @@ func TestCacheDifferentialOverMutants(t *testing.T) {
 		}
 	}
 	cascade := func() Options {
-		return Options{ConflictBudget: 500, Incremental: true, Static: true, Portfolio: 3}
+		return Options{ConflictBudget: 500, Incremental: true, Static: true}
 	}
 	for name, mk := range map[string]func() Options{
 		"plain":   func() Options { return Options{ConflictBudget: 500} },

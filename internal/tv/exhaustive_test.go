@@ -67,8 +67,7 @@ func exhaustiveInputs(f *ir.Function) [][]interp.Value {
 // with a freeze may need a choice the run did not make: such pairs check
 // only the Valid direction. Both the plain options and the campaign
 // cascade at fuzz-campaign's default budget are checked; the cascade's
-// tight budget is what engages the incremental session and the
-// portfolio.
+// tight budget is what engages the incremental session.
 func TestExhaustiveEnumerationOracle(t *testing.T) {
 	type pair struct {
 		seed     string
@@ -124,8 +123,7 @@ func TestExhaustiveEnumerationOracle(t *testing.T) {
 		{"plain", func() Options { return Options{ConflictBudget: 4000} }},
 		{"cascade", func() Options {
 			// campaign.BugConfig's defaults at fuzz-campaign's -tvbudget.
-			return Options{ConflictBudget: 4000, Incremental: true, Static: true, Portfolio: 3,
-				Cache: NewCache()}
+			return Options{ConflictBudget: 4000, Incremental: true, Static: true, Cache: NewCache()}
 		}},
 	} {
 		opts := cfg.opts()

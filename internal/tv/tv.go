@@ -87,7 +87,7 @@ type Result struct {
 	// CacheHit marks a solve-stage result replayed from the verdict
 	// cache: Verdict and Reason are the stored ones, and the solve
 	// stage's statistics (Conflicts, Propagations, SATVars,
-	// AssumptionQueries, PortfolioRaced) are zero. The static fields
+	// AssumptionQueries) are zero. The static fields
 	// are this query's own, because that rung ran.
 	CacheHit bool
 	// FP is the hex form of the solve stage's key (see solveKey),
@@ -117,10 +117,10 @@ type Result struct {
 	// it.
 	SrcEncProved bool
 
-	// PortfolioRaced marks a query on which the fallback leg counted (the
-	// canonical leg ran out of budget with Options.Portfolio on).
-	// PortfolioWinner is then 1 when the fallback's Unsat proof became
-	// the verdict and -1 when it did not; it is 0 otherwise.
+	// PortfolioRaced and PortfolioWinner are always zero. The fallback
+	// solver leg is gone; the names survive only because perfbench/trace
+	// reads them, and a later change to the benchmark deletes them.
+	// Nothing else may read them.
 	PortfolioRaced  bool
 	PortfolioWinner int
 }
@@ -129,10 +129,7 @@ type Result struct {
 type Options struct {
 	// ConflictBudget caps SAT conflicts (0 = unlimited). The solver checks
 	// it only at restart boundaries (sat.Solver.Budget), so a solve may
-	// overshoot it by up to one Luby round. Under the campaign's 4000 the
-	// fallback leg's first round ends at about 4000 conflicts; when it
-	// ends exactly on the budget the leg runs a second round, to about
-	// 8000, and that round is where its rescues come from.
+	// overshoot it by up to one Luby round.
 	ConflictBudget int64
 	// Observe, when non-nil, receives every query's Result and wall time,
 	// on the goroutine that called Verify. The fuzzing loop wires this to
@@ -180,17 +177,9 @@ type Options struct {
 	// field survives only because perfbench/trace sets it, and a later
 	// change to the benchmark deletes it. Nothing else may set it.
 	Concrete bool
-	// Portfolio turns on the fallback leg of the monolithic solve (see
-	// monolithic): any value of 2 or more means on, anything less off.
-	// When the canonical solve exhausts the conflict budget, the same
-	// query is solved again under smt.FallbackConfig, and a fallback
-	// Unsat proof rescues the verdict to Valid. The fallback starts
-	// beside the canonical solve, or, with the incremental session
-	// engaged, as soon as the session fails. Every decided verdict,
-	// model and witness is the canonical leg's, bit for bit; like
-	// Incremental, the only permitted divergence is one-directional
-	// Unknown→Valid. The field is an int only because perfbench/trace
-	// sets it to 3.
+	// Portfolio is ignored. The fallback solver leg is gone; the field
+	// survives only because perfbench/trace sets it, and a later change
+	// to the benchmark deletes it. Nothing else may set it.
 	Portfolio int
 	// Cache, when non-nil, memoizes the solve stage's results keyed by a
 	// digest of the encoded query (see cache.go): the lookup comes after
@@ -289,7 +278,7 @@ func solve(src *ir.Function, e *encoding, opts Options) Result {
 	if opts.Incremental && sessionEngages(e.vc, e.query, opts) {
 		// The canonical solve starts first, on its own goroutine, and the
 		// session runs beside it. Only a session Valid short-circuits: the
-		// canonical leg is interrupted and discarded. Anything else falls
+		// canonical solve is interrupted and discarded. Anything else falls
 		// back to the canonical result — the exact baseline query — with
 		// the session's solver already dropped, so Invalid counterexamples
 		// and budget-boundary Unknowns are byte-identical with
@@ -343,130 +332,59 @@ func encode(mod *ir.Module, src, tgt *ir.Function) (*encoding, string) {
 }
 
 // monolithic is the canonical decision procedure in flight: one CNF for
-// the whole violation disjunction, solved by the canonical leg and, with
-// racing on (Options.Portfolio), by the fallback leg, each on a fresh
-// solver of its own.
-//
-// The verdict is the one the sequential schedule reaches: the canonical
-// leg, then the fallback leg only if the canonical one ran out of
-// budget. Whenever the canonical leg decides, its result, Sat model
-// included, is the verdict, byte-identical to racing off. On a canonical
-// budget Unknown the fallback counts, all of its run, and may contribute
-// one thing: an Unsat proof, which is configuration-independent ground
-// truth, rescuing the query to Valid. A fallback Sat leaves the
-// canonical Unknown standing, since a non-canonical model cannot replace
-// the canonical one.
-//
-// A leg's trajectory depends on nothing but its configuration (Terms are
-// immutable), so the fallback may start early — beside the canonical
-// leg, or as soon as the incremental session fails — without changing a
-// number; it is interrupted when the canonical leg decides. The verdict
-// can therefore differ from racing off only by Unknown→Valid, the
-// one-directional budget rescue the session is allowed too
-// (Options.Incremental).
+// the whole violation disjunction, solved on a fresh solver. A solve's
+// trajectory depends on nothing but the query (Terms are immutable), so
+// it may start beside the incremental session without changing a
+// number; it is interrupted when the session proves the query.
 type monolithic struct {
-	query           *smt.Term
-	racing          bool
-	canon, fallback leg
-}
-
-// leg is one solver configuration's solve of the query.
-type leg struct {
 	c     smt.Checker
 	stop  atomic.Bool
 	res   smt.Result
 	model smt.Model
-	// done is closed once res, model and c's statistics are written; it
-	// is nil until the leg starts.
+	// done is closed once res, model and c's statistics are written.
 	done chan struct{}
 }
 
-// start runs the leg on its own goroutine when async is set, and to its
-// end before returning otherwise.
-func (l *leg) start(query *smt.Term, async bool) {
-	l.c.Stop = &l.stop
-	l.done = make(chan struct{})
+// startMonolithic starts query's solve, on its own goroutine when async
+// is set, and to its end before returning otherwise.
+func startMonolithic(query *smt.Term, opts Options, async bool) *monolithic {
+	m := &monolithic{c: smt.Checker{ConflictBudget: opts.ConflictBudget}, done: make(chan struct{})}
+	m.c.Stop = &m.stop
 	run := func() {
-		defer close(l.done)
-		l.res, l.model = l.c.Check(query)
+		defer close(m.done)
+		m.res, m.model = m.c.Check(query)
 	}
 	if async {
 		go run()
 	} else {
 		run()
 	}
-}
-
-// interrupt stops the leg, if it started, and waits for it to return.
-func (l *leg) interrupt() {
-	if l.done != nil {
-		l.stop.Store(true)
-		<-l.done
-	}
-}
-
-// startMonolithic starts the canonical leg of query's solve (see
-// leg.start for async).
-func startMonolithic(query *smt.Term, opts Options, async bool) *monolithic {
-	m := &monolithic{query: query, racing: opts.fallbackOn()}
-	m.canon.c = smt.Checker{ConflictBudget: opts.ConflictBudget}
-	m.fallback.c = smt.Checker{ConflictBudget: opts.ConflictBudget, Config: smt.FallbackConfig}
-	m.canon.start(query, async)
 	return m
 }
 
-// solveMonolithic is the baseline decision procedure, start to finish.
-// With racing off the canonical leg runs on the calling goroutine; with
-// it on, the fallback leg starts beside it.
+// solveMonolithic is the baseline decision procedure, start to finish,
+// on the calling goroutine.
 func solveMonolithic(src *ir.Function, query *smt.Term, opts Options) Result {
-	return startMonolithic(query, opts, opts.fallbackOn()).wait(src)
+	return startMonolithic(query, opts, false).wait(src)
 }
 
-// fallbackOn reports whether Options.Portfolio turns the fallback leg on.
-func (opts Options) fallbackOn() bool { return opts.Portfolio >= 2 }
-
-// cancel interrupts both legs and waits for them; the solve's result is
-// discarded.
+// cancel interrupts the solve and waits for it; its result is discarded.
 func (m *monolithic) cancel() {
-	m.canon.interrupt()
-	m.fallback.interrupt()
+	m.stop.Store(true)
+	<-m.done
 }
 
-// wait starts the fallback leg, unless racing is off or the canonical
-// leg has already decided, then waits for the verdict and renders it.
+// wait waits for the solve and renders its verdict.
 func (m *monolithic) wait(src *ir.Function) Result {
-	if m.racing {
-		select {
-		case <-m.canon.done:
-			if m.canon.res == smt.Unknown {
-				m.fallback.start(m.query, true)
-			}
-		default:
-			m.fallback.start(m.query, true)
-		}
-	}
-	<-m.canon.done
-	c := &m.canon.c
-	out := Result{Conflicts: c.LastConflicts, Propagations: c.LastPropagations, SATVars: c.LastVars}
-	res := m.canon.res
-	if res != smt.Unknown || !m.racing {
-		m.fallback.interrupt()
-	} else {
-		<-m.fallback.done
-		out.Conflicts += m.fallback.c.LastConflicts
-		out.Propagations += m.fallback.c.LastPropagations
-		out.PortfolioRaced, out.PortfolioWinner = true, -1
-		if m.fallback.res == smt.Unsat {
-			res, out.PortfolioWinner = smt.Unsat, 1
-		}
-	}
-	switch res {
+	<-m.done
+	out := Result{Conflicts: m.c.LastConflicts, Propagations: m.c.LastPropagations, SATVars: m.c.LastVars}
+	switch m.res {
 	case smt.Unsat:
 		out.Verdict = Valid
 	case smt.Sat:
 		out.Verdict = Invalid
 		out.Reason = "target does not refine source"
-		out.CEX = extractCEX(src, m.canon.model)
+		out.CEX = extractCEX(src, m.model)
 	default:
 		out.Verdict = Unknown
 		out.Reason = "solver budget exhausted"

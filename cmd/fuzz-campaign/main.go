@@ -24,7 +24,6 @@
 //	    [-triage-dir triage/] [-checkpoint-dir ckpt/]
 //	    [-checkpoint-interval 10s] [-resume]
 //	    [-no-analysis] [-no-static-tv] [-no-tv-cache]
-//	    [-no-incremental]
 //
 // A/B comparisons (docs/PERFORMANCE.md): -no-analysis turns off the
 // optimizer's dataflow-analysis-backed folds; each of the other -no-*

@@ -38,12 +38,12 @@ func TestCompareTable(t *testing.T) {
 		t.Fatalf("identical counters:\n%s\nwant:\n%s", got, want)
 	}
 
-	moved := compareSnap(int64(time.Second), map[string]int64{"mutants": 995, "sat.conflicts": 60000, "tv.queries": 772, "tv.session.proved": 1})
+	moved := compareSnap(int64(time.Second), map[string]int64{"mutants": 995, "sat.conflicts": 60000, "tv.queries": 772, "tv.static.bailout": 1})
 	got = compareTable([]string{"parent", "change"}, []*telemetry.Snapshot{same, moved})
 	for _, line := range []string{
 		"counter                   parent         change\n",
 		"sat.conflicts              53037          60000\n",
-		"tv.session.proved              0              1\n",
+		"tv.static.bailout              0              1\n",
 		"2 counters identical\n",
 	} {
 		if !strings.Contains(got, line) {

@@ -103,9 +103,6 @@ type BugConfig struct {
 	// cache, hit/miss counts — not just verdicts — are deterministic at
 	// any worker count (docs/PERFORMANCE.md).
 	NoTVCache bool
-	// NoIncremental disables assumption-based incremental SAT solving of
-	// the per-class refinement queries (A/B comparisons; on by default).
-	NoIncremental bool
 	// NoStaticTV disables the static refinement pre-verifier (on by
 	// default), sending every encoded query on to the solve stage.
 	// The rung only short-circuits provable Valids, so tables, witness
@@ -126,7 +123,6 @@ type BugConfig struct {
 func (cfg BugConfig) tvOptions() tv.Options {
 	o := tv.Options{
 		ConflictBudget: cfg.TVBudget,
-		Incremental:    !cfg.NoIncremental,
 		Static:         !cfg.NoStaticTV,
 	}
 	if !cfg.NoTVCache {

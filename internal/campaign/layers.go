@@ -31,10 +31,4 @@ var Layers = []Layer{
 		Off:      func(c *BugConfig) { c.NoTVCache = true },
 		Counters: "tv.cache.",
 	},
-	{
-		Name: "incremental", Flag: "no-incremental",
-		Usage:    "disable assumption-based incremental SAT solving (A/B comparison runs)",
-		Off:      func(c *BugConfig) { c.NoIncremental = true },
-		Counters: "tv.session.",
-	},
 }

@@ -45,21 +45,20 @@ func harnessConfig(workers int) BugConfig {
 	}
 }
 
-// repeatConfig is a small campaign that repeats a solve-stage query by
-// construction, so the verdict cache hits there whatever the harness's
-// seven-bug campaign happens to repeat. Bug 64661's tagged seed
-// const_fold_store is `store i8 (add i8 3, 4), ptr %p`: the optimizer
-// folds the stored constant, and with source and target storing the
-// same term the memory obligation folds away, whatever the constant.
-// What is left is the pointer-validity obligation `ub ∧ ¬ub`, which
-// neither static rung proves (fold needs the query to fold to false,
-// and term-equal skips functions that store). So a mutant that still
-// stores a constant asks the query the unit's preprocess gate already
-// solved into the cache: four of the unit's six mutants hit, two miss.
+// repeatConfig is a small campaign that repeats a solve-stage query, so
+// the verdict cache hits there whatever the harness's seven-bug campaign
+// happens to repeat. Bug 52884's tagged seed smax_offset is
+// `smax(add nsw i8 50, %x, -124)`, which instcombine folds to the add:
+// the nsw range puts the sum above -124, which neither static rung sees
+// (the query does not fold, and the two return terms differ), so the
+// unit's preprocess gate solves it into the cache. At seed 7 the unit's
+// tenth mutant only adds `nofree` to the function, which leaves the
+// encoded query as it is, and replays the gate's solve; its ninth replays
+// the third's. So two of the unit's mutants hit, four queries miss.
 func repeatConfig(workers int) BugConfig {
 	cfg := harnessConfig(workers)
-	cfg.Budget = 12
-	cfg.Only = []int{64661}
+	cfg.Budget = 20
+	cfg.Only = []int{52884}
 	return cfg
 }
 
@@ -325,8 +324,8 @@ func TestCampaignTVCacheHitsDeterministic(t *testing.T) {
 // Within each unit (the cache is per unit), a query span that hits must
 // come after a span that missed on the same query, the preprocess gate's
 // included, and the spans' hits and misses must add up to the
-// tv.cache.hit and tv.cache.miss counters. The const_fold_store unit's
-// hits are on the query its gate solved, so it must hit at least once.
+// tv.cache.hit and tv.cache.miss counters. The smax_offset unit replays
+// the query its gate solved, so it must hit at least once.
 func TestCampaignCacheHitsReplayRecordedSolves(t *testing.T) {
 	h := layerRuns(t)
 	for _, r := range h.repeat {
@@ -345,7 +344,7 @@ func TestCampaignCacheHitsReplayRecordedSolves(t *testing.T) {
 					solved[s.FP] = true
 				case s.Cache == spans.CacheHit:
 					hits++
-					if u.Unit == "const_fold_store" {
+					if u.Unit == "smax_offset" {
 						seedHits++
 					}
 					if !solved[s.FP] {
@@ -359,7 +358,7 @@ func TestCampaignCacheHitsReplayRecordedSolves(t *testing.T) {
 				r.name, hits, misses, r.counters["tv.cache.hit"], r.counters["tv.cache.miss"])
 		}
 		if seedHits == 0 {
-			t.Errorf("%s: no cache hit in the const_fold_store unit; the check is vacuous", r.name)
+			t.Errorf("%s: no cache hit in the smax_offset unit; the check is vacuous", r.name)
 		}
 	}
 }

@@ -368,7 +368,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 	cacheOn := f.opts.TV.Cache != nil
 	ctrCacheHit := tel.Counter("tv.cache.hit")
 	ctrCacheMiss := tel.Counter("tv.cache.miss")
-	ctrAssumptions := tel.Counter("sat.assumptions")
 	ctrConflicts := tel.Counter("sat.conflicts")
 	ctrProps := tel.Counter("sat.propagations")
 	// Static pre-verifier accounting (docs/OBSERVABILITY.md). The rung
@@ -382,9 +381,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 		tv.StaticBailout: tel.Counter("tv.static.bailout"),
 	}
 	staticRuleCtrs := lazy(tel.Counter, "tv.static.rule.")
-	// Incremental-session accounting: queries the per-class session
-	// proved Valid.
-	ctrSessionProved := tel.Counter("tv.session.proved")
 	prevTV := f.opts.TV.Observe
 	f.opts.TV.Observe = func(r tv.Result, d time.Duration) {
 		histTV.Observe(d)
@@ -411,10 +407,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 			} else {
 				ctrCacheMiss.Add(1)
 			}
-		}
-		if r.AssumptionQueries > 0 {
-			ctrAssumptions.Add(r.AssumptionQueries)
-			ctrSessionProved.Add(1)
 		}
 		if prevTV != nil {
 			prevTV(r, d)

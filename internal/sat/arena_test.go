@@ -72,6 +72,20 @@ func checkArena(t *testing.T, s *Solver) {
 	}
 }
 
+// newRandom3SAT returns a solver holding the pinned phase-transition
+// instance (TestTrajectoryRandom3SAT), whose search runs many restart
+// rounds before it decides.
+func newRandom3SAT() *Solver {
+	s := New()
+	for i := 0; i < 200; i++ {
+		s.NewVar()
+	}
+	for _, cl := range randomCNF(rng.New(2024), 200, 852) {
+		s.AddClause(cl...)
+	}
+	return s
+}
+
 // TestArenaCompaction runs the pinned phase-transition instance
 // (TestTrajectoryRandom3SAT) one restart round at a time and checks the
 // arena after every round. reduceDB must have compacted it along the way:

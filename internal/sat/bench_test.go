@@ -32,9 +32,9 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveIncrementalAssumptions measures the incremental protocol
-// the TV layer uses: one shared solver, many assumption-gated queries,
-// learnt clauses retained throughout.
+// BenchmarkSolveIncrementalAssumptions measures the incremental
+// protocol: one shared solver, many assumption-gated queries, learnt
+// clauses retained throughout.
 func BenchmarkSolveIncrementalAssumptions(b *testing.B) {
 	s := New()
 	benchAddRandom3SAT(s, 7, 140, 4.0)

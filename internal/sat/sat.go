@@ -20,7 +20,6 @@ package sat
 import (
 	"math"
 	"slices"
-	"sync/atomic"
 )
 
 // Lit is a literal: variable v (0-based) positively as 2v, negated as
@@ -70,11 +69,6 @@ const (
 	// Unsat means the formula is unsatisfiable.
 	Unsat
 )
-
-// interrupted is search's report of a round ended by Stop. It never
-// leaves the package: the stepper turns it into Unknown and marks the
-// search interrupted.
-const interrupted Result = -1
 
 func (r Result) String() string {
 	switch r {
@@ -166,13 +160,6 @@ type Solver struct {
 	// solver whose RestartBase is 4000 thus runs at least one
 	// 4000-conflict round under any positive Budget.
 	Budget int64
-	// Stop, when non-nil, interrupts the search: it is polled once per
-	// conflict, and once it reads true the current restart round ends
-	// and Solve returns Unknown. An interrupted solve stopped at a
-	// wall-clock moment, so no caller may count its effort, and the
-	// solver is not reused afterwards. internal/tv sets it on a solver
-	// whose result can no longer matter.
-	Stop *atomic.Bool
 
 	seen  []bool // scratch for analyze
 	model []lbool
@@ -834,7 +821,7 @@ func (s *Solver) SolveUnderAssumptions(assumptions []Lit) Result {
 	st := s.newStepper(assumptions)
 	for {
 		res := st.step()
-		if res != Unknown || st.interrupted {
+		if res != Unknown {
 			return res
 		}
 		// A round that ends undecided has restarted to level 0, so the
@@ -855,7 +842,6 @@ type stepper struct {
 	curRestart  int
 	start       int64 // s.Conflicts at construction
 	done        bool
-	interrupted bool
 	res         Result
 }
 
@@ -880,9 +866,7 @@ func (s *Solver) newStepper(assumptions []Lit) *stepper {
 }
 
 // step runs the next restart round. Unknown means the search has not
-// decided yet, or that Stop interrupted the round (interrupted is then
-// set); any other result is final and repeated by further steps, as is
-// an interruption.
+// decided yet; any other result is final and repeated by further steps.
 func (st *stepper) step() Result {
 	if st.done {
 		return st.res
@@ -890,10 +874,6 @@ func (st *stepper) step() Result {
 	s := st.s
 	budgetC := int64(restartBase) * int64(luby(2, st.curRestart))
 	res := s.search(budgetC, st.assumptions, &st.maxLearnts)
-	if res == interrupted {
-		st.done, st.interrupted, st.res = true, true, Unknown
-		return Unknown
-	}
 	if res != Unknown {
 		if res == Sat {
 			s.model = append(s.model[:0], s.assign...)
@@ -917,8 +897,7 @@ func (st *stepper) conflicts() int64 { return st.s.Conflicts - st.start }
 func (s *Solver) Conflict() []Lit { return s.conflict }
 
 // search runs CDCL until a result, a restart (conflict budget for this
-// round exhausted → Unknown), an assumption conflict (→ Unsat), or a
-// raised Stop flag after a conflict (→ interrupted).
+// round exhausted → Unknown), or an assumption conflict (→ Unsat).
 func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64) Result {
 	conflicts := int64(0)
 	for {
@@ -946,10 +925,6 @@ func (s *Solver) search(nConflicts int64, assumptions []Lit, maxLearnts *float64
 			}
 			s.varInc /= varDecay // VSIDS decay
 			s.claInc /= clauseDecay
-			if s.Stop != nil && s.Stop.Load() {
-				s.cancelUntil(0)
-				return interrupted
-			}
 			continue
 		}
 

@@ -1,9 +1,7 @@
 package smt
 
 // Microbenchmarks for the blast/solve hot path (run with
-// `make microbench`). The Session-vs-Checker pair quantifies what
-// blast-once + learnt-clause retention buys on a batch of related
-// queries — the exact shape of tv.Verify's refinement classes.
+// `make microbench`).
 
 import (
 	"testing"
@@ -12,7 +10,7 @@ import (
 	"repro/internal/sat"
 )
 
-func benchQueries(b *Builder, r *rng.Rand, w int) ([]*Term, []*Term) {
+func benchQueries(b *Builder, r *rng.Rand, w int) []*Term {
 	vars := []*Term{b.Var(w, "x"), b.Var(w, "y"), b.Var(w, "z")}
 	shared := buildRandomTerm(b, r, vars, 4)
 	queries := []*Term{
@@ -21,13 +19,13 @@ func benchQueries(b *Builder, r *rng.Rand, w int) ([]*Term, []*Term) {
 		b.Ne(b.Add(shared, vars[0]), vars[1]),
 		b.Eq(b.Mul(shared, vars[2]), buildRandomTerm(b, r, vars, 2)),
 	}
-	return vars, queries
+	return queries
 }
 
 func BenchmarkCheckerFourQueries(bm *testing.B) {
 	b := NewBuilder()
 	r := rng.New(5)
-	_, queries := benchQueries(b, r, 16)
+	queries := benchQueries(b, r, 16)
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
 		for _, q := range queries {
@@ -37,26 +35,8 @@ func BenchmarkCheckerFourQueries(bm *testing.B) {
 	}
 }
 
-func BenchmarkSessionFourQueries(bm *testing.B) {
-	b := NewBuilder()
-	r := rng.New(5)
-	vars, queries := benchQueries(b, r, 16)
-	bm.ResetTimer()
-	for i := 0; i < bm.N; i++ {
-		se := NewSession(0)
-		se.BindVars(vars)
-		acts := make([]sat.Lit, len(queries))
-		for j, q := range queries {
-			acts[j] = se.Activation(q)
-		}
-		for _, a := range acts {
-			se.Solve(a)
-		}
-	}
-}
-
 // BenchmarkBlastSharedDAG measures pure Tseitin lowering of a deep
-// shared DAG (no solving), the per-query cost the Session amortizes.
+// shared DAG (no solving).
 func BenchmarkBlastSharedDAG(bm *testing.B) {
 	b := NewBuilder()
 	r := rng.New(17)

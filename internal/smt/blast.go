@@ -23,7 +23,8 @@ type Blast struct {
 	// gates maps a normalized gate to its output literal. It is only
 	// looked up, never ranged over, so variable numbering stays
 	// deterministic. Every entry is a full unconditional Tseitin
-	// definition, so reuse is sound across a Session's queries too.
+	// definition, so reuse would stay sound across the queries of one
+	// solver too.
 	gates map[gateKey]sat.Lit
 	// tru is a literal constrained to be true; constants map to tru or
 	// its negation, which lets gate constructors shortcut aggressively.

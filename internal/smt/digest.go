@@ -13,9 +13,9 @@ import (
 // Equal digests therefore mean equal DAGs up to a consistent renaming of
 // variables, with the same operand order and the same variable visit
 // order. Every walk that blasts a term to CNF (Vars, the bit-blaster,
-// the monolithic solve, the incremental session) visits it in that order
-// and never reads a name, so two such queries give the same CNF and the
-// same search. Only model extraction reads names.
+// Checker.Check) visits it in that order and never reads a name, so two
+// such queries give the same CNF and the same search. Only model
+// extraction reads names.
 func Digest(roots ...*Term) [32]byte {
 	d := digester{memo: make(map[*Term][32]byte)}
 	out := make([]byte, 0, 8+32*len(roots))

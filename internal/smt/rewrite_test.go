@@ -68,11 +68,11 @@ func extensions(v string, n, w int) map[string]shape {
 var narrowOps = map[string]func(b *Builder, x, y *Term) *Term{
 	"udiv": (*Builder).UDiv, "urem": (*Builder).URem, "ult": (*Builder).Ult,
 	"sdiv": (*Builder).SDiv, "srem": (*Builder).SRem, "slt": (*Builder).Slt,
-	"eq": (*Builder).Eq,
+	"eq": (*Builder).Eq, "lshr": (*Builder).LShr,
 }
 
-// widestDivOrCmp returns the widest operand of any division or
-// remainder in t, and of any comparison too when cmp is set; 0 when there
+// widestDivOrCmp returns the widest operand of any division, remainder
+// or lshr in t, and of any comparison too when cmp is set; 0 when there
 // is none.
 func widestDivOrCmp(t *Term, cmp bool) int {
 	widest := 0
@@ -89,7 +89,7 @@ func widestDivOrCmp(t *Term, cmp bool) int {
 				break
 			}
 			fallthrough
-		case OpUDiv, OpURem, OpSDiv, OpSRem:
+		case OpUDiv, OpURem, OpSDiv, OpSRem, OpLShr:
 			widest = max(widest, t.Args[0].W)
 		}
 		for _, a := range t.Args {
@@ -101,7 +101,11 @@ func widestDivOrCmp(t *Term, cmp bool) int {
 }
 
 // divOps are the narrowOps whose result has the operands' width.
-var divOps = []string{"udiv", "urem", "sdiv", "srem"}
+var divOps = []string{"udiv", "urem", "sdiv", "srem", "lshr"}
+
+// dividendOnly are the divOps that narrow when only their first operand
+// is narrow.
+var dividendOnly = map[string]bool{"udiv": true, "urem": true, "lshr": true}
 
 // sameExtractsUnderEval checks every [hi:lo] extract of s with
 // sameUnderEval.
@@ -118,15 +122,20 @@ func sameExtractsUnderEval(t *testing.T, what string, s shape, w int, widths map
 // TestNarrowingExhaustive checks every narrowing rule of the Builder
 // against the unrewritten term under Eval, on every input: extensions of
 // extensions, every [hi:lo] extract of an extension, and udiv, urem,
-// ult, sdiv, srem, slt and eq over extended operands (operand widths
-// 1–4, result widths up to 7) and over one extended operand and every
-// constant of the result width, 0, INT_MIN and -1 among them. Each
-// same-kind pair of extended operands must also actually narrow: no
-// division or comparison is left at the result width. The divisions and
-// remainders are also checked with a narrow dividend (extended or
-// constant) over a full-width variable divisor, where an unsigned one
-// must keep no divider wider than the dividend's significant width; and
-// every extract of a narrowed division or remainder, which reaches the
+// ult, sdiv, srem, slt, eq and lshr over extended operands (operand
+// widths 1–4, result widths up to 7) and over one extended operand and
+// every constant of the result width, 0, INT_MIN and -1 among them.
+// Each same-kind pair of extended operands must also actually narrow:
+// no division, shift or comparison is left at the result width. So must
+// every operator over a zext and a constant with its sign bit clear
+// (lshr only when it shifts the zext): sdiv, srem and slt over such
+// non-negative operands, and over two zexts, narrow through udiv, urem
+// and ult. The divisions, remainders and lshr are also checked with a
+// narrow first operand (extended or constant) over a full-width
+// variable second one, where udiv, urem and lshr of a zext must keep no
+// operation wider than the zext's operand, and udiv and urem of a
+// constant none wider than its significant width; and every extract of
+// a narrowed division, remainder or shift, which reaches the
 // extract-through-ite and sdiv trunc-back rules.
 func TestNarrowingExhaustive(t *testing.T) {
 	for n := 1; n <= 4; n++ {
@@ -138,9 +147,20 @@ func TestNarrowingExhaustive(t *testing.T) {
 				for opName, op := range narrowOps {
 					for c := uint64(0); c <= apint.Mask(w); c++ {
 						what := fmt.Sprintf("%s(%s i%d to i%d, %d)", opName, name, n, w, c)
-						sameUnderEval(t, what, func(b *Builder) *Term { return op(b, ext(b), b.Const(w, c)) }, vars)
+						left := sameUnderEval(t, what, func(b *Builder) *Term { return op(b, ext(b), b.Const(w, c)) }, vars)
 						what = fmt.Sprintf("%s(%d, %s i%d to i%d)", opName, c, name, n, w)
-						sameUnderEval(t, what, func(b *Builder) *Term { return op(b, b.Const(w, c), ext(b)) }, vars)
+						right := sameUnderEval(t, what, func(b *Builder) *Term { return op(b, b.Const(w, c), ext(b)) }, vars)
+						if name == "zext" && n < w && !apint.SignBit(c, w) {
+							narrowed := []*Term{left, right}
+							if opName == "lshr" {
+								narrowed = narrowed[:1] // only a shifted zext narrows
+							}
+							for _, got := range narrowed {
+								if widest := widestDivOrCmp(got, true); widest >= w {
+									t.Errorf("%s: rewritten %s keeps an i%d operation", what, got, widest)
+								}
+							}
+						}
 					}
 				}
 				vars = map[string]int{"x": n, "y": w}
@@ -152,7 +172,7 @@ func TestNarrowingExhaustive(t *testing.T) {
 					if name == "zext" || name == "sext" {
 						sameExtractsUnderEval(t, what, s, w, vars)
 					}
-					if opName[0] == 'u' && name == "zext" && n < w {
+					if dividendOnly[opName] && name == "zext" && n < w {
 						if widest := widestDivOrCmp(got, false); widest > n {
 							t.Errorf("%s: rewritten %s keeps an i%d divider", what, got, widest)
 						}
@@ -170,7 +190,7 @@ func TestNarrowingExhaustive(t *testing.T) {
 				what := fmt.Sprintf("%s(%d, y) at i%d", opName, c, w)
 				got := sameUnderEval(t, what, s, vars)
 				sameExtractsUnderEval(t, what, s, w, vars)
-				if opName[0] == 'u' {
+				if opName == "udiv" || opName == "urem" {
 					if widest := widestDivOrCmp(got, false); widest > max(1, bits.Len64(c)) {
 						t.Errorf("%s: rewritten %s keeps an i%d divider", what, got, widest)
 					}
@@ -205,7 +225,7 @@ func TestNarrowingExhaustive(t *testing.T) {
 							what := fmt.Sprintf("%s(%s i%d, %s i%d) at i%d", opName, xName, nx, yName, ny, w)
 							got := sameUnderEval(t, what, s, vars)
 							n := max(nx, ny)
-							if opName == "sdiv" {
+							if opName == "sdiv" && xName == "sext" {
 								n++
 							}
 							simple := (xName == "zext" || xName == "sext") && (yName == "zext" || yName == "sext")
@@ -213,8 +233,10 @@ func TestNarrowingExhaustive(t *testing.T) {
 								sameExtractsUnderEval(t, what, s, w, vars)
 							}
 							if xName == yName && simple && n < w {
-								signed := opName[0] == 's'
-								if opName == "eq" || signed == (xName == "sext") {
+								// Over zext operands every operator narrows, the
+								// signed ones through their unsigned twins; over
+								// sext operands the signed ones and eq do.
+								if opName == "eq" || xName == "zext" || opName[0] == 's' {
 									if widest := widestDivOrCmp(got, true); widest >= w {
 										t.Errorf("%s: rewritten %s keeps an i%d operation", what, got, widest)
 									}
@@ -224,6 +246,31 @@ func TestNarrowingExhaustive(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFoldComplements: x ∧ ¬x folds to 0 and x ∨ ¬x to all-ones, in
+// either operand order, at bv1 and wider; x ∧ ¬y does not fold.
+func TestFoldComplements(t *testing.T) {
+	for _, w := range []int{1, 8} {
+		b := NewBuilder()
+		x, y := b.Var(w, "x"), b.Var(w, "y")
+		for what, c := range map[string]struct {
+			got  *Term
+			want uint64
+		}{
+			"x ∧ ¬x": {b.And(x, b.Not(x)), 0},
+			"¬x ∧ x": {b.And(b.Not(x), x), 0},
+			"x ∨ ¬x": {b.Or(x, b.Not(x)), apint.Mask(w)},
+			"¬x ∨ x": {b.Or(b.Not(x), x), apint.Mask(w)},
+		} {
+			if v, ok := c.got.IsConst(); !ok || v != c.want {
+				t.Errorf("i%d %s: rewritten to %s, want %d", w, what, c.got, c.want)
+			}
+		}
+		if got := b.And(x, b.Not(y)); got.Op != OpAnd {
+			t.Errorf("i%d x ∧ ¬y: rewritten to %s", w, got)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package smt
 
-import (
-	"sync/atomic"
-
-	"repro/internal/sat"
-)
+import "repro/internal/sat"
 
 // Result mirrors the SAT outcome at the theory level.
 type Result int
@@ -41,10 +37,6 @@ type Checker struct {
 	// sat.Solver.Budget it is checked at restart boundaries, so the solve
 	// may overshoot it by up to one restart round.
 	ConflictBudget int64
-	// Stop, when non-nil, interrupts the solve (sat.Solver.Stop): Check
-	// then returns Unknown, and neither that result nor the statistics
-	// may be counted.
-	Stop *atomic.Bool
 
 	// Stats from the most recent Check.
 	LastConflicts    int64
@@ -66,7 +58,6 @@ func (c *Checker) Check(formula *Term) (Result, Model) {
 	}
 	s := sat.New()
 	s.Budget = c.ConflictBudget
-	s.Stop = c.Stop
 	bl := NewBlast(s)
 	vars, estimate := scan(formula)
 	s.Reserve(estimate)

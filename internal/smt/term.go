@@ -488,7 +488,7 @@ func (b *Builder) rewriteBinary(op Op, x, y *Term) *Term {
 		if x == y {
 			return x
 		}
-		if (xc && xv == 0) || (yc && yv == 0) {
+		if (xc && xv == 0) || (yc && yv == 0) || complements(x, y) {
 			return zero()
 		}
 		if xc && xv == apint.Mask(w) {
@@ -507,7 +507,7 @@ func (b *Builder) rewriteBinary(op Op, x, y *Term) *Term {
 		if yc && yv == 0 {
 			return x
 		}
-		if (xc && xv == apint.Mask(w)) || (yc && yv == apint.Mask(w)) {
+		if (xc && xv == apint.Mask(w)) || (yc && yv == apint.Mask(w)) || complements(x, y) {
 			return allOnes()
 		}
 	case OpXor:
@@ -629,6 +629,12 @@ func (b *Builder) rewriteBinary(op Op, x, y *Term) *Term {
 	return b.narrow(op, x, y)
 }
 
+// complements reports whether one of x and y is the other's complement,
+// so x ∧ y is 0 and x ∨ y all-ones.
+func complements(x, y *Term) bool {
+	return x.Op == OpNot && x.Args[0] == y || y.Op == OpNot && y.Args[0] == x
+}
+
 // narrow computes a division, remainder, comparison or equality whose
 // operands are both extended from fewer bits at the operands' own width,
 // the inverse of the IR promotion that widens `urem i8` to
@@ -645,13 +651,31 @@ func (b *Builder) rewriteBinary(op Op, x, y *Term) *Term {
 // operands srem, slt and eq are exact at n bits, and sdiv is exact at
 // n+1 bits, where INT_MIN_n / -1 fits and sdiv x 0 keeps its value. A
 // udiv or urem whose dividend alone qualifies narrows behind a test of
-// the divisor's high bits.
+// the divisor's high bits. So does an lshr of a zext, behind a test of
+// the shift amount's: a shift by n or more clears the n operand bits at
+// either width.
+//
+// A signed operator over two operands whose sign bits are known zero is
+// first rebuilt as its unsigned twin, which then narrows as above: for
+// x, y ≥ 0, sdiv, srem and slt agree with udiv, urem and ult, at a zero
+// divisor too (sdiv x 0 = all-ones = udiv x 0, srem x 0 = x = urem x 0).
 func (b *Builder) narrow(op Op, x, y *Term) *Term {
 	switch op {
 	case OpUDiv, OpURem, OpUlt:
 		return b.narrowAt(op, x, y, false)
 	case OpSDiv, OpSRem, OpSlt:
+		if nonNegative(x) && nonNegative(y) {
+			return b.binary(unsignedTwin[op], x, y)
+		}
 		return b.narrowAt(op, x, y, true)
+	case OpLShr:
+		if x.Op != OpZExt {
+			return nil
+		}
+		a, w := x.Args[0], x.W
+		n := a.W
+		fits := b.Eq(b.Extract(y, w-1, n), b.Const(w-n, 0))
+		return b.ZExt(b.Ite(fits, b.LShr(a, b.Extract(y, n-1, 0)), b.Const(n, 0)), w)
 	case OpEq:
 		if t := b.narrowAt(op, x, y, false); t != nil {
 			return t
@@ -698,6 +722,16 @@ func (b *Builder) narrowAt(op Op, x, y *Term, signed bool) *Term {
 		return b.Ite(fits, b.UDiv(x, yn), b.Const(w, 0))
 	}
 	return b.Ite(fits, b.URem(x, yn), x)
+}
+
+// unsignedTwin maps each signed division, remainder and comparison to
+// the unsigned one it equals over non-negative operands.
+var unsignedTwin = map[Op]Op{OpSDiv: OpUDiv, OpSRem: OpURem, OpSlt: OpUlt}
+
+// nonNegative reports whether t's sign bit is known zero: t is a zext
+// (which always widens) or a constant with its sign bit clear.
+func nonNegative(t *Term) bool {
+	return t.Op == OpZExt || t.Op == OpConst && !apint.SignBit(t.Val, t.W)
 }
 
 // narrowWidth returns the wider of x's and y's significant widths; ok is

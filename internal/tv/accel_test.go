@@ -118,10 +118,9 @@ fb:
 // sameOutcome asserts two Results agree on everything the campaign
 // records: verdict, reason, and the full counterexample assignment. The
 // single documented exception: a baseline budget-limited Unknown may be
-// proven Valid by an accelerated mode (a static proof or the per-class
-// split can fit under a budget the monolithic solve exhausts). The
-// reverse — acceleration degrading or changing any decided verdict — is
-// forbidden.
+// proven Valid by an accelerated mode (a static proof needs no solver
+// budget at all). The reverse — acceleration degrading or changing any
+// decided verdict — is forbidden.
 func sameOutcome(t *testing.T, name, mode string, base, got Result) {
 	t.Helper()
 	if base.Verdict == Unknown && got.Verdict == Valid {
@@ -154,9 +153,7 @@ func TestAcceleratedModesMatchBaseline(t *testing.T) {
 	// test fast and additionally exercises agreement on budget Unknowns.
 	const budget = 500
 	modes := map[string]Options{
-		"incremental":        {ConflictBudget: budget, Incremental: true},
-		"static":             {ConflictBudget: budget, Static: true},
-		"static+incremental": {ConflictBudget: budget, Static: true, Incremental: true},
+		"static": {ConflictBudget: budget, Static: true},
 	}
 	for _, p := range pairs {
 		base := Verify(p.mod, p.src, p.tgt, Options{ConflictBudget: budget})
@@ -189,8 +186,9 @@ func TestAcceleratedModesMatchBaseline(t *testing.T) {
 }
 
 // TestAcceleratedBudgetVerdictsMatch: at a starvation-level conflict
-// budget the accelerated path must fall back and report the same Unknown
-// boundary as the baseline — budget verdicts are part of the result table.
+// budget the static rung must fall through to the solver and report the
+// same Unknown boundary as the baseline — budget verdicts are part of the
+// result table.
 func TestAcceleratedBudgetVerdictsMatch(t *testing.T) {
 	src := parser.MustParse(`define i32 @f(i32 %x, i32 %y) {
   %m = mul i32 %x, %y
@@ -202,12 +200,12 @@ func TestAcceleratedBudgetVerdictsMatch(t *testing.T) {
 }`)
 	for _, budget := range []int64{1, 2, 4, 0} {
 		base := Verify(src, src.Defs()[0], tgt.Defs()[0], Options{ConflictBudget: budget})
-		got := Verify(src, src.Defs()[0], tgt.Defs()[0], Options{ConflictBudget: budget, Incremental: true})
+		got := Verify(src, src.Defs()[0], tgt.Defs()[0], Options{ConflictBudget: budget, Static: true})
 		if base.Verdict == Unknown && got.Verdict == Valid {
 			continue // documented one-directional upgrade
 		}
 		if got.Verdict != base.Verdict {
-			t.Fatalf("budget=%d: incremental verdict %v, baseline %v", budget, got.Verdict, base.Verdict)
+			t.Fatalf("budget=%d: static verdict %v, baseline %v", budget, got.Verdict, base.Verdict)
 		}
 	}
 }
@@ -300,20 +298,6 @@ func TestCacheHitsAcrossRenamedMutants(t *testing.T) {
 	r2 := Verify(m2, m2.FuncByName("f"), m2.FuncByName("f"), o)
 	if r2.Verdict != Valid || !r2.CacheHit {
 		t.Fatalf("renamed mutant should be a cache hit: %+v", r2)
-	}
-}
-
-// TestIncrementalStatsPopulated: Valid verdicts from the incremental path
-// must report the per-class assumption queries for telemetry.
-func TestIncrementalStatsPopulated(t *testing.T) {
-	mod := parser.MustParse(richFn(nil))
-	f := mod.FuncByName("f")
-	r := Verify(mod, f, f, Options{Incremental: true, ConflictBudget: 10000})
-	if r.Verdict != Valid {
-		t.Fatalf("verdict: %+v", r)
-	}
-	if r.AssumptionQueries == 0 {
-		t.Fatal("incremental Valid verdict reports zero assumption queries")
 	}
 }
 

@@ -66,14 +66,6 @@ func BenchmarkVerifyExamples(b *testing.B) {
 	benchVerify(b, Options{})
 }
 
-// BenchmarkVerifyExamplesIncremental measures the assumption-based
-// per-class path on the same workload. The budget sits at the session
-// gate's ceiling (Options.Incremental engages only under tight budgets)
-// and is high enough that nothing here is abandoned.
-func BenchmarkVerifyExamplesIncremental(b *testing.B) {
-	benchVerify(b, Options{Incremental: true, ConflictBudget: 10000})
-}
-
 // BenchmarkVerifyExamplesCached measures the steady-state cache-hit path:
 // after the first iteration every query is encoded, digested and
 // replayed from the solve stage's cache.

@@ -13,14 +13,14 @@ import (
 // formula constantly: mutants that differ only in value names, and
 // mutants whose mutation folds away during encoding, reach the solver as
 // the same query. The cache sits after the static rung, just before the
-// incremental session and the monolithic solve, and keys a digest of the
-// encoded query (see solveKey).
+// monolithic solve, and keys a digest of the encoded query (see
+// solveKey).
 //
-// Everything that stage returns is a function of the key: the
-// monolithic CNF, and the session's, is built by a walk over the key's
-// DAGs that never reads a variable name. A stored result is exactly what
-// a re-solve would return, budget Unknowns included. Only Invalid results are never
-// stored: their counterexample reads the names of the pair's parameters.
+// Everything that stage returns is a function of the key: the CNF is
+// built by a walk over the query's DAG that never reads a variable name.
+// A stored result is exactly what a re-solve would return, budget
+// Unknowns included. Only Invalid results are never stored: their
+// counterexample reads the names of the pair's parameters.
 //
 // A Cache is not safe for concurrent use. The campaign creates one per
 // unit execution, which keeps hit/miss counts — not just verdicts —
@@ -58,23 +58,13 @@ func (c *Cache) Len() int {
 	return len(c.m)
 }
 
-// solveKey digests everything the solve stage reads: the query, the
-// axioms and the refinement classes the session solves, and the options
-// that shape the solve.
+// solveKey digests everything the solve stage reads: the query and the
+// conflict budget.
 func solveKey(e *encoding, opts Options) Key {
-	vc := e.vc
-	d := smt.Digest(e.query, e.ctx.Axioms(), vc.monolithic, vc.calls, vc.ub, vc.ret, vc.mem)
+	d := smt.Digest(e.query)
 	buf := append([]byte("alive-mutate-tvsolve/1"), d[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.ConflictBudget))
-	buf = append(buf, boolByte(opts.Incremental))
 	return Key(sha256.Sum256(buf))
-}
-
-func boolByte(on bool) byte {
-	if on {
-		return 1
-	}
-	return 0
 }
 
 // lookup replays the stored result for k, if any, as a cache hit: the

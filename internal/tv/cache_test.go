@@ -113,21 +113,20 @@ func TestCacheReplaysFoldedMutantExactly(t *testing.T) {
 }
 
 // TestCacheKeySeparatesSolveModes: a query never shares an entry with
-// the same query under another budget or session switch.
+// the same query under another conflict budget.
 func TestCacheKeySeparatesSolveModes(t *testing.T) {
 	m, s, tg := assocPair(t, "x", "y", "z", "")
 	e, reason := encode(m, s, tg)
 	if e == nil {
 		t.Fatalf("encode: %s", reason)
 	}
-	base := Options{ConflictBudget: 4000, Incremental: true}
+	base := Options{ConflictBudget: 4000}
 	k := solveKey(e, base)
 	if solveKey(e, base) != k {
 		t.Fatal("the key is not a function of its inputs")
 	}
 	for name, o := range map[string]Options{
-		"ConflictBudget": {ConflictBudget: 3000, Incremental: true},
-		"Incremental":    {ConflictBudget: 4000},
+		"ConflictBudget": {ConflictBudget: 3000},
 	} {
 		if solveKey(e, o) == k {
 			t.Errorf("Options.%s not reflected in the key", name)
@@ -170,7 +169,7 @@ func TestCacheDifferentialOverMutants(t *testing.T) {
 		}
 	}
 	cascade := func() Options {
-		return Options{ConflictBudget: 500, Incremental: true, Static: true}
+		return Options{ConflictBudget: 500, Static: true}
 	}
 	for name, mk := range map[string]func() Options{
 		"plain":   func() Options { return Options{ConflictBudget: 500} },

@@ -6,13 +6,17 @@ import (
 	"repro/internal/parser"
 )
 
-// TestNarrowedDivisionQueries pins the solver effort of three campaign
+// TestNarrowedDivisionQueries pins the solver effort of four campaign
 // queries that smt.Builder's narrowing rules decide by propagation
 // alone: two mutants of bug 55129's bitfield_extract seed (a constant
 // dividend over a full-width divisor, with and without a mask on the
-// quotient) and one of bug 53252's clamp_regression seed (instcombine's
-// trunc(sdiv i32 (sext a), (sext a)) against sdiv i25 a, a). Left wide,
-// they take hundreds to thousands of conflicts, and the masked one runs
+// quotient), one of bug 53252's clamp_regression seed (instcombine's
+// trunc(sdiv i32 (sext a), (sext a)) against sdiv i25 a, a) and one of
+// bug 55490's narrow_div seed (a bitwidth mutation's
+// trunc(sdiv i12 (zext x), (zext y)), which instcombine promotes to i32
+// through sext of the zexts; the signed division of non-negative
+// operands is the unsigned one). Left wide, they take hundreds to
+// thousands of conflicts, and the masked one and the narrow_div one run
 // out of the budget; a rewrite that leaves them wide again fails here,
 // not only in the benchmark.
 func TestNarrowedDivisionQueries(t *testing.T) {
@@ -68,6 +72,39 @@ func TestNarrowedDivisionQueries(t *testing.T) {
   %t3 = icmp ult i32 %last0, 144
   %r = select i1 %t3, i32 -2147483648, i32 %t1
   ret i32 %r
+}`, 0},
+		{"55490 narrow_div trunc(sdiv i12 (zext x), (zext y))", `define i8 @ndiv(i8 %x, i8 %y) {
+  %bw0 = zext i8 %x to i12
+  %bw1 = zext i8 %y to i12
+  %r = urem i8 %x, %y
+  %new0 = sdiv i12 %bw0, %bw1
+  %last0 = trunc i12 %new0 to i8
+  %c = icmp ugt i8 -31, %last0
+  %s = select i1 %c, i8 %last0, i8 %x
+  ret i8 %s
+}`, `define i8 @ndiv(i8 %x, i8 %y) {
+  %bw0 = zext i8 %x to i12
+  %bw1 = zext i8 %y to i12
+  %ic0 = zext i8 %x to i32
+  %ic1 = zext i8 %y to i32
+  %ic2 = urem i32 %ic0, %ic1
+  %ic3 = zext i8 %x to i32
+  %ic10 = zext i8 %y to i32
+  %ic11 = urem i32 %ic3, %ic10
+  %r = urem i8 %x, %y
+  %ic4 = sext i12 %bw0 to i32
+  %ic5 = sext i12 %bw1 to i32
+  %ic6 = sdiv i32 %ic4, %ic5
+  %ic7 = trunc i32 %ic6 to i12
+  %ic13 = sext i12 %bw0 to i32
+  %ic14 = sext i12 %bw1 to i32
+  %ic15 = sdiv i32 %ic13, %ic14
+  %new0 = sdiv i12 %bw0, %bw1
+  %last0 = trunc i12 %ic7 to i8
+  %ic8 = zext i8 %last0 to i32
+  %ic9 = icmp ult i32 %ic8, 225
+  %s = select i1 %ic9, i8 %last0, i8 %x
+  ret i8 %s
 }`, 0},
 	} {
 		srcMod, err := parser.Parse(c.src)

@@ -12,11 +12,9 @@ package tv
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ir"
-	"repro/internal/sat"
 	"repro/internal/semantics"
 	"repro/internal/smt"
 )
@@ -86,9 +84,8 @@ type Result struct {
 
 	// CacheHit marks a solve-stage result replayed from the verdict
 	// cache: Verdict and Reason are the stored ones, and the solve
-	// stage's statistics (Conflicts, Propagations, SATVars,
-	// AssumptionQueries) are zero. The static fields
-	// are this query's own, because that rung ran.
+	// stage's statistics (Conflicts, Propagations, SATVars) are zero.
+	// The static fields are this query's own, because that rung ran.
 	CacheHit bool
 	// FP is the hex form of the solve stage's key (see solveKey),
 	// populated when NeedFingerprint is set; empty for Unsupported
@@ -96,8 +93,10 @@ type Result struct {
 	// group solver effort by formula, so they group exactly the queries
 	// the verdict cache treats as one; it never influences the verdict.
 	FP string
-	// AssumptionQueries counts the incremental per-class queries issued
-	// on the shared solver session (0 on the monolithic path).
+	// AssumptionQueries is always zero. The incremental per-class session
+	// is gone; the name survives only because perfbench/trace reads it,
+	// and a later change to the benchmark deletes it. Nothing else may
+	// read it.
 	AssumptionQueries int64
 
 	// StaticOutcome records what the static refinement pre-verifier did
@@ -137,27 +136,9 @@ type Options struct {
 	// otherwise. A loop running on several workers calls it concurrently.
 	Observe func(r Result, d time.Duration)
 
-	// Incremental solves the refinement query as per-class
-	// (calls/UB/return/memory) assumption-gated queries on one shared
-	// SAT session instead of one monolithic CNF, retaining learnt
-	// clauses across the classes. The canonical monolithic solve starts
-	// on its own goroutine just before the session and runs beside it.
-	// The incremental path may conclude Valid on its own, and the
-	// canonical solve is then interrupted and discarded; any other
-	// outcome takes the canonical solve's result, so Invalid
-	// counterexamples and Unsupported reasons are byte-identical with the
-	// baseline. The one permitted divergence is strictly
-	// one-directional: a query the monolithic baseline abandons at the
-	// conflict budget (Unknown) may be proven Valid here, because the
-	// per-class queries can fit under a budget the monolithic CNF
-	// exhausts. Acceleration never turns a decided verdict into anything
-	// else (docs/PERFORMANCE.md).
-	//
-	// The session engages only under a tight conflict budget (0 <
-	// ConflictBudget <= 10000) and when at least two refinement classes
-	// survive structural folding; otherwise budget Unknowns are absent
-	// or rare, the split cannot beat the monolithic solve, and the
-	// canonical path runs alone (see sessionEngages).
+	// Incremental is ignored. The incremental per-class session is gone;
+	// the field survives only because perfbench/trace sets it, and a
+	// later change to the benchmark deletes it. Nothing else may set it.
 	Incremental bool
 	// Static enables the static refinement pre-verifier as the first
 	// stage after encoding: structural query folding, then term-level
@@ -165,9 +146,9 @@ type Options struct {
 	// Valid verdicts it can prove SAT would return — undecided queries
 	// fall through to the solver untouched — so result tables,
 	// witnesses, and triage trees are byte-identical with the rung off.
-	// Like Incremental, the one permitted divergence is one-directional:
-	// a query the budgeted solver would abandon as Unknown may be proven
-	// Valid statically.
+	// The one permitted divergence is one-directional: a query the
+	// budgeted solver would abandon as Unknown may be proven Valid
+	// statically.
 	Static bool
 	// SrcEnc is ignored. The shared src encoding layer is gone; the
 	// field survives only because perfbench/trace sets it, and a later
@@ -260,7 +241,7 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 		r, hit = opts.Cache.lookup(key)
 	}
 	if !hit {
-		r = solve(src, e, opts)
+		r = solve(src, e.query, opts)
 		if opts.Cache != nil {
 			opts.Cache.store(key, r)
 		}
@@ -272,26 +253,24 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 	return r
 }
 
-// solve is the solve stage: the incremental session beside the canonical
-// monolithic solve, or the monolithic solve alone.
-func solve(src *ir.Function, e *encoding, opts Options) Result {
-	if opts.Incremental && sessionEngages(e.vc, e.query, opts) {
-		// The canonical solve starts first, on its own goroutine, and the
-		// session runs beside it. Only a session Valid short-circuits: the
-		// canonical solve is interrupted and discarded. Anything else falls
-		// back to the canonical result — the exact baseline query — with
-		// the session's solver already dropped, so Invalid counterexamples
-		// and budget-boundary Unknowns are byte-identical with
-		// acceleration off and judged as if the canonical solve had
-		// started after the session.
-		m := startMonolithic(e.query, opts, true)
-		if r, done := solveAccelerated(e.ctx, e.vc, e.query, opts); done {
-			m.cancel()
-			return r
-		}
-		return m.wait(src)
+// solve is the solve stage: one monolithic solve of the query, on the
+// calling goroutine.
+func solve(src *ir.Function, query *smt.Term, opts Options) Result {
+	c := smt.Checker{ConflictBudget: opts.ConflictBudget}
+	res, model := c.Check(query)
+	out := Result{Conflicts: c.LastConflicts, Propagations: c.LastPropagations, SATVars: c.LastVars}
+	switch res {
+	case smt.Unsat:
+		out.Verdict = Valid
+	case smt.Sat:
+		out.Verdict = Invalid
+		out.Reason = "target does not refine source"
+		out.CEX = extractCEX(src, model)
+	default:
+		out.Verdict = Unknown
+		out.Reason = "solver budget exhausted"
 	}
-	return solveMonolithic(src, e.query, opts)
+	return out
 }
 
 // ReachedSolveStage reports whether the query got past encoding and the
@@ -303,9 +282,7 @@ func (r Result) ReachedSolveStage() bool {
 
 // encoding is a pair's refinement query, built once per Verify.
 type encoding struct {
-	ctx            *semantics.Context
 	srcSum, tgtSum *semantics.Summary
-	vc             violationClasses
 	query          *smt.Term
 }
 
@@ -324,156 +301,11 @@ func encode(mod *ir.Module, src, tgt *ir.Function) (*encoding, string) {
 	if err != nil {
 		return nil, err.Error()
 	}
-	vc, reason, supported := buildViolation(ctx, src, srcSum, tgtSum)
+	viol, reason, supported := buildViolation(ctx, src, srcSum, tgtSum)
 	if !supported {
 		return nil, reason
 	}
-	return &encoding{ctx, srcSum, tgtSum, vc, b.And(ctx.Axioms(), vc.monolithic)}, ""
-}
-
-// monolithic is the canonical decision procedure in flight: one CNF for
-// the whole violation disjunction, solved on a fresh solver. A solve's
-// trajectory depends on nothing but the query (Terms are immutable), so
-// it may start beside the incremental session without changing a
-// number; it is interrupted when the session proves the query.
-type monolithic struct {
-	c     smt.Checker
-	stop  atomic.Bool
-	res   smt.Result
-	model smt.Model
-	// done is closed once res, model and c's statistics are written.
-	done chan struct{}
-}
-
-// startMonolithic starts query's solve, on its own goroutine when async
-// is set, and to its end before returning otherwise.
-func startMonolithic(query *smt.Term, opts Options, async bool) *monolithic {
-	m := &monolithic{c: smt.Checker{ConflictBudget: opts.ConflictBudget}, done: make(chan struct{})}
-	m.c.Stop = &m.stop
-	run := func() {
-		defer close(m.done)
-		m.res, m.model = m.c.Check(query)
-	}
-	if async {
-		go run()
-	} else {
-		run()
-	}
-	return m
-}
-
-// solveMonolithic is the baseline decision procedure, start to finish,
-// on the calling goroutine.
-func solveMonolithic(src *ir.Function, query *smt.Term, opts Options) Result {
-	return startMonolithic(query, opts, false).wait(src)
-}
-
-// cancel interrupts the solve and waits for it; its result is discarded.
-func (m *monolithic) cancel() {
-	m.stop.Store(true)
-	<-m.done
-}
-
-// wait waits for the solve and renders its verdict.
-func (m *monolithic) wait(src *ir.Function) Result {
-	<-m.done
-	out := Result{Conflicts: m.c.LastConflicts, Propagations: m.c.LastPropagations, SATVars: m.c.LastVars}
-	switch m.res {
-	case smt.Unsat:
-		out.Verdict = Valid
-	case smt.Sat:
-		out.Verdict = Invalid
-		out.Reason = "target does not refine source"
-		out.CEX = extractCEX(src, m.model)
-	default:
-		out.Verdict = Unknown
-		out.Reason = "solver budget exhausted"
-	}
-	return out
-}
-
-// sessionMaxBudget bounds the conflict budgets under which the
-// incremental per-class session engages. The split pays for itself by
-// rescuing queries the monolithic solve abandons at the budget; the
-// probability of that falls as the budget grows, and on the throughput
-// benchmark's generous default (30k conflicts, nothing abandoned) the
-// split is a pure ~60% TV-stage regression. 10k keeps every fuzzing
-// configuration (campaign default: 4k) on the fast path while excluding
-// the benchmark/offline regimes. Tuned in docs/PERFORMANCE.md.
-const sessionMaxBudget = 10000
-
-// sessionEngages is the incremental session's gate: a tight conflict
-// budget and at least two refinement classes that survive structural
-// folding. The split cannot pay for itself otherwise. The per-class
-// session earns its overhead exactly when the monolithic solve is likely
-// to abandon the query at the conflict budget: each class is a strictly
-// weaker formula, so its proof can fit under a budget the disjunction
-// exhausts. That happens under tight budgets (fuzzing campaigns). It
-// cannot happen at all without a budget, is rare under a generous one,
-// and is structurally impossible with fewer than two live classes — in
-// those regimes N per-class proofs measurably cost more than the one
-// disjunction proof (docs/PERFORMANCE.md), so the canonical path runs
-// alone. A query the builder already folded to a constant needs no
-// solver either way.
-func sessionEngages(vc violationClasses, query *smt.Term, opts Options) bool {
-	if opts.ConflictBudget <= 0 || opts.ConflictBudget > sessionMaxBudget ||
-		query.IsTrue() || query.IsFalse() {
-		return false
-	}
-	return len(vc.live()) >= 2
-}
-
-// live returns the refinement classes that survive structural folding.
-func (vc violationClasses) live() []*smt.Term {
-	var live []*smt.Term
-	for _, cl := range []*smt.Term{vc.calls, vc.ub, vc.ret, vc.mem} {
-		if !cl.IsFalse() {
-			live = append(live, cl)
-		}
-	}
-	return live
-}
-
-// solveAccelerated runs the incremental per-class decision phase on a
-// query sessionEngages admits. It may only short-circuit the Valid
-// verdict (every refinement class refuted); for any other outcome it
-// reports done=false and the caller falls back to the canonical
-// monolithic solve. Valid verdicts carry the session's solver
-// statistics.
-func solveAccelerated(ctx *semantics.Context, vc violationClasses, query *smt.Term, opts Options) (Result, bool) {
-	live := vc.live()
-	se := smt.NewSession(opts.ConflictBudget)
-	se.BindVars(smt.Vars(query))
-	se.Assert(ctx.Axioms())
-	acts := make([]sat.Lit, 0, len(live))
-	for _, cl := range live {
-		acts = append(acts, se.Activation(cl))
-	}
-	for _, a := range acts {
-		// The conflict budget is shared across the class queries, not per
-		// class: the session as a whole never spends more than one
-		// monolithic solve's budget, so a budget-exhausting pair costs at
-		// most 2x baseline (session + canonical fallback) instead of
-		// (classes+1)x. The cap is deliberately not tighter: the
-		// budget-boundary Valid proofs the split makes possible need most
-		// of it (halving the cap loses them, measured on the 995-mutant
-		// slice).
-		remaining := opts.ConflictBudget - se.S.Conflicts
-		if remaining <= 0 {
-			return Result{}, false
-		}
-		se.S.Budget = remaining
-		if se.Solve(a) != smt.Unsat {
-			return Result{}, false
-		}
-	}
-	return Result{
-		Verdict:           Valid,
-		Conflicts:         se.S.Conflicts,
-		Propagations:      se.S.Propagations,
-		SATVars:           se.S.NumVars(),
-		AssumptionQueries: se.Assumptions,
-	}, true
+	return &encoding{srcSum, tgtSum, b.And(ctx.Axioms(), viol)}, ""
 }
 
 func checkSignatures(src, tgt *ir.Function) error {
@@ -491,43 +323,14 @@ func checkSignatures(src, tgt *ir.Function) error {
 	return nil
 }
 
-// violationClasses carries the monolithic violation term alongside its
-// four-way split by refinement class. The monolithic term is built by
-// exactly the same construction sequence as the pre-split code, so the
-// baseline (and canonical-fallback) CNF, models, and counterexamples are
-// bit-for-bit unchanged. The classes partition it:
-//
-//	calls: a call obligation failed (argument values, observable memory
-//	       at a call site, or a structurally illegal call-sequence edit)
-//	ub:    target has UB where the source does not
-//	ret:   return value fails to refine
-//	mem:   final caller-visible memory fails to refine
-//
-// Their union is logically equivalent to the monolithic term — the
-// distribution of guard ∧ (¬oblig ∨ (oblig ∧ facts ∧ (UB ∨ retViol ∨
-// ¬memOK))) over the inner disjunction.
-type violationClasses struct {
-	monolithic *smt.Term
-	calls      *smt.Term
-	ub         *smt.Term
-	ret        *smt.Term
-	mem        *smt.Term
-}
-
 // buildViolation constructs the bv1 term that is satisfiable exactly when
 // refinement fails, as a disjunction over all (source path, target path)
-// pairs, together with its per-class split.
+// pairs.
 func buildViolation(ctx *semantics.Context, src *ir.Function,
-	srcSum, tgtSum *semantics.Summary) (vc violationClasses, reason string, supported bool) {
+	srcSum, tgtSum *semantics.Summary) (viol *smt.Term, reason string, supported bool) {
 
 	b := ctx.B
-	vc = violationClasses{
-		monolithic: b.Bool(false),
-		calls:      b.Bool(false),
-		ub:         b.Bool(false),
-		ret:        b.Bool(false),
-		mem:        b.Bool(false),
-	}
+	viol = b.Bool(false)
 	voidRet := ir.IsVoid(src.RetTy)
 
 	for _, sp := range srcSum.Paths {
@@ -543,49 +346,37 @@ func buildViolation(ctx *semantics.Context, src *ir.Function,
 
 			comp, pairReason, ok := buildPairComponents(ctx, voidRet, sp, tp)
 			if !ok {
-				return violationClasses{}, pairReason, false
+				return nil, pairReason, false
 			}
 			if comp.structural {
 				// A structurally illegal call-sequence change is itself
 				// the violation: if these paths co-occur on a defined
 				// input, the target performed calls the source did not
 				// permit.
-				pairViol := b.Bool(true)
-				vc.monolithic = b.Or(vc.monolithic, b.And(guard, pairViol))
-				vc.calls = b.Or(vc.calls, guard)
+				viol = b.Or(viol, guard)
 				continue
 			}
 			// Violation: an obligation failed outright, or all held
 			// (pinning the shared call results) and the core refinement
 			// still failed.
 			pairViol := b.Or(b.Not(comp.oblig), b.And(comp.oblig, b.And(comp.facts, comp.core)))
-			vc.monolithic = b.Or(vc.monolithic, b.And(guard, pairViol))
-
-			// Class split (built after the monolithic term so its
-			// construction sequence is untouched; hash-consing makes the
-			// shared pieces free).
-			held := b.And(guard, b.And(comp.oblig, comp.facts))
-			vc.calls = b.Or(vc.calls, b.And(guard, b.Not(comp.oblig)))
-			vc.ub = b.Or(vc.ub, b.And(held, comp.ub))
-			vc.ret = b.Or(vc.ret, b.And(held, comp.retViol))
-			vc.mem = b.Or(vc.mem, b.And(held, comp.memViol))
+			viol = b.Or(viol, b.And(guard, pairViol))
 		}
 	}
-	return vc, "", true
+	return viol, "", true
 }
 
 // pairComponents carries the pieces of one path pair's violation
 // condition. structural marks a call-sequence mismatch whose violation
-// is the whole guard; otherwise core = ub ∨ retViol ∨ ¬memOK assembled
-// in the original construction order.
+// is the whole guard; otherwise the pair violates refinement when an
+// obligation fails, or when oblig and facts hold and core (target UB, a
+// return value that fails to refine, or final memory that fails to
+// refine) does too.
 type pairComponents struct {
 	structural bool
 	oblig      *smt.Term
 	facts      *smt.Term
 	core       *smt.Term
-	ub         *smt.Term
-	retViol    *smt.Term
-	memViol    *smt.Term
 }
 
 // buildPairComponents builds the violation components for one path pair.
@@ -631,14 +422,13 @@ func buildPairComponents(ctx *semantics.Context, voidRet bool,
 		}
 	}
 
-	retViol := b.Bool(false)
 	core := tp.UB
 	if !voidRet && sp.HasRet && tp.HasRet {
 		sr, tr := sp.Ret, tp.Ret
 		if sr.Prov > semantics.ProvExternal || tr.Prov > semantics.ProvExternal {
 			return pairComponents{}, "returning a stack-local pointer", false
 		}
-		retViol = b.And(b.Not(sr.Poison),
+		retViol := b.And(b.Not(sr.Poison),
 			b.Or(tr.Poison, b.Ne(sr.Bits, tr.Bits)))
 		core = b.Or(core, retViol)
 	}
@@ -650,14 +440,7 @@ func buildPairComponents(ctx *semantics.Context, voidRet bool,
 		tp.FinalMem.GetByte(semantics.ProvExternal, probe))
 	core = b.Or(core, b.Not(memOK))
 
-	return pairComponents{
-		oblig:   oblig,
-		facts:   facts,
-		core:    core,
-		ub:      tp.UB,
-		retViol: retViol,
-		memViol: b.Not(memOK),
-	}, "", true
+	return pairComponents{oblig: oblig, facts: facts, core: core}, "", true
 }
 
 // byteRefines: target byte refines source byte (source poison allows

@@ -13,10 +13,13 @@ set -euo pipefail
 
 GO=${GO:-go}
 WORK=${RESUME_SMOKE_DIR:-resume-smoke}
-# Budget sized so the killed run takes ~10s at 2 workers: long enough
-# that the SIGKILL below reliably lands mid-campaign, short enough for CI.
-ARGS=(-budget 1200 -tvbudget 4000 -seed 7
-      -only 53252,53218,55201,55287,58423,59757,64687)
+# The SIGKILL below lands as soon as the checkpoint and the journal show
+# a completed unit. Sized so the run goes on well past that: on a 2-core
+# machine it takes about 2s at 2 workers, the first unit reaches the
+# checkpoint after about 0.6s, and the long 53252 and 55484 units run
+# until the end.
+ARGS=(-budget 6000 -tvbudget 4000 -seed 7
+      -only 53252,53218,55201,55287,58423,59757,64687,55129,55484)
 
 rm -rf "$WORK"
 mkdir -p "$WORK"
@@ -34,21 +37,27 @@ echo "resume-smoke: checkpointed run, SIGKILL mid-campaign"
     -out "$WORK/table-killed.txt" -triage-dir "$WORK/triage-killed" \
     >/dev/null &
 pid=$!
-# The initial checkpoint is written before dispatch, so wait for the file
-# and then let the campaign make real progress before the kill.
-for _ in $(seq 1 100); do
-    [ -f "$WORK/ckpt/checkpoint.jsonl" ] && break
-    sleep 0.1
+# Kill as soon as a unit completion shows up in both the checkpoint and
+# the journal: the resume then restores some units and re-runs the rest,
+# and the killed run's events have reached the journal it appends to.
+checkpointed() {
+    grep -qs '"line":"unit"' "$WORK/ckpt/checkpoint.jsonl" &&
+        grep -qs '"event":"unit_finish"' "$WORK/journal.jsonl"
+}
+for _ in $(seq 1 500); do
+    checkpointed && break
+    sleep 0.02
 done
-[ -f "$WORK/ckpt/checkpoint.jsonl" ] || {
-    echo "resume-smoke: no checkpoint appeared"; exit 1; }
-sleep 3
 kill -9 "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
+checkpointed || {
+    echo "resume-smoke: no unit completion reached the checkpoint and journal"; exit 1; }
 if [ -f "$WORK/table-killed.txt" ]; then
-    echo "resume-smoke: WARNING: killed run completed before SIGKILL;" \
-         "resume will restore a finished campaign (still checked, but not mid-run)"
+    echo "resume-smoke: killed run completed before SIGKILL, so the resume" \
+         "would not start mid-run; raise the budget in ARGS"
+    exit 1
 fi
+echo "resume-smoke: killed with $(grep -c '"line":"unit"' "$WORK/ckpt/checkpoint.jsonl") unit(s) checkpointed"
 
 echo "resume-smoke: resuming at a different worker count"
 "$BIN" "${ARGS[@]}" -workers 8 -resume \

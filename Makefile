@@ -24,7 +24,8 @@ perfbench-test:
 # validator, the campaign's snapshot, status, spans and hotspot
 # documents, the bitcode reader, the .ll parser, the checkpoint loader
 # and a triage bundle's counterexample.json; malformed input must return
-# an error, never panic), the
+# an error, never panic), the printer's early-exit text comparison
+# (ir.SameText) against text equality on pairs of mutants, the
 # incremental SAT solver against brute-force enumeration on small random
 # CNFs, the bit-blaster against the term evaluator on fuzz-decoded
 # terms at pinned inputs, and the term rewriter against the unrewritten
@@ -37,6 +38,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzValidateHotspots$$' -fuzztime 10s ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime 10s ./internal/bitcode
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime 10s ./internal/parser
+	$(GO) test -run='^$$' -fuzz='^FuzzSameText$$' -fuzztime 10s ./internal/ir
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/campaign
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeWitness$$' -fuzztime 10s ./internal/triage
 	$(GO) test -run='^$$' -fuzz='^FuzzIncrementalAgainstBruteForce$$' -fuzztime 10s ./internal/sat
@@ -133,11 +135,12 @@ dashboard-smoke:
 profile-smoke:
 	bash tools/profile-smoke.sh
 
-# Hot-path microbenchmarks: sat.Solve on canned CNFs, smt blasting and
-# sessions, and tv.Verify over the examples corpus — a tracked baseline
-# for solver changes independent of the end-to-end harness.
+# Hot-path microbenchmarks: sat.Solve on canned CNFs, smt blasting, and
+# tv.Verify over the examples corpus — a tracked baseline for solver
+# changes independent of the end-to-end harness — plus the in-process
+# campaign slice, whose allocs/op measures the loop around the solver.
 microbench:
-	$(GO) test -bench=. -benchmem -run='^$$' ./internal/sat ./internal/smt ./internal/tv
+	$(GO) test -bench=. -benchmem -run='^$$' ./internal/sat ./internal/smt ./internal/tv ./internal/campaign
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -54,18 +54,29 @@ func NewFacts(f *ir.Function) *Facts {
 	return fa
 }
 
+// reset empties the memos in place: passes invalidate after every
+// rewrite, so reallocating them would cost a map per memo each time.
 func (fa *Facts) reset() {
 	fa.dom = nil
 	fa.preds = nil
-	fa.known = make(map[ir.Value]KnownBits)
-	fa.ranges = make(map[ir.Value]Range)
-	fa.inflightK = make(map[ir.Value]bool)
-	fa.inflightR = make(map[ir.Value]bool)
-	fa.guards = make(map[*ir.Block][]guard)
+	fa.known = emptied(fa.known)
+	fa.ranges = emptied(fa.ranges)
+	fa.inflightK = emptied(fa.inflightK)
+	fa.inflightR = emptied(fa.inflightR)
+	fa.guards = emptied(fa.guards)
 	fa.demanded = nil
 	fa.hasDem = false
-	fa.alwaysP = make(map[*ir.Instr]bool)
-	fa.inflightAP = make(map[*ir.Instr]bool)
+	fa.alwaysP = emptied(fa.alwaysP)
+	fa.inflightAP = emptied(fa.inflightAP)
+}
+
+// emptied returns m cleared, or a new map when m is nil.
+func emptied[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return make(map[K]V)
+	}
+	clear(m)
+	return m
 }
 
 // Invalidate drops every cached fact. Must be called after any mutation

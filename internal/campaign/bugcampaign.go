@@ -379,8 +379,9 @@ func groupName(info opt.Info) string {
 // tests near the bug first, the rest of the suite after (the corpus
 // ordering), each unit spending its share of the budget and handing the
 // accumulator to the next. The budget split — half the budget for each
-// tagged seed, an eighth for each untagged one, clipped to what remains —
-// matches the serial driver exactly.
+// tagged seed, an eighth for each untagged one, at least one mutant,
+// clipped to what remains — matches the serial driver exactly for
+// budgets of 8 and more.
 func bugUnits(info opt.Info, suite []corpus.NamedTest, cfg BugConfig, agg *Agg) []Unit {
 	group := groupName(info)
 	var units []Unit
@@ -404,9 +405,11 @@ func bugUnits(info opt.Info, suite []corpus.NamedTest, cfg BugConfig, agg *Agg) 
 					}
 					return bugUnitRes{State: st}, true, nil
 				}
-				n := cfg.Budget / 2
+				// At least one mutant: core reads NumMutants 0 as no
+				// bound, which a budget below 8 would otherwise give.
+				n := max(cfg.Budget/2, 1)
 				if !tagged {
-					n = cfg.Budget / 8
+					n = max(cfg.Budget/8, 1)
 				}
 				if st.Spent+n > cfg.Budget {
 					n = cfg.Budget - st.Spent

@@ -121,3 +121,28 @@ func TestProgressCallback(t *testing.T) {
 		t.Error("no bug was missed; the missed-row assertions are vacuous")
 	}
 }
+
+// TestBugCampaignSmallBudgets: below a budget of 8 an untagged seed's
+// eighth of the budget rounds to zero mutants, which the loop reads as
+// no bound. Every unit must run at least one mutant and never more than
+// what remains, so no bug spends, or reports, more than the budget.
+func TestBugCampaignSmallBudgets(t *testing.T) {
+	for budget := 1; budget <= 7; budget++ {
+		rep := mustRunBugs(t, context.Background(), BugConfig{
+			Budget:   budget,
+			TVBudget: 4000,
+			Seed:     7,
+			Passes:   "O2",
+			Workers:  2,
+			Stderr:   io.Discard,
+		})
+		for _, r := range rep.Rows {
+			if r.Iters > budget {
+				t.Errorf("budget %d: bug %d reports %d mutants", budget, r.Info.Issue, r.Iters)
+			}
+			if spent := rep.Agg.Group(groupName(r.Info)).Iterations; spent > budget {
+				t.Errorf("budget %d: bug %d spent %d mutants", budget, r.Info.Issue, spent)
+			}
+		}
+	}
+}

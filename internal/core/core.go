@@ -175,20 +175,19 @@ type Fuzzer struct {
 	// Telemetry handles, resolved once per session so the hot loop pays
 	// only atomic adds (all nil-safe when telemetry is off). timed is
 	// true when any consumer (metrics or spans) wants stage durations.
-	tel             *telemetry.Collector
-	spans           *spans.Recorder
-	timed           bool
-	ctrMutants      *telemetry.Counter
-	ctrChecks       *telemetry.Counter
-	ctrFast         *telemetry.Counter
-	ctrCrashes      *telemetry.Counter
-	histMutate      *telemetry.Histogram
-	histOpt         *telemetry.Histogram
-	histInterp      *telemetry.Histogram
-	verdictCtr      map[tv.Verdict]*telemetry.Counter
-	ruleCtrs        *lazyHandles[telemetry.Counter]
-	observePass     func(pass string, d time.Duration)
-	observeAnalysis func(d time.Duration)
+	tel         *telemetry.Collector
+	spans       *spans.Recorder
+	timed       bool
+	ctrMutants  *telemetry.Counter
+	ctrChecks   *telemetry.Counter
+	ctrFast     *telemetry.Counter
+	ctrCrashes  *telemetry.Counter
+	histMutate  *telemetry.Histogram
+	histOpt     *telemetry.Histogram
+	histInterp  *telemetry.Histogram
+	verdictCtr  map[tv.Verdict]*telemetry.Counter
+	ruleCtrs    *lazyHandles[telemetry.Counter]
+	observePass func(pass string, d time.Duration)
 }
 
 // New prepares a fuzzing session: resolves the pipeline, drops functions
@@ -421,13 +420,6 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 		passHists.get(pass).Observe(d)
 	}
 	f.ruleCtrs = lazy(tel.Counter, "opt.rule.")
-
-	// Time spent inside dataflow-analysis-backed folds, as its own stage
-	// so the docs/OBSERVABILITY.md overhead budget is measurable directly.
-	histAnalysis := tel.Histogram("stage.analysis")
-	f.observeAnalysis = func(d time.Duration) {
-		histAnalysis.Observe(d)
-	}
 }
 
 // lazyHandles caches telemetry handles resolved by name on first use.
@@ -717,7 +709,6 @@ func (f *Fuzzer) iteration(iter int, seed uint64) outcome {
 		ctx.Bugs = f.opts.Bugs
 	}
 	ctx.ObservePass = f.observePass
-	ctx.ObserveAnalysis = f.observeAnalysis
 	ctx.DisableAnalysis = f.opts.DisableAnalysis
 	var crashMsg string
 	if f.timed {
@@ -770,7 +761,7 @@ func (f *Fuzzer) iteration(iter int, seed uint64) outcome {
 		// unchanged, refinement holds trivially — no solver query needed.
 		// A large share of mutants are not touched by the optimizer, so
 		// this materially raises fuzzing throughput.
-		if fn.String() == src.String() {
+		if ir.SameText(fn, src) {
 			o.stats.Valid++
 			f.ctrFast.Add(1)
 			continue

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Block is a basic block: a straight-line instruction sequence ending in
 // exactly one terminator.
@@ -227,6 +230,21 @@ func (f *Function) UsersOf(v Value) []*Instr {
 	return out
 }
 
+// HasUsers reports whether any instruction uses v as an operand, that is
+// whether UsersOf(v) is non-empty, without building the list.
+func (f *Function) HasUsers(v Value) bool {
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, a := range in.Args {
+				if a == v {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // HasLoop reports whether the CFG contains a cycle (detected via iterative
 // DFS). The translation validator only handles loop-free functions, so the
 // fuzzer uses this during preprocessing (paper §III-A).
@@ -315,22 +333,60 @@ func (m *Module) RemoveFunc(name string) {
 }
 
 // FreshName returns an SSA name of the form prefixN that does not collide
-// with any existing parameter or instruction name in the function.
+// with any existing parameter or instruction name in the function: the
+// one with the smallest N >= 0.
 func (f *Function) FreshName(prefix string) string {
-	used := make(map[string]bool)
+	// With k names, one of prefix0 .. prefixk is free, so a single scan
+	// marks the taken suffixes below k+1 in a bitset.
+	limit := len(f.Params) + 1
+	for _, b := range f.Blocks {
+		limit += len(b.Instrs)
+	}
+	var small [4]uint64
+	taken := small[:]
+	if words := (limit + 63) / 64; words > len(small) {
+		taken = make([]uint64, words)
+	}
+	mark := func(name string) {
+		if n, ok := decimalSuffix(name, prefix, limit); ok {
+			taken[n/64] |= 1 << (n % 64)
+		}
+	}
 	for _, p := range f.Params {
-		used[p.Nm] = true
+		mark(p.Nm)
 	}
-	f.ForEachInstr(func(_ *Block, _ int, in *Instr) bool {
-		if in.Nm != "" {
-			used[in.Nm] = true
-		}
-		return true
-	})
-	for i := 0; ; i++ {
-		n := fmt.Sprintf("%s%d", prefix, i)
-		if !used[n] {
-			return n
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			mark(in.Nm)
 		}
 	}
+	n := 0
+	for taken[n/64]&(1<<(n%64)) != 0 {
+		n++
+	}
+	return prefix + strconv.Itoa(n)
+}
+
+// decimalSuffix reports whether name is prefix followed by the canonical
+// decimal form of some n < limit (no sign, no leading zero), and returns n.
+func decimalSuffix(name, prefix string, limit int) (int, bool) {
+	if len(name) <= len(prefix) || name[:len(prefix)] != prefix {
+		return 0, false
+	}
+	digits := name[len(prefix):]
+	if len(digits) > 1 && digits[0] == '0' {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+		if n >= limit {
+			return 0, false
+		}
+	}
+	return n, true
 }

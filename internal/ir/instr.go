@@ -60,7 +60,7 @@ const (
 	opMax
 )
 
-var opNames = map[Op]string{
+var opNames = [opMax]string{
 	OpAdd: "add", OpSub: "sub", OpMul: "mul",
 	OpUDiv: "udiv", OpSDiv: "sdiv", OpURem: "urem", OpSRem: "srem",
 	OpShl: "shl", OpLShr: "lshr", OpAShr: "ashr",
@@ -75,8 +75,8 @@ var opNames = map[Op]string{
 }
 
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o >= 0 && o < opMax && opNames[o] != "" {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", int(o))
 }
@@ -182,7 +182,7 @@ const (
 	SLE
 )
 
-var predNames = map[Pred]string{
+var predNames = [SLE + 1]string{
 	EQ: "eq", NE: "ne",
 	UGT: "ugt", UGE: "uge", ULT: "ult", ULE: "ule",
 	SGT: "sgt", SGE: "sge", SLT: "slt", SLE: "sle",
@@ -192,8 +192,8 @@ var predNames = map[Pred]string{
 var Preds = []Pred{EQ, NE, UGT, UGE, ULT, ULE, SGT, SGE, SLT, SLE}
 
 func (p Pred) String() string {
-	if s, ok := predNames[p]; ok {
-		return s
+	if p >= 0 && p <= SLE && predNames[p] != "" {
+		return predNames[p]
 	}
 	return fmt.Sprintf("pred(%d)", int(p))
 }

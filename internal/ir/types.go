@@ -11,7 +11,7 @@
 package ir
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/apint"
@@ -22,7 +22,7 @@ import (
 // type, void for instructions that produce no value, and function types
 // for call signatures.
 type Type interface {
-	fmt.Stringer
+	String() string
 	isType()
 }
 
@@ -31,8 +31,22 @@ type IntType struct {
 	Bits int
 }
 
-func (IntType) isType()          {}
-func (t IntType) String() string { return fmt.Sprintf("i%d", t.Bits) }
+func (IntType) isType() {}
+
+func (t IntType) String() string {
+	if t.Bits >= 1 && t.Bits <= apint.MaxWidth {
+		return intTypeNames[t.Bits]
+	}
+	return "i" + strconv.Itoa(t.Bits)
+}
+
+// intTypeNames holds "i1" .. "i64", so printing a type allocates nothing.
+var intTypeNames = func() (names [apint.MaxWidth + 1]string) {
+	for w := 1; w <= apint.MaxWidth; w++ {
+		names[w] = "i" + strconv.Itoa(w)
+	}
+	return names
+}()
 
 // PtrType is LLVM's opaque pointer type ("ptr").
 type PtrType struct{}
@@ -84,7 +98,7 @@ var (
 // width is outside the supported [1, 64] range.
 func Int(bits int) IntType {
 	if bits < 1 || bits > apint.MaxWidth {
-		panic(fmt.Sprintf("ir: unsupported integer width i%d", bits))
+		panic("ir: unsupported integer width i" + strconv.Itoa(bits))
 	}
 	return IntType{bits}
 }

@@ -1,7 +1,7 @@
 package ir
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/apint"
 )
@@ -68,7 +68,7 @@ func (c *Const) operandString() string {
 		return "false"
 	}
 	// LLVM prints integer constants in signed decimal.
-	return fmt.Sprintf("%d", c.Signed())
+	return strconv.FormatInt(c.Signed(), 10)
 }
 
 // Poison is the poison constant of a given type. undef is approximated as

@@ -15,7 +15,7 @@ import (
 // on entry and a final extension/truncation adapting the result on exit
 // (Listing 13, Figs. 4–5). The original instructions are left in place for
 // their other users; only the last path node's uses are redirected.
-func mutateBitwidth(r *rng.Rand, f *ir.Function) (string, bool) {
+func mutateBitwidth(r *rng.Rand, f *ir.Function, traced bool) (string, bool) {
 	// Candidate roots: binary instructions. All our binary opcodes are
 	// fully bitwidth-polymorphic; instructions like icmp (fixed i1 result)
 	// or bswap (16/32/64 only) are excluded by construction, which is the
@@ -121,5 +121,7 @@ func mutateBitwidth(r *rng.Rand, f *ir.Function) (string, bool) {
 	// back-cast itself must keep... the back-cast uses nlast, not last, so
 	// a blanket replace is safe.
 	f.ReplaceUses(last, back)
-	return fmt.Sprintf("bitwidth %s w%d -> w%d len%d", instrRef(root), oldW, newW, len(path)), true
+	return lineage(traced, func() string {
+		return fmt.Sprintf("bitwidth %s w%d -> w%d len%d", instrRef(root), oldW, newW, len(path))
+	}), true
 }

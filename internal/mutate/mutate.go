@@ -160,7 +160,7 @@ func (mu *Mutator) mutateFunction(r *rng.Rand, mod *ir.Module, f *ir.Function, i
 	// report false and cost nothing.
 	for attempt := 0; attempt < 4*n && applied < n; attempt++ {
 		op := mu.ops[r.Intn(len(mu.ops))]
-		if site, ok := mu.apply(op, r, mod, f, ov); ok {
+		if site, ok := mu.apply(op, r, mod, f, ov, tr != nil); ok {
 			applied++
 			ov.Invalidate()
 			if tr != nil {
@@ -173,27 +173,27 @@ func (mu *Mutator) mutateFunction(r *rng.Rand, mod *ir.Module, f *ir.Function, i
 	}
 }
 
-// apply runs one operator; on success the returned site string describes
-// the program point it touched (lineage metadata — it never feeds back
-// into mutation decisions).
-func (mu *Mutator) apply(op Op, r *rng.Rand, mod *ir.Module, f *ir.Function, ov *analysis.Overlay) (string, bool) {
+// apply runs one operator; on success with traced set, the returned site
+// string describes the program point it touched (lineage metadata — it
+// never feeds back into mutation decisions).
+func (mu *Mutator) apply(op Op, r *rng.Rand, mod *ir.Module, f *ir.Function, ov *analysis.Overlay, traced bool) (string, bool) {
 	switch op {
 	case OpAttributes:
-		return mutateAttributes(r, f)
+		return mutateAttributes(r, f, traced)
 	case OpInline:
-		return mutateInline(r, mod, f)
+		return mutateInline(r, mod, f, traced)
 	case OpRemoveCall:
-		return mutateRemoveCall(r, f)
+		return mutateRemoveCall(r, f, traced)
 	case OpShuffle:
-		return mutateShuffle(r, ov)
+		return mutateShuffle(r, ov, traced)
 	case OpArith:
-		return mutateArith(r, f, ov)
+		return mutateArith(r, f, ov, traced)
 	case OpUses:
-		return mutateUses(r, f, ov)
+		return mutateUses(r, f, ov, traced)
 	case OpMove:
-		return mutateMove(r, f, ov)
+		return mutateMove(r, f, ov, traced)
 	case OpBitwidth:
-		return mutateBitwidth(r, f)
+		return mutateBitwidth(r, f, traced)
 	default:
 		return "", false
 	}

@@ -12,6 +12,15 @@ import (
 // site is the lineage metadata naming the program point it touched (see
 // Trace). Sites are descriptive only — nothing downstream parses them.
 
+// lineage renders a trace site, right after the operator applied, only when
+// the mutant is traced: an untraced mutant pays nothing for lineage.
+func lineage(traced bool, render func() string) string {
+	if !traced {
+		return ""
+	}
+	return render()
+}
+
 // instrRef renders an instruction for a trace site: its SSA name when it
 // has one, otherwise its opcode plus position within its block.
 func instrRef(in *ir.Instr) string {
@@ -28,7 +37,7 @@ func instrRef(in *ir.Instr) string {
 
 // mutateAttributes randomly toggles one function attribute, one parameter
 // attribute, or an access alignment (Listing 5).
-func mutateAttributes(r *rng.Rand, f *ir.Function) (string, bool) {
+func mutateAttributes(r *rng.Rand, f *ir.Function, traced bool) (string, bool) {
 	switch r.Intn(3) {
 	case 0: // function attribute
 		var name string
@@ -49,7 +58,7 @@ func mutateAttributes(r *rng.Rand, f *ir.Function) (string, bool) {
 			f.Attrs.Nosync = !f.Attrs.Nosync
 			name = "nosync"
 		}
-		return "toggle func attr " + name, true
+		return lineage(traced, func() string { return "toggle func attr " + name }), true
 	case 1: // parameter attribute
 		var ptrParams []*ir.Param
 		for _, p := range f.Params {
@@ -78,9 +87,11 @@ func mutateAttributes(r *rng.Rand, f *ir.Function) (string, bool) {
 			} else {
 				p.Attrs.Dereferenceable = 0
 			}
-			name = fmt.Sprintf("dereferenceable(%d)", p.Attrs.Dereferenceable)
+			if traced {
+				name = fmt.Sprintf("dereferenceable(%d)", p.Attrs.Dereferenceable)
+			}
 		}
-		return fmt.Sprintf("toggle param %%%s attr %s", p.Nm, name), true
+		return lineage(traced, func() string { return "toggle param %" + p.Nm + " attr " + name }), true
 	default: // access alignment (incl. exotic values, cf. bug 64687)
 		var mems []*ir.Instr
 		f.ForEachInstr(func(_ *ir.Block, _ int, in *ir.Instr) bool {
@@ -98,7 +109,9 @@ func mutateAttributes(r *rng.Rand, f *ir.Function) (string, bool) {
 		} else {
 			in.Align = uint64(1) << uint(r.Intn(5))
 		}
-		return fmt.Sprintf("align %s = %d", instrRef(in), in.Align), true
+		return lineage(traced, func() string {
+			return fmt.Sprintf("align %s = %d", instrRef(in), in.Align)
+		}), true
 	}
 }
 
@@ -107,7 +120,7 @@ func mutateAttributes(r *rng.Rand, f *ir.Function) (string, bool) {
 // mutateInline picks a call and inlines the body of a *different* defined
 // function with a compatible signature (Listing 6). Only single-block
 // callees are spliced, keeping the caller's block structure intact.
-func mutateInline(r *rng.Rand, mod *ir.Module, f *ir.Function) (string, bool) {
+func mutateInline(r *rng.Rand, mod *ir.Module, f *ir.Function, traced bool) (string, bool) {
 	type site struct {
 		b   *ir.Block
 		idx int
@@ -179,7 +192,9 @@ func mutateInline(r *rng.Rand, mod *ir.Module, f *ir.Function) (string, bool) {
 	} else if !ir.IsVoid(s.in.Ty) {
 		f.ReplaceUses(s.in, &ir.Poison{Ty: s.in.Ty})
 	}
-	return fmt.Sprintf("inline @%s at call @%s in %s", g.Name, s.in.Callee, s.b.Name()), true
+	return lineage(traced, func() string {
+		return fmt.Sprintf("inline @%s at call @%s in %s", g.Name, s.in.Callee, s.b.Name())
+	}), true
 }
 
 func remap(m map[ir.Value]ir.Value, v ir.Value) ir.Value {
@@ -192,7 +207,7 @@ func remap(m map[ir.Value]ir.Value, v ir.Value) ir.Value {
 // --- §IV-C: removing void calls ---
 
 // mutateRemoveCall deletes a random void call (Listing 7).
-func mutateRemoveCall(r *rng.Rand, f *ir.Function) (string, bool) {
+func mutateRemoveCall(r *rng.Rand, f *ir.Function, traced bool) (string, bool) {
 	type site struct {
 		b   *ir.Block
 		idx int
@@ -211,13 +226,15 @@ func mutateRemoveCall(r *rng.Rand, f *ir.Function) (string, bool) {
 	s := sites[r.Intn(len(sites))]
 	callee := s.b.Instrs[s.idx].Callee
 	s.b.Remove(s.idx)
-	return fmt.Sprintf("remove call @%s in %s", callee, s.b.Name()), true
+	return lineage(traced, func() string {
+		return fmt.Sprintf("remove call @%s in %s", callee, s.b.Name())
+	}), true
 }
 
 // --- §IV-D: shuffling independent instructions ---
 
 // mutateShuffle permutes one precomputed shufflable range (Listing 8).
-func mutateShuffle(r *rng.Rand, ov *analysis.Overlay) (string, bool) {
+func mutateShuffle(r *rng.Rand, ov *analysis.Overlay, traced bool) (string, bool) {
 	ranges := ov.ShuffleRanges()
 	if len(ranges) == 0 {
 		return "", false
@@ -230,7 +247,9 @@ func mutateShuffle(r *rng.Rand, ov *analysis.Overlay) (string, bool) {
 		tmp[i] = rg.Block.Instrs[rg.Start+p]
 	}
 	copy(rg.Block.Instrs[rg.Start:rg.End], tmp)
-	return fmt.Sprintf("shuffle %s[%d:%d)", rg.Block.Name(), rg.Start, rg.End), true
+	return lineage(traced, func() string {
+		return fmt.Sprintf("shuffle %s[%d:%d)", rg.Block.Name(), rg.Start, rg.End)
+	}), true
 }
 
 // --- §IV-E: arithmetic mutations ---
@@ -238,7 +257,7 @@ func mutateShuffle(r *rng.Rand, ov *analysis.Overlay) (string, bool) {
 // mutateArith randomly changes an operation, swaps operands, toggles
 // flags, changes an icmp predicate, or replaces a literal constant
 // (Listing 9).
-func mutateArith(r *rng.Rand, f *ir.Function, ov *analysis.Overlay) (string, bool) {
+func mutateArith(r *rng.Rand, f *ir.Function, ov *analysis.Overlay, traced bool) (string, bool) {
 	switch r.Intn(4) {
 	case 0: // change the operation / toggle flags / swap operands
 		var bins []*ir.Instr
@@ -262,13 +281,15 @@ func mutateArith(r *rng.Rand, f *ir.Function, ov *analysis.Overlay) (string, boo
 			if !in.Op.HasExactFlag() {
 				in.Exact = false
 			}
-			return fmt.Sprintf("opcode %s -> %s", instrRef(in), in.Op), true
+			return lineage(traced, func() string {
+				return fmt.Sprintf("opcode %s -> %s", instrRef(in), in.Op)
+			}), true
 		case 1:
 			in.Args[0], in.Args[1] = in.Args[1], in.Args[0]
-			return "swap operands " + instrRef(in), true
+			return lineage(traced, func() string { return "swap operands " + instrRef(in) }), true
 		default:
 			randomFlags(r, in)
-			return "flags " + instrRef(in), true
+			return lineage(traced, func() string { return "flags " + instrRef(in) }), true
 		}
 	case 1: // change an icmp predicate
 		var cmps []*ir.Instr
@@ -283,7 +304,9 @@ func mutateArith(r *rng.Rand, f *ir.Function, ov *analysis.Overlay) (string, boo
 		}
 		in := cmps[r.Intn(len(cmps))]
 		in.Pred = ir.Preds[r.Intn(len(ir.Preds))]
-		return fmt.Sprintf("predicate %s -> %s", instrRef(in), in.Pred), true
+		return lineage(traced, func() string {
+			return fmt.Sprintf("predicate %s -> %s", instrRef(in), in.Pred)
+		}), true
 	default: // replace a literal constant (2/4 of draws: constants are rich)
 		sites := ov.ConstSites()
 		if len(sites) == 0 {
@@ -295,8 +318,10 @@ func mutateArith(r *rng.Rand, f *ir.Function, ov *analysis.Overlay) (string, boo
 			return "", false // stale site after a prior mutation
 		}
 		s.Instr.Args[s.Arg] = randomConst(r, old.Ty)
-		return fmt.Sprintf("const %s arg%d = %s", instrRef(s.Instr), s.Arg,
-			ir.OperandString(s.Instr.Args[s.Arg])), true
+		return lineage(traced, func() string {
+			return fmt.Sprintf("const %s arg%d = %s", instrRef(s.Instr), s.Arg,
+				ir.OperandString(s.Instr.Args[s.Arg]))
+		}), true
 	}
 }
 
@@ -304,7 +329,7 @@ func mutateArith(r *rng.Rand, f *ir.Function, ov *analysis.Overlay) (string, boo
 
 // mutateUses replaces one SSA use with a value from the random-value
 // primitive (Listings 10 and 11).
-func mutateUses(r *rng.Rand, f *ir.Function, ov *analysis.Overlay) (string, bool) {
+func mutateUses(r *rng.Rand, f *ir.Function, ov *analysis.Overlay, traced bool) (string, bool) {
 	type use struct {
 		b   *ir.Block
 		in  *ir.Instr
@@ -333,7 +358,9 @@ func mutateUses(r *rng.Rand, f *ir.Function, ov *analysis.Overlay) (string, bool
 	u := uses[r.Intn(len(uses))]
 	v := randomValueAt(r, f, ov, point{u.b, u.in}, u.in.Args[u.arg].Type(), 2)
 	u.in.Args[u.arg] = v
-	return fmt.Sprintf("use %s arg%d = %s", instrRef(u.in), u.arg, ir.OperandString(v)), true
+	return lineage(traced, func() string {
+		return fmt.Sprintf("use %s arg%d = %s", instrRef(u.in), u.arg, ir.OperandString(v))
+	}), true
 }
 
 // --- §IV-G: moving instructions ---
@@ -342,7 +369,7 @@ func mutateUses(r *rng.Rand, f *ir.Function, ov *analysis.Overlay) (string, bool
 // with the random-value primitive (Listing 12): operands that no longer
 // dominate the instruction, and uses the instruction no longer dominates,
 // are replaced with random values.
-func mutateMove(r *rng.Rand, f *ir.Function, ov *analysis.Overlay) (string, bool) {
+func mutateMove(r *rng.Rand, f *ir.Function, ov *analysis.Overlay, traced bool) (string, bool) {
 	var cands []*ir.Instr
 	f.ForEachInstr(func(_ *ir.Block, _ int, in *ir.Instr) bool {
 		if !in.Op.IsTerminator() && in.Op != ir.OpPhi {
@@ -412,5 +439,7 @@ func mutateMove(r *rng.Rand, f *ir.Function, ov *analysis.Overlay) (string, bool
 			}
 		}
 	}
-	return fmt.Sprintf("move %s %d -> %d in %s", instrRef(in), oldIdx, newIdx, b.Name()), true
+	return lineage(traced, func() string {
+		return fmt.Sprintf("move %s %d -> %d in %s", instrRef(in), oldIdx, newIdx, b.Name())
+	}), true
 }

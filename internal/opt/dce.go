@@ -54,7 +54,7 @@ func (p *DCEPass) Run(ctx *Context, f *ir.Function) bool {
 				if hasSideEffects(ctx.Mod, in) {
 					continue
 				}
-				if len(f.UsersOf(in)) == 0 {
+				if !f.HasUsers(in) {
 					b.Remove(i)
 					ctx.stat("dce")
 					again, changed = true, true

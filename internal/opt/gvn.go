@@ -1,9 +1,6 @@
 package opt
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/analysis"
 	"repro/internal/ir"
 )
@@ -21,58 +18,14 @@ func (p *GVNPass) Run(ctx *Context, f *ir.Function) bool {
 	changed := false
 	dom := analysis.BuildDomTree(f)
 
-	// valueKey gives structurally-equal pure instructions equal keys.
-	// Operands are identified by pointer (SSA values are unique).
-	keyOf := func(in *ir.Instr, withFlags bool) (string, bool) {
-		switch {
-		case in.Op.IsBinary(), in.Op == ir.OpICmp, in.Op == ir.OpSelect,
-			in.Op.IsCast(), in.Op == ir.OpGEP:
-		default:
-			return "", false
-		}
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "%d/%v", in.Op, in.Ty)
-		if in.Op == ir.OpICmp {
-			fmt.Fprintf(&sb, "/p%d", in.Pred)
-		}
-		if withFlags {
-			fmt.Fprintf(&sb, "/f%v%v%v", in.Nuw, in.Nsw, in.Exact)
-		}
-		// Constants are numbered by value (distinct *Const objects with
-		// equal bits are the same value); everything else by identity.
-		operandKey := func(a ir.Value) string {
-			switch v := a.(type) {
-			case *ir.Const:
-				return fmt.Sprintf("c%d:%d", v.Ty.Bits, v.Val)
-			case *ir.Poison:
-				return "poison:" + v.Ty.String()
-			case *ir.NullPtr:
-				return "null"
-			default:
-				return fmt.Sprintf("%p", a)
-			}
-		}
-		args := []string{operandKey(in.Args[0])}
-		for _, a := range in.Args[1:] {
-			args = append(args, operandKey(a))
-		}
-		if (in.Op.IsCommutative() || (in.Op == ir.OpICmp && (in.Pred == ir.EQ || in.Pred == ir.NE))) &&
-			len(args) == 2 && args[0] > args[1] {
-			args[0], args[1] = args[1], args[0]
-		}
-		for _, a := range args {
-			sb.WriteString("/")
-			sb.WriteString(a)
-		}
-		return sb.String(), true
-	}
+	keys := gvnKeyer{ids: make(map[ir.Value]uint64)}
 
 	// Seeded flag-merge defect 53218: value numbering ignores poison flags
 	// and replaces a flagless instruction with a flagged leader, importing
 	// poison the original did not have.
 	withFlags := !ctx.Bugs.On(Bug53218GVNFlagMerge)
 
-	leaders := make(map[string]*ir.Instr)
+	leaders := make(map[gvnKey]*ir.Instr)
 
 	// Visit blocks in a dominator-tree preorder so leaders dominate their
 	// duplicates.
@@ -138,7 +91,7 @@ func (p *GVNPass) Run(ctx *Context, f *ir.Function) bool {
 			if hasSideEffects(ctx.Mod, in) || ir.IsVoid(in.Ty) {
 				continue
 			}
-			key, ok := keyOf(in, withFlags)
+			key, ok := keys.key(in, withFlags)
 			if !ok {
 				continue
 			}
@@ -164,4 +117,105 @@ func (p *GVNPass) Run(ctx *Context, f *ir.Function) bool {
 		}
 	}
 	return changed
+}
+
+// gvnKey gives structurally-equal pure instructions equal keys: opcode,
+// result type, predicate (icmp only), poison flags (when they count) and
+// up to three operands.
+type gvnKey struct {
+	op    ir.Op
+	ty    string
+	pred  ir.Pred
+	flags uint8
+	arity int
+	args  [3]gvnOperand
+}
+
+// gvnOperand identifies an operand. Constants are numbered by value
+// (distinct *Const objects with equal bits are the same value), poison by
+// its type, and everything else by identity, as a number the keyer hands
+// out in visit order (SSA values are unique).
+type gvnOperand struct {
+	kind uint8  // operandConst, operandPoison, operandNull or operandValue
+	bits int    // constant width
+	val  uint64 // constant bits, or value number
+	ty   string // poison's type
+}
+
+const (
+	operandConst uint8 = iota
+	operandPoison
+	operandNull
+	operandValue
+)
+
+// less is a total order on operands, used to put the operands of
+// commutative instructions in one canonical order.
+func (a gvnOperand) less(b gvnOperand) bool {
+	if a.kind != b.kind {
+		return a.kind < b.kind
+	}
+	if a.bits != b.bits {
+		return a.bits < b.bits
+	}
+	if a.val != b.val {
+		return a.val < b.val
+	}
+	return a.ty < b.ty
+}
+
+// gvnKeyer builds keys for one function, numbering operand values on
+// first sight.
+type gvnKeyer struct {
+	ids map[ir.Value]uint64
+}
+
+func (k *gvnKeyer) operand(a ir.Value) gvnOperand {
+	switch v := a.(type) {
+	case *ir.Const:
+		return gvnOperand{kind: operandConst, bits: v.Ty.Bits, val: v.Val}
+	case *ir.Poison:
+		return gvnOperand{kind: operandPoison, ty: v.Ty.String()}
+	case *ir.NullPtr:
+		return gvnOperand{kind: operandNull}
+	}
+	id, ok := k.ids[a]
+	if !ok {
+		id = uint64(len(k.ids))
+		k.ids[a] = id
+	}
+	return gvnOperand{kind: operandValue, val: id}
+}
+
+// key returns the value-numbering key of a pure instruction, or false
+// when the instruction is not one GVN numbers.
+func (k *gvnKeyer) key(in *ir.Instr, withFlags bool) (gvnKey, bool) {
+	switch {
+	case in.Op.IsBinary(), in.Op == ir.OpICmp, in.Op == ir.OpSelect,
+		in.Op.IsCast(), in.Op == ir.OpGEP:
+	default:
+		return gvnKey{}, false
+	}
+	key := gvnKey{op: in.Op, ty: in.Ty.String(), arity: len(in.Args)}
+	if in.Op == ir.OpICmp {
+		key.pred = in.Pred
+	}
+	if withFlags {
+		key.flags = b2u(in.Nuw) | b2u(in.Nsw)<<1 | b2u(in.Exact)<<2
+	}
+	for i, a := range in.Args {
+		key.args[i] = k.operand(a)
+	}
+	if (in.Op.IsCommutative() || (in.Op == ir.OpICmp && (in.Pred == ir.EQ || in.Pred == ir.NE))) &&
+		key.arity == 2 && key.args[1].less(key.args[0]) {
+		key.args[0], key.args[1] = key.args[1], key.args[0]
+	}
+	return key, true
+}
+
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -26,6 +26,7 @@ func (p *InstCombinePass) Run(ctx *Context, f *ir.Function) bool {
 	// Replaced instructions can survive erasure when they might trap;
 	// never re-fire on such leftovers.
 	done := make(map[*ir.Instr]bool)
+	c := &combiner{ctx: ctx, f: f}
 	sweep := func(fold func(c *combiner, in *ir.Instr) ir.Value) bool {
 		again := false
 		for _, b := range f.Blocks {
@@ -34,7 +35,7 @@ func (p *InstCombinePass) Run(ctx *Context, f *ir.Function) bool {
 				if done[in] {
 					continue
 				}
-				c := &combiner{ctx: ctx, f: f, b: b, idx: i}
+				c.b, c.idx = b, i
 				if v := fold(c, in); v != nil {
 					done[in] = true
 					replaceAllUses(f, in, v)

@@ -196,7 +196,7 @@ func promote(ctx *Context, f *ir.Function, a *ir.Instr) {
 
 	// The alloca is now unused.
 	if b := a.Parent(); b != nil {
-		if idx := b.IndexOf(a); idx >= 0 && len(f.UsersOf(a)) == 0 {
+		if idx := b.IndexOf(a); idx >= 0 && !f.HasUsers(a) {
 			b.Remove(idx)
 		}
 	}

@@ -32,10 +32,6 @@ type Context struct {
 	// this to the telemetry layer's per-pass histograms; it is nil — and
 	// costs nothing — in ordinary compilation.
 	ObservePass func(pass string, d time.Duration)
-	// ObserveAnalysis, when non-nil, receives the time spent inside
-	// dataflow-analysis-backed folds (fact computation plus matching) so
-	// the telemetry layer can report the analysis stage's cost.
-	ObserveAnalysis func(d time.Duration)
 	// DisableAnalysis turns off the dataflow-analysis-backed folds
 	// (known bits, ranges, demanded bits). Passes then behave exactly as
 	// they did before the analysis layer existed.
@@ -191,7 +187,7 @@ func eraseDeadInstr(f *ir.Function, in *ir.Instr) bool {
 	if hasSideEffects(nil, in) || ir.IsVoid(in.Ty) {
 		return false
 	}
-	if len(f.UsersOf(in)) > 0 {
+	if f.HasUsers(in) {
 		return false
 	}
 	b := in.Parent()

@@ -1,7 +1,7 @@
 package semantics
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/ir"
 	"repro/internal/smt"
@@ -62,7 +62,7 @@ func (c *Context) Input(i int, p *ir.Param) Value {
 		return v
 	}
 	var v Value
-	name := fmt.Sprintf("in!%d!%s", i, p.Nm)
+	name := "in!" + strconv.Itoa(i) + "!" + p.Nm
 	switch {
 	case ir.IsPtr(p.Ty):
 		v = Value{
@@ -105,7 +105,7 @@ func (c *Context) InitByte(prov, epoch int, addr *smt.Term) Byte {
 		}
 	}
 	c.nextAux++
-	v := c.B.Var(8, fmt.Sprintf("mem!%d!%d!%d", prov, epoch, c.nextAux))
+	v := c.B.Var(8, "mem!"+strconv.Itoa(prov)+"!"+strconv.Itoa(epoch)+"!"+strconv.Itoa(c.nextAux))
 	for _, w := range c.initReads[key] {
 		c.addAxiom(c.B.Implies(c.B.Eq(addr, w.addr), c.B.Eq(v, w.val)))
 	}
@@ -117,7 +117,7 @@ func (c *Context) InitByte(prov, epoch int, addr *smt.Term) Byte {
 // freeze instruction, keyed by the instruction's SSA name so that a freeze
 // surviving optimization resolves to the same choice on both sides.
 func (c *Context) FreezeVar(name string, w int) *smt.Term {
-	key := fmt.Sprintf("freeze!%s!%d", name, w)
+	key := "freeze!" + name + "!" + strconv.Itoa(w)
 	if t, ok := c.freeze[key]; ok {
 		return t
 	}
@@ -129,7 +129,7 @@ func (c *Context) FreezeVar(name string, w int) *smt.Term {
 // CallRet returns the shared return-value variable for the idx'th call on
 // a path to the given callee.
 func (c *Context) CallRet(idx int, callee string, w int) *smt.Term {
-	key := fmt.Sprintf("call!%d!%s!%d", idx, callee, w)
+	key := "call!" + strconv.Itoa(idx) + "!" + callee + "!" + strconv.Itoa(w)
 	if t, ok := c.callRets[key]; ok {
 		return t
 	}
@@ -144,5 +144,5 @@ func (c *Context) CallRet(idx int, callee string, w int) *smt.Term {
 // negation).
 func (c *Context) ProbeVar(tag string) *smt.Term {
 	c.nextAux++
-	return c.B.Var(PtrBits, fmt.Sprintf("probe!%s!%d", tag, c.nextAux))
+	return c.B.Var(PtrBits, "probe!"+tag+"!"+strconv.Itoa(c.nextAux))
 }

@@ -142,19 +142,16 @@ func NewBuilder() *Builder {
 	return &Builder{table: make(map[termKey]*Term), Rewrite: true}
 }
 
-func (b *Builder) intern(t *Term) *Term {
-	k := termKey{op: t.Op, w: t.W, val: t.Val, name: t.Name, aux: t.Aux, aux2: t.Aux2}
-	if len(t.Args) > 0 {
-		k.a0 = t.Args[0].id
-	}
-	if len(t.Args) > 1 {
-		k.a1 = t.Args[1].id
-	}
-	if len(t.Args) > 2 {
-		k.a2 = t.Args[2].id
-	}
+// intern returns the term with key k, whose arguments are args (their ids
+// are already in k). It looks k up first and builds the term only on a
+// miss, so asking again for an existing term allocates nothing.
+func (b *Builder) intern(k termKey, args ...*Term) *Term {
 	if ex, ok := b.table[k]; ok {
 		return ex
+	}
+	t := &Term{Op: k.op, W: k.w, Val: k.val, Name: k.name, Aux: k.aux, Aux2: k.aux2}
+	if len(args) > 0 {
+		t.Args = append([]*Term(nil), args...)
 	}
 	b.nextID++
 	t.id = b.nextID
@@ -164,7 +161,7 @@ func (b *Builder) intern(t *Term) *Term {
 
 // Const returns the width-w constant val (truncated to w bits).
 func (b *Builder) Const(w int, val uint64) *Term {
-	return b.intern(&Term{Op: OpConst, W: w, Val: val & apint.Mask(w)})
+	return b.intern(termKey{op: OpConst, w: w, val: val & apint.Mask(w)})
 }
 
 // Bool returns the bv1 constant for v.
@@ -178,7 +175,7 @@ func (b *Builder) Bool(v bool) *Term {
 // Var returns the width-w variable with the given name. Variables are
 // identified by name: asking twice returns the same term.
 func (b *Builder) Var(w int, name string) *Term {
-	return b.intern(&Term{Op: OpVar, W: w, Name: name})
+	return b.intern(termKey{op: OpVar, w: w, name: name})
 }
 
 func (b *Builder) checkWidths(op Op, x, y *Term) {
@@ -214,7 +211,7 @@ func (b *Builder) binary(op Op, x, y *Term) *Term {
 			x, y = y, x
 		}
 	}
-	return b.intern(&Term{Op: op, W: resW, Args: []*Term{x, y}})
+	return b.intern(termKey{op: op, w: resW, a0: x.id, a1: y.id}, x, y)
 }
 
 // Not returns the bitwise complement.
@@ -225,7 +222,7 @@ func (b *Builder) Not(x *Term) *Term {
 	if b.Rewrite && x.Op == OpNot {
 		return x.Args[0]
 	}
-	return b.intern(&Term{Op: OpNot, W: x.W, Args: []*Term{x}})
+	return b.intern(termKey{op: OpNot, w: x.W, a0: x.id}, x)
 }
 
 // Neg returns two's-complement negation.
@@ -236,7 +233,7 @@ func (b *Builder) Neg(x *Term) *Term {
 	if b.Rewrite && x.Op == OpNeg {
 		return x.Args[0]
 	}
-	return b.intern(&Term{Op: OpNeg, W: x.W, Args: []*Term{x}})
+	return b.intern(termKey{op: OpNeg, w: x.W, a0: x.id}, x)
 }
 
 // And returns bitwise and. For bv1 terms this is logical conjunction.
@@ -337,7 +334,7 @@ func (b *Builder) Ite(c, x, y *Term) *Term {
 			}
 		}
 	}
-	return b.intern(&Term{Op: OpIte, W: x.W, Args: []*Term{c, x, y}})
+	return b.intern(termKey{op: OpIte, w: x.W, a0: c.id, a1: x.id, a2: y.id}, c, x, y)
 }
 
 // zeroTested returns d when c is the test d = 0 as the Builder builds it
@@ -370,7 +367,7 @@ func (b *Builder) ZExt(x *Term, to int) *Term {
 	if b.Rewrite && x.Op == OpZExt {
 		return b.ZExt(x.Args[0], to)
 	}
-	return b.intern(&Term{Op: OpZExt, W: to, Args: []*Term{x}, Aux: to})
+	return b.intern(termKey{op: OpZExt, w: to, a0: x.id, aux: to}, x)
 }
 
 // SExt sign-extends to width to.
@@ -393,7 +390,7 @@ func (b *Builder) SExt(x *Term, to int) *Term {
 			return b.ZExt(x.Args[0], to)
 		}
 	}
-	return b.intern(&Term{Op: OpSExt, W: to, Args: []*Term{x}, Aux: to})
+	return b.intern(termKey{op: OpSExt, w: to, a0: x.id, aux: to}, x)
 }
 
 // Extract returns bits [lo, hi] of x (inclusive), a term of width
@@ -445,7 +442,7 @@ func (b *Builder) Extract(x *Term, hi, lo int) *Term {
 			}
 		}
 	}
-	return b.intern(&Term{Op: OpExtract, W: w, Args: []*Term{x}, Aux: hi, Aux2: lo})
+	return b.intern(termKey{op: OpExtract, w: w, a0: x.id, aux: hi, aux2: lo}, x)
 }
 
 // foldsUnderExtract reports whether Extract rewrites every extract of t

@@ -23,7 +23,7 @@
 //	    [-spans-out spans.jsonl] [-spans-deterministic]
 //	    [-triage-dir triage/] [-checkpoint-dir ckpt/]
 //	    [-checkpoint-interval 10s] [-resume]
-//	    [-no-analysis] [-no-static-tv] [-no-tv-cache]
+//	    [-no-analysis] [-no-tv-cache]
 //
 // A/B comparisons (docs/PERFORMANCE.md): -no-analysis turns off the
 // optimizer's dataflow-analysis-backed folds; each of the other -no-*

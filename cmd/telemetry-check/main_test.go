@@ -38,12 +38,12 @@ func TestCompareTable(t *testing.T) {
 		t.Fatalf("identical counters:\n%s\nwant:\n%s", got, want)
 	}
 
-	moved := compareSnap(int64(time.Second), map[string]int64{"mutants": 995, "sat.conflicts": 60000, "tv.queries": 772, "tv.static.bailout": 1})
+	moved := compareSnap(int64(time.Second), map[string]int64{"mutants": 995, "sat.conflicts": 60000, "tv.queries": 772, "tv.cache.miss": 1})
 	got = compareTable([]string{"parent", "change"}, []*telemetry.Snapshot{same, moved})
 	for _, line := range []string{
-		"counter                   parent         change\n",
-		"sat.conflicts              53037          60000\n",
-		"tv.static.bailout              0              1\n",
+		"counter               parent         change\n",
+		"sat.conflicts          53037          60000\n",
+		"tv.cache.miss              0              1\n",
 		"2 counters identical\n",
 	} {
 		if !strings.Contains(got, line) {
@@ -62,8 +62,8 @@ func TestCheckCampaignShapeCascade(t *testing.T) {
 	snap := func(labels map[string]string) *telemetry.Snapshot {
 		s := compareSnap(int64(time.Second), map[string]int64{
 			"mutants": 10, "verdict.valid": 5,
-			"tv.static.proved": 2, "tv.static.bailout": 3,
-			"tv.cache.miss": 2, // one short of the 3 solve-stage queries
+			"tv.static.proved": 2,
+			"tv.cache.miss":    2, // one short of the 3 solve-stage queries
 		})
 		s.Labels = labels
 		for _, st := range []string{"stage.mutate", "stage.opt"} {

@@ -103,13 +103,6 @@ type BugConfig struct {
 	// cache, hit/miss counts — not just verdicts — are deterministic at
 	// any worker count (docs/PERFORMANCE.md).
 	NoTVCache bool
-	// NoStaticTV disables the static refinement pre-verifier (on by
-	// default), sending every encoded query on to the solve stage.
-	// The rung only short-circuits provable Valids, so tables, witness
-	// logs, and triage trees are byte-identical either way; like the
-	// other acceleration modes it is excluded from the checkpoint
-	// fingerprint (docs/PERFORMANCE.md, "Layer 0").
-	NoStaticTV bool
 	// Portfolio is ignored. The fallback solver leg is gone; the field
 	// survives only because perfbench/trace sets it, and a later change
 	// to the benchmark deletes it. Nothing else may set it.
@@ -121,10 +114,7 @@ type BugConfig struct {
 // shard-local state keeps hit counts a pure function of the seed's
 // mutant sequence at any -workers.
 func (cfg BugConfig) tvOptions() tv.Options {
-	o := tv.Options{
-		ConflictBudget: cfg.TVBudget,
-		Static:         !cfg.NoStaticTV,
-	}
+	o := tv.Options{ConflictBudget: cfg.TVBudget}
 	if !cfg.NoTVCache {
 		o.Cache = tv.NewCache()
 	}

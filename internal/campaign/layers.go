@@ -4,8 +4,8 @@ package campaign
 // work, never change a result: with it off, tables, triage bundles and
 // every verdict are byte-identical (docs/PERFORMANCE.md).
 type Layer struct {
-	Name  string // short name, e.g. "static"
-	Flag  string // fuzz-campaign's off switch, e.g. "no-static-tv"
+	Name  string // short name, e.g. "cache"
+	Flag  string // fuzz-campaign's off switch, e.g. "no-tv-cache"
 	Usage string
 	// Off switches the layer off in a campaign configuration.
 	Off func(*BugConfig)
@@ -19,12 +19,6 @@ type Layer struct {
 // layers_test.go switches each off in turn, so adding or deleting a
 // layer is one entry here.
 var Layers = []Layer{
-	{
-		Name: "static", Flag: "no-static-tv",
-		Usage:    "disable the static refinement pre-verifier (A/B comparison runs)",
-		Off:      func(c *BugConfig) { c.NoStaticTV = true },
-		Counters: "tv.static.",
-	},
 	{
 		Name: "cache", Flag: "no-tv-cache",
 		Usage:    "disable the per-unit verdict cache, which replays a repeated encoded query's solve-stage result (A/B comparison runs)",

@@ -369,17 +369,9 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 	ctrCacheMiss := tel.Counter("tv.cache.miss")
 	ctrConflicts := tel.Counter("sat.conflicts")
 	ctrProps := tel.Counter("sat.propagations")
-	// Static pre-verifier accounting (docs/OBSERVABILITY.md). The rung
-	// runs on every encoded query, cache hits included (the cache sits
-	// at the solve stage), so its outcomes partition them; stage.stv is
-	// the rung's own latency, attributed per outcome class by
-	// construction (a proved query never reaches the solver).
-	histSTV := tel.Histogram("stage.stv")
-	staticCtrs := map[string]*telemetry.Counter{
-		tv.StaticProved:  tel.Counter("tv.static.proved"),
-		tv.StaticBailout: tel.Counter("tv.static.bailout"),
-	}
-	staticRuleCtrs := lazy(tel.Counter, "tv.static.rule.")
+	// Queries that folded during encoding are Valid before the solve
+	// stage (docs/OBSERVABILITY.md).
+	ctrStatic := tel.Counter("tv.static.proved")
 	prevTV := f.opts.TV.Observe
 	f.opts.TV.Observe = func(r tv.Result, d time.Duration) {
 		histTV.Observe(d)
@@ -388,14 +380,8 @@ func (f *Fuzzer) initTelemetry(tel *telemetry.Collector) {
 		}
 		ctrConflicts.Add(r.Conflicts)
 		ctrProps.Add(r.Propagations)
-		if r.StaticOutcome != "" {
-			histSTV.Observe(time.Duration(r.StaticNS))
-			if c, ok := staticCtrs[r.StaticOutcome]; ok {
-				c.Add(1)
-			}
-			if r.StaticRule != "" {
-				staticRuleCtrs.get(r.StaticRule).Add(1)
-			}
+		if r.StaticOutcome == tv.StaticProved {
+			ctrStatic.Add(1)
 		}
 		if f.spans != nil {
 			f.spans.Query(queryInfo(r, cacheOn), d)

@@ -250,8 +250,45 @@ func TestNarrowingExhaustive(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeExtensionCompares checks the out-of-range rule against
+// the unrewritten term under Eval at every input, for result widths up to
+// 6: eq, ult and slt between a zext or sext of an n-bit variable and
+// every constant, in both operand orders. Where the constant does not fit
+// n bits read as the extension reads it, eq of either extension, ult of
+// a zext and slt of a sext must fold to a constant.
+func TestOutOfRangeExtensionCompares(t *testing.T) {
+	folds := map[string]string{"eq": "", "ult": "zext", "slt": "sext"}
+	for w := 2; w <= 6; w++ {
+		for n := 1; n < w; n++ {
+			vars := map[string]int{"x": n}
+			for _, kind := range []string{"zext", "sext"} {
+				ext := extensions("x", n, w)[kind]
+				for opName, need := range folds {
+					op := narrowOps[opName]
+					for c := uint64(0); c <= apint.Mask(w); c++ {
+						cw, _ := significantWidth(&Term{Op: OpConst, W: w, Val: c}, kind == "sext")
+						for _, extFirst := range []bool{true, false} {
+							s := func(b *Builder) *Term { return op(b, b.Const(w, c), ext(b)) }
+							if extFirst {
+								s = func(b *Builder) *Term { return op(b, ext(b), b.Const(w, c)) }
+							}
+							what := fmt.Sprintf("%s(%s i%d to i%d, %d), extension first %t", opName, kind, n, w, c, extFirst)
+							got := sameUnderEval(t, what, s, vars)
+							if _, isConst := got.IsConst(); cw > n && (need == "" || need == kind) && !isConst {
+								t.Errorf("%s: %d needs %d bits, but the comparison is rewritten to %s", what, c, cw, got)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFoldComplements: x ∧ ¬x folds to 0 and x ∨ ¬x to all-ones, in
-// either operand order, at bv1 and wider; x ∧ ¬y does not fold.
+// either operand order, at bv1 and wider, and so do x ∧ (y ∧ ¬x) and
+// x ∨ (y ∨ ¬x) with the complement at either depth and on either side;
+// x ∧ ¬y and x ∧ (y ∨ ¬x) do not fold.
 func TestFoldComplements(t *testing.T) {
 	for _, w := range []int{1, 8} {
 		b := NewBuilder()
@@ -264,6 +301,12 @@ func TestFoldComplements(t *testing.T) {
 			"¬x ∧ x": {b.And(b.Not(x), x), 0},
 			"x ∨ ¬x": {b.Or(x, b.Not(x)), apint.Mask(w)},
 			"¬x ∨ x": {b.Or(b.Not(x), x), apint.Mask(w)},
+
+			"x ∧ (y ∧ ¬x)": {b.And(x, b.And(y, b.Not(x))), 0},
+			"(¬x ∧ y) ∧ x": {b.And(b.And(b.Not(x), y), x), 0},
+			"¬x ∧ (x ∧ y)": {b.And(b.Not(x), b.And(x, y)), 0},
+			"x ∨ (y ∨ ¬x)": {b.Or(x, b.Or(y, b.Not(x))), apint.Mask(w)},
+			"(x ∨ y) ∨ ¬x": {b.Or(b.Or(x, y), b.Not(x)), apint.Mask(w)},
 		} {
 			if v, ok := c.got.IsConst(); !ok || v != c.want {
 				t.Errorf("i%d %s: rewritten to %s, want %d", w, what, c.got, c.want)
@@ -271,6 +314,9 @@ func TestFoldComplements(t *testing.T) {
 		}
 		if got := b.And(x, b.Not(y)); got.Op != OpAnd {
 			t.Errorf("i%d x ∧ ¬y: rewritten to %s", w, got)
+		}
+		if got := b.And(x, b.Or(y, b.Not(x))); got.Op != OpAnd {
+			t.Errorf("i%d x ∧ (y ∨ ¬x): rewritten to %s", w, got)
 		}
 	}
 }
@@ -307,6 +353,29 @@ func FuzzRewriteAgainstEval(f *testing.F) {
 			data[i] = byte(r.Uint64())
 		}
 		f.Add(data)
+	}
+	// eq, ult and slt of a zext or sext from (w+1)/2 bits and a constant
+	// outside its range, in both operand orders: byte 0 picks i8 or i32,
+	// three bytes give the variables, then ops 2 (push z), 3 c (push a
+	// constant), 28 (push x; 0 would end the program), 22/23 (zext/sext
+	// of x's low half), and 21/19/20 (an ite on eq/ult/slt of the top
+	// two).
+	// Then a complement one level down: x, ¬x, y, y ∧ ¬x, x, x ∧ (y ∧ ¬x),
+	// and the same with ∨.
+	for _, prog := range [][]byte{
+		{0, 4, 1, 9, 28, 9},
+		{0, 4, 1, 10, 28, 10},
+		{2, 3, 1, 28, 22, 21},
+		{2, 3, 1, 28, 23, 21},
+		{3, 1, 28, 22, 19},
+		{28, 22, 3, 1, 19},
+		{3, 1, 28, 23, 20},
+		{3, 7, 28, 23, 20},
+		{28, 23, 3, 7, 20},
+	} {
+		for _, width := range []byte{2, 3} {
+			f.Add(append([]byte{width, 0x5a, 0x11, 0x33}, prog...))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

@@ -485,7 +485,7 @@ func (b *Builder) rewriteBinary(op Op, x, y *Term) *Term {
 		if x == y {
 			return x
 		}
-		if (xc && xv == 0) || (yc && yv == 0) || complements(x, y) {
+		if (xc && xv == 0) || (yc && yv == 0) || complements(op, x, y) {
 			return zero()
 		}
 		if xc && xv == apint.Mask(w) {
@@ -504,7 +504,7 @@ func (b *Builder) rewriteBinary(op Op, x, y *Term) *Term {
 		if yc && yv == 0 {
 			return x
 		}
-		if (xc && xv == apint.Mask(w)) || (yc && yv == apint.Mask(w)) || complements(x, y) {
+		if (xc && xv == apint.Mask(w)) || (yc && yv == apint.Mask(w)) || complements(op, x, y) {
 			return allOnes()
 		}
 	case OpXor:
@@ -627,9 +627,18 @@ func (b *Builder) rewriteBinary(op Op, x, y *Term) *Term {
 }
 
 // complements reports whether one of x and y is the other's complement,
-// so x ∧ y is 0 and x ∨ y all-ones.
-func complements(x, y *Term) bool {
-	return x.Op == OpNot && x.Args[0] == y || y.Op == OpNot && y.Args[0] == x
+// or the complement of an operand of the other when that is op too, so
+// x op y is 0 for op ∧ and all-ones for op ∨: a ∧ (b ∧ ¬a) is 0 as
+// a ∧ ¬a is. Encoding builds that shape for a path whose guard holds
+// ¬ub and whose only violation left is the same ub.
+func complements(op Op, x, y *Term) bool {
+	opposite := func(s, t *Term) bool {
+		return s.Op == OpNot && s.Args[0] == t || t.Op == OpNot && t.Args[0] == s
+	}
+	within := func(s, t *Term) bool {
+		return s.Op == op && (opposite(s.Args[0], t) || opposite(s.Args[1], t))
+	}
+	return opposite(x, y) || within(x, y) || within(y, x)
 }
 
 // narrow computes a division, remainder, comparison or equality whose
@@ -651,6 +660,9 @@ func complements(x, y *Term) bool {
 // the divisor's high bits. So does an lshr of a zext, behind a test of
 // the shift amount's: a shift by n or more clears the n operand bits at
 // either width.
+//
+// An eq, ult or slt between such an operand and a constant that does not
+// fit its operand width is decided outright (see outOfRange).
 //
 // A signed operator over two operands whose sign bits are known zero is
 // first rebuilt as its unsigned twin, which then narrows as above: for
@@ -683,6 +695,9 @@ func (b *Builder) narrow(op Op, x, y *Term) *Term {
 }
 
 func (b *Builder) narrowAt(op Op, x, y *Term, signed bool) *Term {
+	if t := b.outOfRange(op, x, y, signed); t != nil {
+		return t
+	}
 	w := x.W
 	n, ok := narrowWidth(x, y, signed)
 	if op == OpSDiv {
@@ -719,6 +734,32 @@ func (b *Builder) narrowAt(op Op, x, y *Term, signed bool) *Term {
 		return b.Ite(fits, b.UDiv(x, yn), b.Const(w, 0))
 	}
 	return b.Ite(fits, b.URem(x, yn), x)
+}
+
+// outOfRange decides eq, ult or slt between an extension from k bits —
+// a zext when unsigned, a sext when signed — and a constant that does
+// not fit k bits read the same way: the extension's value lies inside
+// the k-bit range and the constant outside it, above unless it is
+// negative. It returns nil for any other comparison.
+func (b *Builder) outOfRange(op Op, x, y *Term, signed bool) *Term {
+	if op != OpEq && op != OpUlt && op != OpSlt {
+		return nil
+	}
+	ext, c, extFirst := x, y, true
+	if x.Op == OpConst {
+		ext, c, extFirst = y, x, false
+	}
+	if c.Op != OpConst || ext.Op != OpZExt && ext.Op != OpSExt || (ext.Op == OpSExt) != signed {
+		return nil
+	}
+	if n, _ := significantWidth(c, signed); n <= ext.Args[0].W {
+		return nil
+	}
+	if op == OpEq {
+		return b.Bool(false)
+	}
+	above := !signed || !apint.SignBit(c.Val, c.W)
+	return b.Bool(above == extFirst)
 }
 
 // unsignedTwin maps each signed division, remainder and comparison to

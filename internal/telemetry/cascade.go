@@ -23,14 +23,14 @@ func ParseLayersOff(label string) map[string]bool {
 	return off
 }
 
-// CheckCascade checks the TV cascade's partition identities on a
+// CheckCascade checks the TV cascade's partition identity on a
 // campaign's counters, for the layers not in off (docs/OBSERVABILITY.md).
 // The encoded queries are the verdicts other than Unsupported, which
-// only encoding returns. Each rung sees what the rungs before it left,
-// and the cache also serves the preprocess gate's solve-stage queries
-// (tv.gate.solves), which the verdict census leaves out:
+// only encoding returns. A query that folded during encoding is Valid
+// before the solve stage (tv.static.proved); the cache sees the rest,
+// plus the preprocess gate's solve-stage queries (tv.gate.solves), which
+// the verdict census leaves out:
 //
-//	static: proved + bailout = encoded
 //	cache:  hit + miss = encoded - static proved + gate solves
 //
 // It returns every identity that fails, joined; nil when all hold.
@@ -43,15 +43,9 @@ func CheckCascade(c map[string]int64, off map[string]bool) error {
 		}
 	}
 	encoded := c["verdict.valid"] + c["verdict.invalid"] + c["verdict.unknown"]
-	staticProved := c["tv.static.proved"]
-
-	if on("static") {
-		check("static outcomes vs encoded queries",
-			staticProved+c["tv.static.bailout"], encoded)
-	}
 	if on("cache") {
 		check("cache hit+miss vs solve-stage queries",
-			c["tv.cache.hit"]+c["tv.cache.miss"], encoded-staticProved+c["tv.gate.solves"])
+			c["tv.cache.hit"]+c["tv.cache.miss"], encoded-c["tv.static.proved"]+c["tv.gate.solves"])
 	}
 	return errors.Join(errs...)
 }

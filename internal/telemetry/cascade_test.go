@@ -1,19 +1,17 @@
 package telemetry
 
 import (
-	"maps"
 	"strings"
 	"testing"
 )
 
 // cascadeCounters is a consistent default-campaign count: 20 encoded
-// queries (and 3 Unsupported); static proves 8 and leaves 12 to the
+// queries (and 3 Unsupported); 8 fold during encoding and 12 reach the
 // solve stage, where the cache serves 2 of them.
 func cascadeCounters() map[string]int64 {
 	return map[string]int64{
 		"verdict.valid": 17, "verdict.invalid": 1, "verdict.unknown": 2, "verdict.unsupported": 3,
-		"tv.static.proved": 8, "tv.static.bailout": 12,
-		"tv.cache.hit": 2, "tv.cache.miss": 10,
+		"tv.static.proved": 8, "tv.cache.hit": 2, "tv.cache.miss": 10,
 	}
 }
 
@@ -22,32 +20,26 @@ func TestCheckCascade(t *testing.T) {
 		t.Fatalf("consistent counters: %v", err)
 	}
 
-	// Each identity fails on its own counter, and only for a layer that
-	// is on.
-	for _, c := range []struct {
-		counter, layer, want string
-	}{
-		{"tv.static.bailout", "static", "static outcomes"},
-		{"tv.cache.miss", "cache", "cache hit+miss"},
-	} {
+	// The identity fails on each of its counters, and only while the
+	// cache is on.
+	for _, counter := range []string{"tv.cache.miss", "tv.static.proved", "verdict.valid"} {
 		counters := cascadeCounters()
-		counters[c.counter]++
+		counters[counter]++
 		err := CheckCascade(counters, nil)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s off by one: error %v, want one naming %q", c.counter, err, c.want)
+		if err == nil || !strings.Contains(err.Error(), "cache hit+miss") {
+			t.Errorf("%s off by one: error %v, want the cache identity", counter, err)
 		}
-		if err := CheckCascade(counters, map[string]bool{c.layer: true}); err != nil && strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s off by one with layer %s off: %v", c.counter, c.layer, err)
+		if err := CheckCascade(counters, ParseLayersOff("cache")); err != nil {
+			t.Errorf("%s off by one with the cache off: %v", counter, err)
 		}
 	}
 
-	// With the static rung off, nothing is statically proved and every
-	// encoded query reaches the solve stage.
-	off := cascadeCounters()
-	maps.DeleteFunc(off, func(k string, _ int64) bool { return strings.HasPrefix(k, "tv.static.") })
-	off["tv.cache.miss"] = 18
-	if err := CheckCascade(off, ParseLayersOff("static")); err != nil {
-		t.Errorf("static off: %v", err)
+	// With no query folded, every encoded query reaches the solve stage.
+	none := cascadeCounters()
+	delete(none, "tv.static.proved")
+	none["tv.cache.miss"] = 18
+	if err := CheckCascade(none, nil); err != nil {
+		t.Errorf("nothing folded: %v", err)
 	}
 
 	// The preprocess gate's solve-stage queries use the cache too but are
@@ -65,8 +57,8 @@ func TestParseLayersOff(t *testing.T) {
 	if got := ParseLayersOff(""); len(got) != 0 {
 		t.Errorf("empty label: %v", got)
 	}
-	got := ParseLayersOff("static,cache")
-	if len(got) != 2 || !got["static"] || !got["cache"] {
+	got := ParseLayersOff("cache,incremental")
+	if len(got) != 2 || !got["cache"] || !got["incremental"] {
 		t.Errorf("two layers: %v", got)
 	}
 }

@@ -13,8 +13,8 @@ const HotspotsSchemaV1 = "alive-mutate-hotspots/v1"
 
 // Entry is one ranked hotspot: a seed function, a mutant, a formula (the
 // solve stage's key), or a whole unit, with the TV cost attributed to it.
-// StaticProved counts the queries the static pre-verifier discharged
-// without a SAT solve.
+// StaticProved counts the queries that folded during encoding and so were
+// Valid without a SAT solve.
 type Entry struct {
 	Name         string `json:"name"`
 	Queries      int64  `json:"queries"`

@@ -37,14 +37,14 @@ const (
 // Cache attribute values on query spans. The verdict cache's lookup is
 // the first step of the solve stage, so empty means the cache was
 // disabled for the run or the query never got that far (Unsupported, or
-// proved by the static rung).
+// folded during encoding).
 const (
 	CacheHit  = "hit"
 	CacheMiss = "miss"
 )
 
-// StaticProved is the Span.Static value for queries the static
-// pre-verifier discharged without a SAT solve (mirrors tv.StaticProved;
+// StaticProved is the Span.Static value for queries that folded during
+// encoding and so were Valid without a SAT solve (mirrors tv.StaticProved;
 // spans cannot import tv).
 const StaticProved = "proved"
 
@@ -65,9 +65,9 @@ type Span struct {
 
 	// Solver-query attributes (Name == NameQuery). FP names the query by
 	// the solve stage's key (empty for Unsupported queries). Static is
-	// the static pre-verifier outcome ("proved" or "bailout"), and Cache
-	// the verdict cache's ("hit" or "miss"). Each is empty when its layer
-	// was off or never reached.
+	// "proved" when the query folded during encoding and empty otherwise.
+	// Cache is the verdict cache's outcome ("hit" or "miss"), empty when
+	// the cache was off or never reached.
 	Func         string `json:"func,omitempty"`
 	FP           string `json:"fp,omitempty"`
 	Verdict      string `json:"verdict,omitempty"`

@@ -125,7 +125,7 @@ type StatusSnapshot struct {
 	// the Collector at read time, like Stages, so the dashboard tiles and
 	// the -progress ticker read the same source. The cache's lookup is
 	// the first step of the solve stage, so hits and misses together
-	// count the queries the static rung left to it; a hit replays a
+	// count the encoded queries that did not fold; a hit replays a
 	// stored Valid or budget Unknown without solving.
 	TVCacheHits   int64 `json:"tv_cache_hits,omitempty"`
 	TVCacheMisses int64 `json:"tv_cache_misses,omitempty"`
@@ -133,8 +133,8 @@ type StatusSnapshot struct {
 
 	// TVStaticProved feeds the dashboard's cascade discharge-rate tile:
 	// the share of encoded queries (it plus the cache's hits and misses)
-	// the static rung proved Valid before the solve stage. Stamped at
-	// read time like the counters above.
+	// that folded during encoding and so were Valid before the solve
+	// stage. Stamped at read time like the counters above.
 	TVStaticProved int64 `json:"tv_static_proved,omitempty"`
 
 	Units  []UnitStatus  `json:"units"`

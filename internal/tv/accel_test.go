@@ -3,6 +3,7 @@ package tv
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
@@ -116,16 +117,9 @@ fb:
 }
 
 // sameOutcome asserts two Results agree on everything the campaign
-// records: verdict, reason, and the full counterexample assignment. The
-// single documented exception: a baseline budget-limited Unknown may be
-// proven Valid by an accelerated mode (a static proof needs no solver
-// budget at all). The reverse — acceleration degrading or changing any
-// decided verdict — is forbidden.
+// records: verdict, reason, and the full counterexample assignment.
 func sameOutcome(t *testing.T, name, mode string, base, got Result) {
 	t.Helper()
-	if base.Verdict == Unknown && got.Verdict == Valid {
-		return
-	}
 	if got.Verdict != base.Verdict || got.Reason != base.Reason {
 		t.Fatalf("%s [%s]: verdict %v (%s), baseline %v (%s)",
 			name, mode, got.Verdict, got.Reason, base.Verdict, base.Reason)
@@ -142,36 +136,35 @@ func sameOutcome(t *testing.T, name, mode string, base, got Result) {
 	}
 }
 
-// TestAcceleratedModesMatchBaseline: every acceleration mode must
-// reproduce the baseline verdict, reason, and exact counterexample on a
-// mixed corpus. This is the tv-level half of the byte-identity guarantee;
-// campaign.TestCampaignLayerInvariance covers the campaign tables.
+// TestAcceleratedModesMatchBaseline: the verdict cache, filled and then
+// replayed, must reproduce the baseline verdict, reason, and exact
+// counterexample on a mixed corpus. This is the tv-level half of the
+// byte-identity guarantee; campaign.TestCampaignLayerInvariance covers
+// the campaign tables.
 func TestAcceleratedModesMatchBaseline(t *testing.T) {
 	pairs := equivalencePairs(t)
 	verdicts := map[Verdict]int{}
+	folded := 0
 	// The corpus contains solver-hard pairs; a finite budget keeps the
 	// test fast and additionally exercises agreement on budget Unknowns.
 	const budget = 500
-	modes := map[string]Options{
-		"static": {ConflictBudget: budget, Static: true},
-	}
 	for _, p := range pairs {
 		base := Verify(p.mod, p.src, p.tgt, Options{ConflictBudget: budget})
 		verdicts[base.Verdict]++
-		for mode, o := range modes {
-			got := Verify(p.mod, p.src, p.tgt, o)
-			sameOutcome(t, p.name, mode, base, got)
-		}
-		// Cached mode: solve-then-replay must also agree.
 		c := NewCache()
 		o := Options{ConflictBudget: budget, Cache: c}
 		sameOutcome(t, p.name, "cache-fill", base, Verify(p.mod, p.src, p.tgt, o))
 		replay := Verify(p.mod, p.src, p.tgt, o)
 		sameOutcome(t, p.name, "cache-replay", base, replay)
 		// Valid and budget Unknown results are served on replay; Invalid
-		// ones re-solve, and an encoding-time Unsupported never reaches
-		// the cache.
-		if base.Verdict == Valid || base.Verdict == Unknown {
+		// ones re-solve, and neither an encoding-time Unsupported nor a
+		// query that folds during encoding reaches the cache.
+		if base.StaticOutcome == StaticProved {
+			folded++
+			if replay.CacheHit || c.Len() != 0 {
+				t.Fatalf("%s: a folded query reached the cache", p.name)
+			}
+		} else if base.Verdict == Valid || base.Verdict == Unknown {
 			if !replay.CacheHit {
 				t.Fatalf("%s: second lookup of %v result missed the cache", p.name, base.Verdict)
 			}
@@ -179,44 +172,49 @@ func TestAcceleratedModesMatchBaseline(t *testing.T) {
 			t.Fatalf("%s: %v verdict must never be served from cache", p.name, base.Verdict)
 		}
 	}
-	if verdicts[Valid] == 0 || verdicts[Invalid] == 0 {
-		t.Fatalf("corpus lacks verdict diversity: %v", verdicts)
+	if verdicts[Valid] == 0 || verdicts[Invalid] == 0 || folded == 0 || folded == verdicts[Valid] {
+		t.Fatalf("corpus lacks verdict diversity: %v, %d folded", verdicts, folded)
 	}
-	t.Logf("verdict mix across %d pairs: %v", len(pairs), verdicts)
+	t.Logf("verdict mix across %d pairs: %v, %d folded", len(pairs), verdicts, folded)
 }
 
-// TestAcceleratedBudgetVerdictsMatch: at a starvation-level conflict
-// budget the static rung must fall through to the solver and report the
-// same Unknown boundary as the baseline — budget verdicts are part of the
-// result table.
+// TestAcceleratedBudgetVerdictsMatch: at starvation-level conflict
+// budgets a query that does not fold reports the same Unknown boundary
+// with the verdict cache as without — budget verdicts are part of the
+// result table — and one cache never serves a verdict across budgets.
 func TestAcceleratedBudgetVerdictsMatch(t *testing.T) {
-	src := parser.MustParse(`define i32 @f(i32 %x, i32 %y) {
-  %m = mul i32 %x, %y
-  ret i32 %m
-}`)
-	tgt := parser.MustParse(`define i32 @f(i32 %x, i32 %y) {
-  %m = mul i32 %y, %x
-  ret i32 %m
-}`)
+	mod, src, tgt := assocPair(t, "x", "y", "z", "")
+	c := NewCache()
+	unknowns := 0
 	for _, budget := range []int64{1, 2, 4, 0} {
-		base := Verify(src, src.Defs()[0], tgt.Defs()[0], Options{ConflictBudget: budget})
-		got := Verify(src, src.Defs()[0], tgt.Defs()[0], Options{ConflictBudget: budget, Static: true})
-		if base.Verdict == Unknown && got.Verdict == Valid {
-			continue // documented one-directional upgrade
+		base := Verify(mod, src, tgt, Options{ConflictBudget: budget})
+		if base.StaticOutcome == StaticProved {
+			t.Fatalf("budget=%d: the query folded; the test needs a solver-bound pair", budget)
 		}
-		if got.Verdict != base.Verdict {
-			t.Fatalf("budget=%d: static verdict %v, baseline %v", budget, got.Verdict, base.Verdict)
+		if base.Verdict == Unknown {
+			unknowns++
 		}
+		for _, mode := range []string{"cache-fill", "cache-replay"} {
+			got := Verify(mod, src, tgt, Options{ConflictBudget: budget, Cache: c})
+			sameOutcome(t, fmt.Sprintf("budget=%d", budget), mode, base, got)
+		}
+	}
+	if unknowns == 0 {
+		t.Fatal("no budget left the query Unknown; the boundary went unchecked")
 	}
 }
 
 // TestCacheStatsAndStorePolicy: hits and misses count the solve-stage
 // lookups; Valid and budget Unknown results are stored and replayed,
-// Invalid ones always re-solve, and an encoding-time Unsupported never
-// reaches the cache.
+// Invalid ones always re-solve, and neither an encoding-time Unsupported
+// nor a query that folds during encoding reaches the cache.
 func TestCacheStatsAndStorePolicy(t *testing.T) {
 	valid := parser.MustParse(`define i32 @f(i32 %x) {
-  %a = add i32 %x, 0
+  %a = add i32 %x, %x
+  ret i32 %a
+}`)
+	validTgt := parser.MustParse(`define i32 @f(i32 %x) {
+  %a = shl i32 %x, 1
   ret i32 %a
 }`)
 	invalid := parser.MustParse(`define i8 @g(i8 %x) {
@@ -233,16 +231,20 @@ entry:
 loop:
   br label %loop
 }`)
+	folds := parser.MustParse(`define i32 @k(i32 %x) {
+  %a = add i32 %x, 0
+  ret i32 %a
+}`)
 	unknownMod, unknownSrc, unknownTgt := assocPair(t, "x", "y", "z", "")
 
 	c := NewCache()
 	o := Options{ConflictBudget: 300, Cache: c}
 
-	r := Verify(valid, valid.Defs()[0], valid.Defs()[0], o)
+	r := Verify(valid, valid.Defs()[0], validTgt.Defs()[0], o)
 	if r.Verdict != Valid || r.CacheHit {
 		t.Fatalf("first valid query: %+v", r)
 	}
-	r = Verify(valid, valid.Defs()[0], valid.Defs()[0], o)
+	r = Verify(valid, valid.Defs()[0], validTgt.Defs()[0], o)
 	if r.Verdict != Valid || !r.CacheHit {
 		t.Fatalf("second valid query should hit: %+v", r)
 	}
@@ -270,6 +272,13 @@ loop:
 		}
 	}
 
+	for i := 0; i < 2; i++ {
+		r = Verify(folds, folds.Defs()[0], folds.Defs()[0], o)
+		if r.Verdict != Valid || r.CacheHit || r.StaticOutcome != StaticProved {
+			t.Fatalf("folded query %d: %+v", i, r)
+		}
+	}
+
 	hits, misses := c.Stats()
 	if hits != 2 || misses != 4 {
 		t.Fatalf("stats = %d hits / %d misses, want 2/4", hits, misses)
@@ -280,22 +289,27 @@ loop:
 }
 
 // TestCacheHitsAcrossRenamedMutants: the core cross-mutant win — a mutant
-// differing only in names must be served from cache without solving.
+// differing only in names must be served from cache without solving. The
+// target drops the shl's nuw, so the pair does not fold and reaches the
+// solve stage.
 func TestCacheHitsAcrossRenamedMutants(t *testing.T) {
-	base := richFn(nil)
-	renamed := richFn(map[string]string{
+	pair := func(text string) (*ir.Module, *ir.Function, *ir.Function) {
+		src := parser.MustParse(text)
+		tgt := parser.MustParse(strings.Replace(text, "shl nuw", "shl", 1))
+		return src, src.FuncByName("f"), tgt.FuncByName("f")
+	}
+	m1, s1, t1 := pair(richFn(nil))
+	m2, s2, t2 := pair(richFn(map[string]string{
 		"A": "n", "B": "m", "a": "t0", "c": "t1", "p": "t2", "l": "t3",
 		"s": "t4", "E": "begin", "L": "yes", "R": "no",
-	})
-	m1 := parser.MustParse(base)
-	m2 := parser.MustParse(renamed)
+	}))
 	c := NewCache()
 	o := Options{Cache: c}
-	r1 := Verify(m1, m1.FuncByName("f"), m1.FuncByName("f"), o)
-	if r1.Verdict != Valid || r1.CacheHit {
+	r1 := Verify(m1, s1, t1, o)
+	if r1.Verdict != Valid || r1.CacheHit || !r1.ReachedSolveStage() {
 		t.Fatalf("first solve: %+v", r1)
 	}
-	r2 := Verify(m2, m2.FuncByName("f"), m2.FuncByName("f"), o)
+	r2 := Verify(m2, s2, t2, o)
 	if r2.Verdict != Valid || !r2.CacheHit {
 		t.Fatalf("renamed mutant should be a cache hit: %+v", r2)
 	}

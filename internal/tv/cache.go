@@ -12,7 +12,7 @@ import (
 // campaign unit. Mutation-based fuzzing re-derives the same refinement
 // formula constantly: mutants that differ only in value names, and
 // mutants whose mutation folds away during encoding, reach the solver as
-// the same query. The cache sits after the static rung, just before the
+// the same query. The cache sits after the fold check, just before the
 // monolithic solve, and keys a digest of the encoded query (see
 // solveKey).
 //
@@ -60,8 +60,8 @@ func (c *Cache) Len() int {
 
 // solveKey digests everything the solve stage reads: the query and the
 // conflict budget.
-func solveKey(e *encoding, opts Options) Key {
-	d := smt.Digest(e.query)
+func solveKey(query *smt.Term, opts Options) Key {
+	d := smt.Digest(query)
 	buf := append([]byte("alive-mutate-tvsolve/1"), d[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(opts.ConflictBudget))
 	return Key(sha256.Sum256(buf))

@@ -116,19 +116,19 @@ func TestCacheReplaysFoldedMutantExactly(t *testing.T) {
 // the same query under another conflict budget.
 func TestCacheKeySeparatesSolveModes(t *testing.T) {
 	m, s, tg := assocPair(t, "x", "y", "z", "")
-	e, reason := encode(m, s, tg)
-	if e == nil {
+	q, reason := encode(m, s, tg)
+	if q == nil {
 		t.Fatalf("encode: %s", reason)
 	}
 	base := Options{ConflictBudget: 4000}
-	k := solveKey(e, base)
-	if solveKey(e, base) != k {
+	k := solveKey(q, base)
+	if solveKey(q, base) != k {
 		t.Fatal("the key is not a function of its inputs")
 	}
 	for name, o := range map[string]Options{
 		"ConflictBudget": {ConflictBudget: 3000},
 	} {
-		if solveKey(e, o) == k {
+		if solveKey(q, o) == k {
 			t.Errorf("Options.%s not reflected in the key", name)
 		}
 	}
@@ -137,8 +137,7 @@ func TestCacheKeySeparatesSolveModes(t *testing.T) {
 // TestCacheDifferentialOverMutants checks the verdict cache end to end:
 // over a sequence of corpus mutants at budget 500, verifying with one
 // shared cache gives the same verdict, reason and counterexample for
-// every query, in order, as verifying with none — under plain options
-// and under the campaign's cascade.
+// every query, in order, as verifying with none.
 func TestCacheDifferentialOverMutants(t *testing.T) {
 	type query struct {
 		mod      *ir.Module
@@ -168,33 +167,26 @@ func TestCacheDifferentialOverMutants(t *testing.T) {
 			}
 		}
 	}
-	cascade := func() Options {
-		return Options{ConflictBudget: 500, Static: true}
-	}
-	for name, mk := range map[string]func() Options{
-		"plain":   func() Options { return Options{ConflictBudget: 500} },
-		"cascade": cascade,
-	} {
-		without, with := mk(), mk()
-		with.Cache = NewCache()
-		verdicts := map[Verdict]int{}
-		for i, q := range queries {
-			base := Verify(q.mod, q.src, q.tgt, without)
-			got := Verify(q.mod, q.src, q.tgt, with)
-			verdicts[base.Verdict]++
-			if got.Verdict != base.Verdict || got.Reason != base.Reason {
-				t.Fatalf("%s: query %d: %v %q with the cache, %v %q without",
-					name, i, got.Verdict, got.Reason, base.Verdict, base.Reason)
-			}
-			if (base.CEX == nil) != (got.CEX == nil) ||
-				base.CEX != nil && !reflect.DeepEqual(base.CEX.Model, got.CEX.Model) {
-				t.Fatalf("%s: query %d: counterexample %v with the cache, %v without", name, i, got.CEX, base.CEX)
-			}
+	without := Options{ConflictBudget: 500}
+	with := without
+	with.Cache = NewCache()
+	verdicts := map[Verdict]int{}
+	for i, q := range queries {
+		base := Verify(q.mod, q.src, q.tgt, without)
+		got := Verify(q.mod, q.src, q.tgt, with)
+		verdicts[base.Verdict]++
+		if got.Verdict != base.Verdict || got.Reason != base.Reason {
+			t.Fatalf("query %d: %v %q with the cache, %v %q without",
+				i, got.Verdict, got.Reason, base.Verdict, base.Reason)
 		}
-		hits, misses := with.Cache.Stats()
-		if hits == 0 || misses == 0 || verdicts[Invalid] == 0 {
-			t.Errorf("%s: %d hits, %d misses, verdicts %v; the check is vacuous", name, hits, misses, verdicts)
+		if (base.CEX == nil) != (got.CEX == nil) ||
+			base.CEX != nil && !reflect.DeepEqual(base.CEX.Model, got.CEX.Model) {
+			t.Fatalf("query %d: counterexample %v with the cache, %v without", i, got.CEX, base.CEX)
 		}
-		t.Logf("%s: %d queries %v, cache %d hits / %d misses", name, len(queries), verdicts, hits, misses)
 	}
+	hits, misses := with.Cache.Stats()
+	if hits == 0 || misses == 0 || verdicts[Invalid] == 0 {
+		t.Errorf("%d hits, %d misses, verdicts %v; the check is vacuous", hits, misses, verdicts)
+	}
+	t.Logf("%d queries %v, cache %d hits / %d misses", len(queries), verdicts, hits, misses)
 }

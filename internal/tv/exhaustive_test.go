@@ -65,12 +65,13 @@ func exhaustiveInputs(f *ir.Function) [][]interp.Value {
 // one at least one. The interpreter fixes each freeze of poison to one
 // value where the encoding ranges over all of them, so an Invalid pair
 // with a freeze may need a choice the run did not make: such pairs check
-// only the Valid direction. Both the plain options and the campaign
-// cascade at fuzz-campaign's default budget are checked; the cascade
-// must decide at least one pair by the static rung and one by a cache
-// hit, so both fast paths are checked against the interpreter. Its one
-// cache is shared by every pair, and the 160 mutants give it a few
-// repeated solve-stage queries (4 hits as of this writing).
+// only the Valid direction. Both the plain options and the campaign's
+// verdict cache at fuzz-campaign's default budget are checked; each leg
+// must see at least one pair fold during encoding, and the cache leg at
+// least one cache hit, so both fast paths are checked against the
+// interpreter. Its one cache is shared by every pair, and the 160
+// mutants give it a few repeated solve-stage queries (4 hits as of
+// this writing).
 func TestExhaustiveEnumerationOracle(t *testing.T) {
 	type pair struct {
 		seed     string
@@ -124,19 +125,19 @@ func TestExhaustiveEnumerationOracle(t *testing.T) {
 		opts func() Options
 	}{
 		{"plain", func() Options { return Options{ConflictBudget: 4000} }},
-		{"cascade", func() Options {
+		{"cache", func() Options {
 			// campaign.BugConfig's defaults at fuzz-campaign's -tvbudget.
-			return Options{ConflictBudget: 4000, Static: true, Cache: NewCache()}
+			return Options{ConflictBudget: 4000, Cache: NewCache()}
 		}},
 	} {
 		opts := cfg.opts()
 		verdicts := map[Verdict]int{}
-		static, cached, validOnly := 0, 0, 0
+		folded, cached, validOnly := 0, 0, 0
 		for _, p := range pairs {
 			r := Verify(p.mod, p.src, p.tgt, opts)
 			verdicts[r.Verdict]++
 			if r.StaticOutcome == StaticProved {
-				static++
+				folded++
 			}
 			if r.CacheHit {
 				cached++
@@ -170,11 +171,11 @@ func TestExhaustiveEnumerationOracle(t *testing.T) {
 		if verdicts[Valid] == 0 || verdicts[Invalid]-validOnly == 0 {
 			t.Errorf("%s: verdicts %v over %d pairs; the oracle needs both Valid and Invalid pairs", cfg.name, verdicts, len(pairs))
 		}
-		if cfg.name == "cascade" && (static == 0 || cached == 0) {
-			t.Errorf("cascade: %d pairs decided by the static rung, %d by a cache hit; a fast path went unchecked", static, cached)
+		if folded == 0 || cfg.name == "cache" && cached == 0 {
+			t.Errorf("%s: %d pairs folded during encoding, %d decided by a cache hit; a fast path went unchecked", cfg.name, folded, cached)
 		}
-		t.Logf("%s: %d pairs, verdicts %v (%d Invalid with a freeze, not enumerated), %d decided by the static rung, %d by a cache hit",
-			cfg.name, len(pairs), verdicts, validOnly, static, cached)
+		t.Logf("%s: %d pairs, verdicts %v (%d Invalid with a freeze, not enumerated), %d folded during encoding, %d decided by a cache hit",
+			cfg.name, len(pairs), verdicts, validOnly, folded, cached)
 	}
 }
 

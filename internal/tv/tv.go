@@ -85,7 +85,6 @@ type Result struct {
 	// CacheHit marks a solve-stage result replayed from the verdict
 	// cache: Verdict and Reason are the stored ones, and the solve
 	// stage's statistics (Conflicts, Propagations, SATVars) are zero.
-	// The static fields are this query's own, because that rung ran.
 	CacheHit bool
 	// FP is the hex form of the solve stage's key (see solveKey),
 	// populated when NeedFingerprint is set; empty for Unsupported
@@ -99,16 +98,10 @@ type Result struct {
 	// read it.
 	AssumptionQueries int64
 
-	// StaticOutcome records what the static refinement pre-verifier did
-	// with this query: StaticProved, StaticBailout, or "" when the rung
-	// was off or never reached (Unsupported).
+	// StaticOutcome is StaticProved when the query folded to false
+	// during encoding and so was Valid before the solve stage, and empty
+	// otherwise.
 	StaticOutcome string
-	// StaticRule names the rung that proved refinement ("fold" or
-	// "term-equal"); empty unless proved.
-	StaticRule string
-	// StaticNS is the wall time the static rung spent, measured only
-	// when Observe is set (stage.stv histogram); 0 otherwise.
-	StaticNS int64
 
 	// SrcEncProved is always false. The shared src encoding layer is
 	// gone; the name survives only because perfbench/trace reads it, and
@@ -140,15 +133,10 @@ type Options struct {
 	// the field survives only because perfbench/trace sets it, and a
 	// later change to the benchmark deletes it. Nothing else may set it.
 	Incremental bool
-	// Static enables the static refinement pre-verifier as the first
-	// stage after encoding: structural query folding, then term-level
-	// summary equality (see staticProve). The rung may only short-circuit
-	// Valid verdicts it can prove SAT would return — undecided queries
-	// fall through to the solver untouched — so result tables,
-	// witnesses, and triage trees are byte-identical with the rung off.
-	// The one permitted divergence is one-directional: a query the
-	// budgeted solver would abandon as Unknown may be proven Valid
-	// statically.
+	// Static is ignored. The static rung is gone (a query that folds
+	// during encoding is Valid under any Options); the field survives
+	// only because perfbench/trace sets it, and a later change to the
+	// benchmark deletes it. Nothing else may set it.
 	Static bool
 	// SrcEnc is ignored. The shared src encoding layer is gone; the
 	// field survives only because perfbench/trace sets it, and a later
@@ -164,7 +152,7 @@ type Options struct {
 	Portfolio int
 	// Cache, when non-nil, memoizes the solve stage's results keyed by a
 	// digest of the encoded query (see cache.go): the lookup comes after
-	// the static rung, and a hit replays the stored Valid or budget
+	// the fold check, and a hit replays the stored Valid or budget
 	// Unknown exactly. Invalid results are never cached, so
 	// counterexamples are always freshly solved. Not safe for concurrent
 	// use; the campaign creates one per unit.
@@ -201,52 +189,37 @@ func verifySolve(mod *ir.Module, src, tgt *ir.Function, opts Options) Result {
 		return Result{Verdict: Unsupported, Reason: err.Error()}
 	}
 
-	e, reason := encode(mod, src, tgt)
-	if e == nil {
+	query, reason := encode(mod, src, tgt)
+	if query == nil {
 		return Result{Verdict: Unsupported, Reason: reason}
 	}
-	srcSum, tgtSum, query := e.srcSum, e.tgtSum, e.query
-
-	var staticOutcome string
-	var staticNS int64
-	if opts.Static {
-		// The rung's latency is measured only for Observe, like every
-		// other telemetry-only timer.
-		var t0 time.Time
-		if opts.Observe != nil {
-			t0 = time.Now() // vet:determinism — rung latency, telemetry only
+	// A query that folded to false during encoding (hash-consing and
+	// rewriting proved every obligation) is Valid before the solve
+	// stage: no key, no cache lookup, no solver.
+	if query.IsFalse() {
+		r := Result{Verdict: Valid, StaticOutcome: StaticProved}
+		if opts.NeedFingerprint {
+			r.FP = solveKey(query, opts).String()
 		}
-		rule, outcome := staticProve(src, tgt, srcSum, tgtSum, query)
-		if opts.Observe != nil {
-			staticNS = int64(time.Since(t0)) // vet:determinism — rung latency, telemetry only
-		}
-		if outcome == StaticProved {
-			r := Result{Verdict: Valid, StaticOutcome: outcome, StaticRule: rule, StaticNS: staticNS}
-			if opts.NeedFingerprint {
-				r.FP = solveKey(e, opts).String()
-			}
-			return r
-		}
-		staticOutcome = outcome
+		return r
 	}
 
 	// Verdict cache: a query already solved in this unit replays its
 	// result (see cache.go). The key also names the query in spans.
 	var key Key
 	if opts.Cache != nil || opts.NeedFingerprint {
-		key = solveKey(e, opts)
+		key = solveKey(query, opts)
 	}
 	r, hit := Result{}, false
 	if opts.Cache != nil {
 		r, hit = opts.Cache.lookup(key)
 	}
 	if !hit {
-		r = solve(src, e.query, opts)
+		r = solve(src, query, opts)
 		if opts.Cache != nil {
 			opts.Cache.store(key, r)
 		}
 	}
-	r.StaticOutcome, r.StaticNS = staticOutcome, staticNS
 	if opts.NeedFingerprint {
 		r.FP = key.String()
 	}
@@ -273,22 +246,27 @@ func solve(src *ir.Function, query *smt.Term, opts Options) Result {
 	return out
 }
 
+// StaticOutcome values (Result.StaticOutcome).
+const (
+	// StaticProved: the query folded to false during encoding and was
+	// Valid before the solve stage.
+	StaticProved = "proved"
+	// StaticBailout is never set. The static rung is gone; the name
+	// survives only because perfbench/trace names it, and a later change
+	// to the benchmark deletes it. Nothing else may use it.
+	StaticBailout = "bailout"
+)
+
 // ReachedSolveStage reports whether the query got past encoding and the
-// static rung to the solve stage, where the verdict cache's lookup comes
+// fold check to the solve stage, where the verdict cache's lookup comes
 // first. Only encoding returns Unsupported.
 func (r Result) ReachedSolveStage() bool {
 	return r.Verdict != Unsupported && r.StaticOutcome != StaticProved
 }
 
-// encoding is a pair's refinement query, built once per Verify.
-type encoding struct {
-	srcSum, tgtSum *semantics.Summary
-	query          *smt.Term
-}
-
 // encode builds the pair's violation query: satisfiable exactly when tgt
-// fails to refine src. A nil encoding comes with the Unsupported reason.
-func encode(mod *ir.Module, src, tgt *ir.Function) (*encoding, string) {
+// fails to refine src. A nil query comes with the Unsupported reason.
+func encode(mod *ir.Module, src, tgt *ir.Function) (*smt.Term, string) {
 	b := smt.NewBuilder()
 	ctx := semantics.NewContext(b)
 	enc := &semantics.Encoder{Ctx: ctx, Mod: mod}
@@ -305,7 +283,7 @@ func encode(mod *ir.Module, src, tgt *ir.Function) (*encoding, string) {
 	if !supported {
 		return nil, reason
 	}
-	return &encoding{srcSum, tgtSum, b.And(ctx.Axioms(), viol)}, ""
+	return b.And(ctx.Axioms(), viol), ""
 }
 
 func checkSignatures(src, tgt *ir.Function) error {

@@ -174,3 +174,29 @@ func TestFoldedQuerySkipsSolver(t *testing.T) {
 		t.Fatal("NeedFingerprint set, but the folded query has no FP")
 	}
 }
+
+// TestStaticShortCircuitSkipsSolver: Options.Static is ignored, so a
+// caller that still sets it gets the same folded Valid, with no solver
+// effort, as one that does not.
+func TestStaticShortCircuitSkipsSolver(t *testing.T) {
+	src := parser.MustParse(`define i32 @f(i32 %x) {
+  %a = add i32 %x, 1
+  %b = mul i32 %a, %a
+  ret i32 %b
+}`)
+	f := src.Defs()[0]
+	r := Verify(src, f, f, Options{Static: true})
+	if r.Verdict != Valid {
+		t.Fatalf("identical pair: verdict %v (%s)", r.Verdict, r.Reason)
+	}
+	if r.StaticOutcome != StaticProved {
+		t.Fatalf("identical pair not folded: static outcome %q", r.StaticOutcome)
+	}
+	if r.Conflicts != 0 || r.Propagations != 0 {
+		t.Fatalf("folded query still burned solver effort: %d conflicts, %d propagations",
+			r.Conflicts, r.Propagations)
+	}
+	if plain := Verify(src, f, f, Options{}); plain != r {
+		t.Fatalf("Options.Static changed the result:\nwith:    %+v\nwithout: %+v", r, plain)
+	}
+}
